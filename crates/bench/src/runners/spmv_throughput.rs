@@ -1,8 +1,8 @@
 //! Execution-throughput benchmark: the seed's array-of-structs
 //! slot-at-a-time engine versus the structure-of-arrays engine, single
 //! vector and batched, under every kernel backend the host can run —
-//! plus the cache-blocked (banded) and 2D row×column tiled schedules on
-//! LLC-exceeding workloads.
+//! plus the cache-blocked 2D row×column tiled schedules on LLC-exceeding
+//! workloads.
 //!
 //! PR 1's `schedule_throughput` tracks the one-time preprocessing cost;
 //! this runner tracks the thing the schedule exists to accelerate — the
@@ -28,19 +28,17 @@
 //!   block (`reg_block_f64()`, 8 lanes everywhere), once per available
 //!   backend: the double-precision walk iterative solvers run at
 //!   production scale, gated against the exact-order f64 CSR oracle,
-//! * `soa-single-banded` / `soa-batch-banded` — the cache-blocked
-//!   [`Gust::execute_banded`] / [`Gust::execute_batch_banded`] over a
-//!   [`gust::BandedSchedule`], once per available backend. Cache-resident
-//!   shapes run under the auto-detected budget (usually one band — the
-//!   ≤ 5 % no-regression check); the LLC shapes force a small budget so
-//!   every gather hits an L2-resident band slice. Band plans are sized
-//!   per call since PR 5: single rows at batch width 1, batch rows at
-//!   the register block, both capped by the matrix's nnz/row density,
-//! * `soa-batch-tiled` — the 2D [`Gust::execute_batch_tiled`] over a
+//! * `soa-single-tiled` / `soa-batch-tiled` — the cache-blocked
+//!   [`Gust::execute_tiled`] / [`Gust::execute_batch_tiled`] over a
 //!   [`gust::TiledSchedule`], once per available backend: row tiles
 //!   sized by the (forced, on `llc-tall-out`) row budget, each tile
-//!   independently banded, so the accumulator carry stays confined to a
-//!   cache-resident output slice,
+//!   independently column-banded, so every gather hits a cache-resident
+//!   band slice and the accumulator carry stays confined to a
+//!   cache-resident output slice. Cache-resident shapes run under the
+//!   auto-detected budgets (usually one tile of one band); the LLC
+//!   shapes force small ones. Plans are sized per call: single rows at
+//!   batch width 1, batch rows at the register block, both capped by
+//!   each tile's nnz/row density,
 //! * `soa-batch-mt` — the batched kernel over four register blocks
 //!   fanned out on the persistent worker pool at host parallelism, on
 //!   the best-available backend — the row a multi-core runner moves,
@@ -62,9 +60,9 @@
 //!
 //! Every kernel is checked against the scalar-backend engine before it is
 //! timed — bit for bit where the contract is bit-identity (legacy engine,
-//! `soa-single` on every backend, scalar batch columns, banded vs. its
-//! own flattened schedule and tiled vs. its per-tile flattened schedules
-//! on *every* backend), within the documented FMA-contraction bound for
+//! `soa-single` on every backend, scalar batch columns, and tiled vs. its
+//! per-tile flattened schedules on *every* backend), within the
+//! documented FMA-contraction bound for
 //! AVX2/AVX-512 batch columns and the f64 oracle bound for the f64 rows.
 //! The benchmark refuses to time wrong answers.
 //!
@@ -76,7 +74,7 @@
 use crate::legacy;
 use crate::table::TextTable;
 use gust::kernels::{cpu_features, Backend};
-use gust::{Gust, GustConfig};
+use gust::{BandedSchedule, Gust, GustConfig, ScheduledMatrix, TiledSchedule};
 use gust_sparse::ops::max_relative_error;
 use gust_sparse::{gen, CsrMatrix};
 use std::time::{Duration, Instant};
@@ -108,10 +106,10 @@ struct Measurement {
     /// rows.
     reg_block: usize,
     batch: usize,
-    /// Band count of the banded/tiled rows (for tiled rows, the maximum
-    /// over tiles); 0 for unblocked kernels.
+    /// Band count of the tiled rows (the maximum over tiles); 0 for
+    /// unblocked kernels.
     banded: usize,
-    /// Cache budget (bytes) the banded/tiled schedule targeted; 0 for
+    /// Cache budget (bytes) the tiled schedule targeted; 0 for
     /// unblocked kernels.
     cache_budget: usize,
     /// Row-tile count of the tiled rows; 0 for untiled kernels.
@@ -129,7 +127,7 @@ struct Measurement {
 struct Workload {
     name: &'static str,
     matrix: CsrMatrix,
-    banded_budget: Option<usize>,
+    cache_budget: Option<usize>,
     row_budget: Option<usize>,
 }
 
@@ -185,25 +183,25 @@ pub fn run(scale: f64) -> ThroughputOutput {
         Workload {
             name: "uniform",
             matrix: CsrMatrix::from(&gen::uniform(dim, dim, nnz, 11)),
-            banded_budget: None,
+            cache_budget: None,
             row_budget: None,
         },
         Workload {
             name: "power-law",
             matrix: CsrMatrix::from(&gen::power_law(dim, dim, nnz, 1.9, 12)),
-            banded_budget: None,
+            cache_budget: None,
             row_budget: None,
         },
         Workload {
             name: "rmat",
             matrix: CsrMatrix::from(&gen::rmat(dim, dim, nnz, 13)),
-            banded_budget: None,
+            cache_budget: None,
             row_budget: None,
         },
         Workload {
             name: "hub-reuse",
             matrix: crate::workloads::hub_matrix(dim, dim * 16, nnz, hubs, 14),
-            banded_budget: None,
+            cache_budget: None,
             row_budget: None,
         },
     ];
@@ -211,7 +209,7 @@ pub fn run(scale: f64) -> ThroughputOutput {
         workloads.push(Workload {
             name: llc.name,
             matrix: llc.matrix,
-            banded_budget: Some(llc.cache_budget),
+            cache_budget: Some(llc.cache_budget),
             row_budget: llc.row_budget,
         });
     }
@@ -224,7 +222,7 @@ pub fn run(scale: f64) -> ThroughputOutput {
     out.push_str(&format!(
         "l = {LENGTH}, EC/LB schedule, {reps} reps (median), host parallelism {auto_threads}\n\
          backends: {} (features: {features}); batch = one register block per backend (mt: {MT_BLOCKS} blocks on {})\n\
-         banded/tiled rows: auto budgets on cache-resident shapes, forced budgets on llc-* (spilling vector = 16x its budget)\n\n",
+         tiled rows: auto budgets on cache-resident shapes, forced budgets on llc-* (spilling vector = 16x its budget)\n\n",
         backends
             .iter()
             .map(|b| format!("{} (reg_block {})", b.name(), b.reg_block()))
@@ -290,8 +288,8 @@ fn per_row_hubs_floor(rows: usize, nnz: usize) -> usize {
     nnz.div_ceil(rows) + 1
 }
 
-/// Builds a single-threaded engine pinned to `backend` (and, for banded
-/// and tiled schedules, to the forced budgets).
+/// Builds a single-threaded engine pinned to `backend` (and, for tiled
+/// schedules, to the forced budgets).
 fn engine(backend: Backend, budget: Option<usize>, row_budget: Option<usize>) -> Gust {
     Gust::new(
         GustConfig::new(LENGTH)
@@ -320,34 +318,21 @@ fn measure_kernels(
 
     // The blocked schedules: forced budgets on the LLC shapes, auto
     // budgets (usually a single band / tile) on cache-resident ones.
-    // Single-vector rows get a single-width band plan and batch rows a
-    // register-block-width plan — the per-call sizing this PR fixes —
-    // and the tiled rows compose row tiles with per-tile bands. Each
-    // schedule's flattened form anchors the bit-identity gates below.
+    // Single-vector rows get single-width tile and band plans and batch
+    // rows register-block-width ones. Each tile's flattened form anchors
+    // the bit-identity gates below.
     let rb_best = best.reg_block();
-    let blocked = engine(best, workload.banded_budget, workload.row_budget);
-    let banded_single = blocked.schedule_banded(matrix);
-    let banded_batch = blocked.schedule_banded_for_batch(matrix, rb_best);
+    let blocked = engine(best, workload.cache_budget, workload.row_budget);
+    let tiled_single = blocked.schedule_tiled(matrix);
     let tiled = blocked.schedule_tiled_for_batch(matrix, rb_best);
     let budget_used = workload
-        .banded_budget
+        .cache_budget
         .unwrap_or_else(gust::config::default_cache_budget);
     let row_budget_used = workload
         .row_budget
         .unwrap_or_else(gust::config::default_row_budget);
-    let single_flat = banded_single.to_unbanded();
-    let batch_flat = banded_batch.to_unbanded();
-    let tiled_flats: Vec<_> = tiled
-        .tiles()
-        .iter()
-        .map(gust::BandedSchedule::to_unbanded)
-        .collect();
-    let tile_bands = tiled
-        .tiles()
-        .iter()
-        .map(|t| t.bands().count())
-        .max()
-        .unwrap_or(1);
+    let single_flats = tile_flats(&tiled_single);
+    let tiled_flats = tile_flats(&tiled);
 
     // Correctness gates. The scalar single-vector engine is the anchor.
     let reference = scalar.execute(&schedule, &x);
@@ -374,7 +359,7 @@ fn measure_kernels(
     });
 
     for &backend in backends {
-        let gust = engine(backend, workload.banded_budget, workload.row_budget);
+        let gust = engine(backend, workload.cache_budget, workload.row_budget);
         let rb = backend.reg_block();
         let panel = crate::workloads::shifted_panel(&x, rb, 0.25);
 
@@ -408,31 +393,25 @@ fn measure_kernels(
                 );
             }
         }
-        // Banded/tiled: bit-identical to the unbanded engine on their
-        // own flattened schedules, under every backend — the blocking
-        // contract. Single and batch rows use differently-sized band
-        // plans, so each is gated against its own flattening.
-        let banded_run = gust.execute_banded(&banded_single, &x);
-        let flat_run = gust.execute(&single_flat, &x);
+        // Tiled: per-tile bit-identity under every backend — the
+        // blocking contract. The tiled output must equal the unbanded
+        // engine run on every tile's flattened schedule, stitched over
+        // the row tiles. Single and batch rows use differently-sized
+        // plans, so each is gated against its own flattenings.
+        let tiled_run = gust.execute_tiled(&tiled_single, &x);
+        let mut single_expected = vec![0.0f32; rows];
+        for (t, flat) in single_flats.iter().enumerate() {
+            single_expected[tiled_single.tile_range(t)]
+                .copy_from_slice(&gust.execute(flat, &x).output);
+        }
         assert_eq!(
-            banded_run.output,
-            flat_run.output,
-            "{} banded single-vector walk diverged from its flattened schedule",
+            tiled_run.output,
+            single_expected,
+            "{} tiled single-vector walk diverged from its per-tile flattened schedules",
             backend.name()
         );
-        let err = max_relative_error(&banded_run.output, &f64_reference);
-        assert!(err < 1e-3, "{} banded diverged: {err}", backend.name());
-        let (banded_batch_y, _) = gust.execute_batch_banded(&banded_batch, &panel, rb);
-        let (flat_batch_y, _) = gust.execute_batch(&batch_flat, &panel, rb);
-        assert_eq!(
-            banded_batch_y,
-            flat_batch_y,
-            "{} banded batch diverged from its flattened schedule",
-            backend.name()
-        );
-        // Tiled: per-tile bit-identity — the tiled panel must equal the
-        // unbanded engine run on every tile's flattened schedule,
-        // stitched over the row tiles.
+        let err = max_relative_error(&tiled_run.output, &f64_reference);
+        assert!(err < 1e-3, "{} tiled diverged: {err}", backend.name());
         let (tiled_y, _) = gust.execute_batch_tiled(&tiled, &panel, rb);
         let mut tiled_expected = vec![0.0f32; rows * rb];
         for (t, flat) in tiled_flats.iter().enumerate() {
@@ -528,34 +507,19 @@ fn measure_kernels(
             work: rb64 as u64 * nnz,
         });
         results.push(Measurement {
-            kernel: "soa-single-banded",
+            kernel: "soa-single-tiled",
             backend: backend.name(),
             elem: "f32",
             reg_block: 1,
             batch: 1,
-            banded: banded_single.bands().count(),
+            banded: max_tile_bands(&tiled_single),
             cache_budget: budget_used,
-            row_tiles: 0,
-            row_budget: 0,
+            row_tiles: tiled_single.tile_count(),
+            row_budget: row_budget_used,
             wall: timed(reps, || {
-                std::hint::black_box(gust.execute_banded(&banded_single, &x));
+                std::hint::black_box(gust.execute_tiled(&tiled_single, &x));
             }),
             work: nnz,
-        });
-        results.push(Measurement {
-            kernel: "soa-batch-banded",
-            backend: backend.name(),
-            elem: "f32",
-            reg_block: rb,
-            batch: rb,
-            banded: banded_batch.bands().count(),
-            cache_budget: budget_used,
-            row_tiles: 0,
-            row_budget: 0,
-            wall: timed(reps, || {
-                std::hint::black_box(gust.execute_batch_banded(&banded_batch, &panel, rb));
-            }),
-            work: rb as u64 * nnz,
         });
         results.push(Measurement {
             kernel: "soa-batch-tiled",
@@ -563,7 +527,7 @@ fn measure_kernels(
             elem: "f32",
             reg_block: rb,
             batch: rb,
-            banded: tile_bands,
+            banded: max_tile_bands(&tiled),
             cache_budget: budget_used,
             row_tiles: tiled.tile_count(),
             row_budget: row_budget_used,
@@ -620,6 +584,26 @@ fn measure_kernels(
     results
 }
 
+/// Every tile's flattened schedule, in row order — the oracle of the
+/// tiled bit-identity gates.
+fn tile_flats(tiled: &TiledSchedule) -> Vec<ScheduledMatrix> {
+    tiled
+        .tiles()
+        .iter()
+        .map(BandedSchedule::to_unbanded)
+        .collect()
+}
+
+/// The largest band count over `tiled`'s tiles (the `banded` column).
+fn max_tile_bands(tiled: &TiledSchedule) -> usize {
+    tiled
+        .tiles()
+        .iter()
+        .map(|t| t.bands().count())
+        .max()
+        .unwrap_or(1)
+}
+
 /// Runs `f` `reps` times and returns the median wall time.
 fn timed<F: FnMut()>(reps: usize, mut f: F) -> Duration {
     let mut walls = Vec::with_capacity(reps);
@@ -645,8 +629,7 @@ mod tests {
             "soa-single",
             "soa-batch-seq",
             "soa-batch-f64",
-            "soa-single-banded",
-            "soa-batch-banded",
+            "soa-single-tiled",
             "soa-batch-tiled",
             "soa-batch-mt",
             "reference-csr",
@@ -665,8 +648,8 @@ mod tests {
         assert!(out.json.contains("\"cache_budget\":"));
         assert!(out.json.contains("\"row_tiles\":"));
         assert!(out.json.contains("\"row_budget\":"));
-        // Seven workloads × (legacy + mt + 7 rows per available backend).
-        let rows_per_matrix = 2 + 7 * available_backends().len();
+        // Seven workloads × (legacy + mt + 6 rows per available backend).
+        let rows_per_matrix = 2 + 6 * available_backends().len();
         assert_eq!(out.json.matches("\"matrix\":").count(), 7 * rows_per_matrix);
         assert!(out.json.contains("\"hub-reuse\""));
         assert!(out.json.contains("\"llc-uniform\""));
@@ -695,8 +678,8 @@ mod tests {
             nnz_values.len() > 1,
             "per-shape nnz must differ, got {nnz_values:?}"
         );
-        // LLC rows are banded into multiple bands under the forced
-        // budget (operand vector = 16× budget → > 1 band at any scale).
+        // LLC rows are cut into multiple bands under the forced budget
+        // (operand vector = 16× budget → > 1 band at any scale).
         let max_bands = out
             .json
             .split("\"banded\": ")

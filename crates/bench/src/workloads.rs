@@ -104,8 +104,7 @@ pub fn hub_matrix(rows: usize, cols: usize, nnz: usize, hubs: usize, seed: u64) 
     CsrMatrix::from(&coo)
 }
 
-/// An LLC-exceeding workload for the cache-blocked (banded/tiled)
-/// schedules: the matrix, plus the budgets its blocked rows should
+/// An LLC-exceeding workload for the cache-blocked (tiled) schedules: the matrix, plus the budgets its blocked rows should
 /// force.
 pub struct LlcWorkload {
     /// Workload label (`llc-uniform`, `llc-power-law`, `llc-tall-out`).
@@ -113,8 +112,9 @@ pub struct LlcWorkload {
     /// The matrix. Full scale: 2²⁰ rows × 2²² columns (operand-heavy
     /// shapes) or 2²² rows × 2¹⁸ columns (`llc-tall-out`).
     pub matrix: CsrMatrix,
-    /// Cache budget (bytes) forced for the banded rows: sized so the
-    /// operand vector is a large multiple of the budget at any scale.
+    /// Cache budget (bytes) forced for the tiled rows' column bands:
+    /// sized so the operand vector is a large multiple of the budget at
+    /// any scale.
     pub cache_budget: usize,
     /// Row budget (bytes) forced for the tiled rows: `Some` on shapes
     /// whose *output* vector exceeds the LLC (`llc-tall-out`), `None`
@@ -134,7 +134,7 @@ pub struct LlcWorkload {
 ///
 /// `llc-tall-out` (`scale = 1`: 2²² rows × 2¹⁸ columns, 6 nnz/row)
 /// exceeds the LLC on the **output** side: the 16 MiB output vector —
-/// and with it the banded batch walk's carried accumulator panel, which
+/// and with it a band sweep's carried accumulator panel, which
 /// is `reg_block×` larger still — thrashes under column bands alone.
 /// Its forced row budget (output = 16× budget) makes the 2D tiled
 /// schedules confine each band sweep to a cache-resident row tile.
@@ -156,7 +156,7 @@ pub fn llc_workloads(scale: f64) -> Vec<LlcWorkload> {
     let tall_nnz = tall_rows * 6;
     // y = tall_rows × 4 bytes = 16 × row budget; the operand vector is
     // 1 MiB at full scale, and the ¼-sized cache budget still forces
-    // bands on the banded comparison rows.
+    // several bands per tile.
     let tall_row_budget = (tall_rows * std::mem::size_of::<f32>() / 16).max(4096);
     let tall_cache_budget = (tall_cols * std::mem::size_of::<f32>() / 4).max(4096);
     vec![

@@ -1,6 +1,6 @@
 //! `gust-verify`: offline schedule-cache safety auditor.
 //!
-//! Audits one or more `GUST`/`GUSB`/`GUTL` containers against the full
+//! Audits one or more `GUST`/`GUTL` containers against the full
 //! safety contract the unsafe kernels rely on (see `gust::verify`) and
 //! reports every violation with its window/color/slot location.
 //!
@@ -10,11 +10,10 @@
 //!
 //! Exit status: `0` when every file is intact and passes the audit,
 //! `1` when any file is corrupt or fails the audit, `2` on usage or
-//! I/O errors.
+//! I/O errors and on files that are not a `GUST`/`GUTL` container.
 
 use gust::schedule::serialize::{
-    read_banded_schedule_file_verified, read_schedule_file_verified,
-    read_tiled_schedule_file_verified, ReadScheduleError,
+    read_schedule_file_verified, read_tiled_schedule_file_verified, ReadScheduleError,
 };
 use std::io::Read as _;
 use std::path::Path;
@@ -42,11 +41,6 @@ fn audit_file(path: &Path) -> FileOutcome {
             "flat",
             read_schedule_file_verified(path).map(|s| summary(s.get().rows(), s.get().cols())),
         ),
-        b"GUSB" => (
-            "banded",
-            read_banded_schedule_file_verified(path)
-                .map(|s| summary(s.get().rows(), s.get().cols())),
-        ),
         b"GUTL" => (
             "tiled",
             read_tiled_schedule_file_verified(path)
@@ -54,7 +48,7 @@ fn audit_file(path: &Path) -> FileOutcome {
         ),
         other => {
             eprintln!(
-                "gust-verify: {}: unrecognized magic {:?} (expected GUST, GUSB, or GUTL)",
+                "gust-verify: {}: unrecognized magic {:?} (expected GUST or GUTL)",
                 path.display(),
                 String::from_utf8_lossy(other)
             );
@@ -92,7 +86,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "-h" || a == "--help") {
         eprintln!("usage: gust-verify <file>...");
-        eprintln!("audits GUST/GUSB/GUTL schedule containers; exits nonzero on violation");
+        eprintln!("audits GUST/GUTL schedule containers; exits nonzero on violation");
         return ExitCode::from(2);
     }
     let mut worst: u8 = 0;

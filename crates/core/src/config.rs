@@ -1,5 +1,6 @@
 //! GUST configuration: length, clock, scheduling policy, kernel backend,
-//! worker parallelism and the cache budget that sizes column bands.
+//! worker parallelism and the cache and row budgets that size tiled
+//! schedules' column bands and row tiles.
 //!
 //! # Environment handling
 //!
@@ -244,8 +245,8 @@ impl GustConfig {
         self
     }
 
-    /// Sets the cache budget in bytes that column-band schedules target
-    /// (see [`crate::schedule::banded::BandedSchedule`]): bands are sized
+    /// Sets the cache budget in bytes that the column bands of tiled
+    /// schedules target (see [`crate::schedule::banded`]): bands are sized
     /// so one band's operand slice at the walk's **effective batch
     /// width** — `band_cols × width × 4` bytes, where the width is 1 for
     /// single-vector schedules and the register block for batched ones

@@ -63,26 +63,23 @@
 //!
 //! The batched walk is **generic over the element type** (the private
 //! [`Element`] trait, monomorphized for f32 and f64):
-//! [`Gust::execute_batch_f64`], [`Gust::execute_batch_banded_f64`] and
-//! [`Gust::execute_batch_tiled_f64`] run the identical pipeline in
-//! double precision — schedule values stay f32, widened per slot; f64
-//! register blocks are [`Gust::reg_block_f64`] (8 lanes everywhere, one
-//! 512-bit `pd` register on AVX-512) — and the f64 scheduling twins
-//! ([`Gust::schedule_banded_for_batch_f64`] /
-//! [`Gust::schedule_tiled_for_batch_f64`]) divide the cache budgets by
+//! [`Gust::execute_batch_f64`] and [`Gust::execute_batch_tiled_f64`]
+//! run the identical pipeline in double precision — schedule values
+//! stay f32, widened per slot; f64 register blocks are
+//! [`Gust::reg_block_f64`] (8 lanes everywhere, one 512-bit `pd`
+//! register on AVX-512) — and the f64 scheduling twin
+//! ([`Gust::schedule_tiled_for_batch_f64`]) divides the cache budgets by
 //! the 8-byte element width so band slices stay resident.
-
 //!
 //! # Cache-blocked execution
 //!
-//! [`Gust::execute_banded`] / [`Gust::execute_batch_banded`] walk a
-//! [`BandedSchedule`] band by band with accumulator carry so the
-//! `x[col]` gathers stay inside a budget-sized column slice, and
 //! [`Gust::execute_tiled`] / [`Gust::execute_batch_tiled`] walk a
 //! [`TiledSchedule`] row tile by row tile so the `y[row]` side stays
-//! resident too. Both are bit-identical per backend to the unbanded
-//! engine on the corresponding flattened schedule(s) — see
-//! [`crate::schedule::banded`] and [`crate::schedule::tiled`].
+//! resident, and within a tile band by band with accumulator carry so
+//! the `x[col]` gathers stay inside a budget-sized column slice. Each
+//! tile's output is bit-identical per backend to the unbanded engine on
+//! the tile's flattened schedule — see [`crate::schedule::banded`] and
+//! [`crate::schedule::tiled`].
 
 use crate::config::{GustConfig, SchedulingPolicy};
 use crate::error::GustError;
@@ -153,21 +150,6 @@ fn window_staged(
     window.has_column_reuse()
         && cols * bb * elem_bytes > STAGE_SOURCE_BYTES
         && 4 * window.gather_cols().len() <= cols
-}
-
-/// How the single-band path of [`run_block_banded`] obtains the
-/// interleaved whole panel in `BlockScratch::xb`.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PanelSource {
-    /// Interleave it from the source panel inside the call (the untiled
-    /// banded walk: one interleave per register block).
-    Interleave,
-    /// `scratch.xb` already holds this block's interleaved panel — the
-    /// tiled walk hoists the interleave out of its tile loop so all
-    /// tiles share one transpose per register block.
-    Ready,
-    /// No window reads it (every non-empty window is staged).
-    Unused,
 }
 
 impl Gust {
@@ -616,77 +598,10 @@ impl Gust {
         Ok((y, self.analytic_report(schedule, batch as u64)))
     }
 
-    /// Preprocesses `matrix` into a cache-blocked [`BandedSchedule`]
-    /// sized for **single-vector** execution ([`Gust::execute_banded`]):
-    /// the density-aware band plan partitions the columns so one band's
-    /// single-vector operand slice fits
-    /// [`GustConfig::effective_cache_budget`]. Delegates to
-    /// [`Scheduler::schedule_banded`]; schedules meant for
-    /// [`Gust::execute_batch_banded`] should come from
-    /// [`Gust::schedule_banded_for_batch`], whose bands are sized for the
-    /// register-block slice instead.
-    #[must_use]
-    pub fn schedule_banded(&self, matrix: &gust_sparse::CsrMatrix) -> BandedSchedule {
-        Scheduler::new(self.config.clone()).schedule_banded(matrix)
-    }
-
-    /// As [`Gust::schedule_banded`], sized for batched execution of
-    /// `batch` right-hand sides. Delegates to
-    /// [`Scheduler::schedule_banded_for_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero. Use
-    /// [`Gust::try_schedule_banded_for_batch`] to get a [`GustError`]
-    /// instead.
-    #[must_use]
-    pub fn schedule_banded_for_batch(
-        &self,
-        matrix: &gust_sparse::CsrMatrix,
-        batch: usize,
-    ) -> BandedSchedule {
-        Scheduler::new(self.config.clone()).schedule_banded_for_batch(matrix, batch)
-    }
-
-    /// Fallible [`Gust::schedule_banded_for_batch`].
-    ///
-    /// # Errors
-    ///
-    /// [`GustError::EmptyBatch`] when `batch` is zero.
-    pub fn try_schedule_banded_for_batch(
-        &self,
-        matrix: &gust_sparse::CsrMatrix,
-        batch: usize,
-    ) -> Result<BandedSchedule, GustError> {
-        if batch == 0 {
-            return Err(GustError::EmptyBatch);
-        }
-        Ok(self.schedule_banded_for_batch(matrix, batch))
-    }
-
-    /// As [`Gust::schedule_banded_for_batch`], sized for **double
-    /// precision** batched execution
-    /// ([`Gust::execute_batch_banded_f64`]): the band plan divides the
-    /// cache budget by 8-byte operands, so bands come out half as wide as
-    /// the f32 plan's for the same budget. Delegates to
-    /// [`Scheduler::schedule_banded_for_batch_f64`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    #[must_use]
-    pub fn schedule_banded_for_batch_f64(
-        &self,
-        matrix: &gust_sparse::CsrMatrix,
-        batch: usize,
-    ) -> BandedSchedule {
-        Scheduler::new(self.config.clone()).schedule_banded_for_batch_f64(matrix, batch)
-    }
-
     /// Preprocesses `matrix` into a 2D row×column [`TiledSchedule`]
     /// sized for single-vector execution ([`Gust::execute_tiled`]): rows
     /// are partitioned by [`GustConfig::effective_row_budget`] and each
-    /// tile is independently banded. Delegates to
+    /// tile is independently column-banded. Delegates to
     /// [`Scheduler::schedule_tiled`].
     #[must_use]
     pub fn schedule_tiled(&self, matrix: &gust_sparse::CsrMatrix) -> TiledSchedule {
@@ -766,18 +681,6 @@ impl Gust {
         self.admit_any(schedule.length(), schedule)
     }
 
-    /// As [`Gust::admit`], for banded schedules.
-    ///
-    /// # Errors
-    ///
-    /// As [`Gust::admit`].
-    pub fn admit_banded(
-        &self,
-        schedule: BandedSchedule,
-    ) -> Result<VerifiedSchedule<BandedSchedule>, Box<AuditReport>> {
-        self.admit_any(schedule.length(), schedule)
-    }
-
     /// As [`Gust::admit`], for tiled schedules.
     ///
     /// # Errors
@@ -809,57 +712,19 @@ impl Gust {
         VerifiedSchedule::verify(schedule)
     }
 
-    /// Runs one SpMV over a cache-blocked [`BandedSchedule`]: bands are
-    /// walked back to back (bands outer, windows inner), every window's
-    /// adders **carrying** their partial sums across bands, so each
-    /// gather hits the current band's cache-resident slice of `x` while
-    /// the result stays **bit-identical** to
-    /// `self.execute(&schedule.to_unbanded(), x)` under every backend —
-    /// per adder, the product order is the merged window's slot order
-    /// either way (see [`crate::schedule::banded`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != schedule.cols()` or the schedule's length
-    /// does not match this engine's configuration. Use
-    /// [`Gust::try_execute_banded`] to get a [`GustError`] instead.
-    #[must_use]
-    pub fn execute_banded(&self, schedule: &BandedSchedule, x: &[f32]) -> GustRun {
-        self.try_execute_banded(schedule, x)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Gust::execute_banded`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Gust::try_execute`].
-    pub fn try_execute_banded(
-        &self,
-        schedule: &BandedSchedule,
-        x: &[f32],
-    ) -> Result<GustRun, GustError> {
-        self.check_single(schedule.length(), schedule.cols(), x.len())?;
-
-        let mut y = vec![0.0f32; schedule.rows()];
-        banded_walk_single(self.backend(), schedule, x, &mut y);
-        Ok(GustRun {
-            output: y,
-            report: self.banded_report(schedule, 1),
-        })
-    }
-
     /// Runs one SpMV over a 2D row×column [`TiledSchedule`]: row tiles
-    /// are walked outermost, each tile performing the full banded band
-    /// sweep of [`Gust::execute_banded`] with its accumulator carry
-    /// confined to the tile's slice of `y` — so the `x[col]` gathers
-    /// *and* the `y[row]` accumulations stay cache-resident even when
-    /// both vectors exceed the last-level cache.
+    /// are walked outermost, each tile sweeping its column bands back to
+    /// back (bands outer, windows inner) with every window's adders
+    /// **carrying** their partial sums across bands, confined to the
+    /// tile's slice of `y` — so the `x[col]` gathers *and* the `y[row]`
+    /// accumulations stay cache-resident even when both vectors exceed
+    /// the last-level cache.
     ///
-    /// Each tile is a stand-alone [`BandedSchedule`], so the tile's
-    /// output slice is **bit-identical** to
-    /// `self.execute(&tile.to_unbanded(), x)` under every backend, and a
-    /// single-tile schedule reproduces [`Gust::execute_banded`] exactly.
+    /// Per adder the product order is the merged window's slot order
+    /// whether walked band by band or flat, so each tile's output slice
+    /// is **bit-identical** to
+    /// `self.execute(&tile.to_unbanded(), x)` under every backend (see
+    /// [`crate::schedule::banded`]).
     ///
     /// # Panics
     ///
@@ -895,158 +760,19 @@ impl Gust {
         })
     }
 
-    /// Batched SpMV over a cache-blocked [`BandedSchedule`] — the
+    /// Batched SpMV over a 2D row×column [`TiledSchedule`] — the
     /// composition of the §5.3 one-pass multi-vector walk with 2D cache
-    /// blocking. Work is cut into band × register-block tiles: each
-    /// register block of right-hand sides (a pool task, see
-    /// [`crate::parallel::Pool`]) sweeps the bands in order, interleaving
-    /// one band's operand slice (sized by the cache budget to stay
-    /// resident) and walking every window's slots of that band, with all
-    /// windows' accumulators carried across the sweep.
-    ///
-    /// Outputs are bit-identical to
-    /// `self.execute_batch(&schedule.to_unbanded(), b, batch)` for the
-    /// same backend, for every worker count.
-    ///
-    /// # Panics
-    ///
-    /// As [`Gust::execute_batch`]. Use
-    /// [`Gust::try_execute_batch_banded`] to get a [`GustError`] instead.
-    #[must_use]
-    pub fn execute_batch_banded(
-        &self,
-        schedule: &BandedSchedule,
-        b: &[f32],
-        batch: usize,
-    ) -> (Vec<f32>, ExecutionReport) {
-        self.try_execute_batch_banded(schedule, b, batch)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Gust::execute_batch_banded`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Gust::try_execute_batch`].
-    pub fn try_execute_batch_banded(
-        &self,
-        schedule: &BandedSchedule,
-        b: &[f32],
-        batch: usize,
-    ) -> Result<(Vec<f32>, ExecutionReport), GustError> {
-        self.try_execute_batch_banded_generic(schedule, b, batch)
-    }
-
-    /// [`Gust::execute_batch_banded`] in double precision — the banded
-    /// counterpart of [`Gust::execute_batch_f64`]. Schedules should come
-    /// from [`Gust::schedule_banded_for_batch_f64`], whose bands are
-    /// sized for the doubled operand width.
-    ///
-    /// # Panics
-    ///
-    /// As [`Gust::execute_batch`]. Use
-    /// [`Gust::try_execute_batch_banded_f64`] to get a [`GustError`]
-    /// instead.
-    #[must_use]
-    pub fn execute_batch_banded_f64(
-        &self,
-        schedule: &BandedSchedule,
-        b: &[f64],
-        batch: usize,
-    ) -> (Vec<f64>, ExecutionReport) {
-        self.try_execute_batch_banded_f64(schedule, b, batch)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Gust::execute_batch_banded_f64`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Gust::try_execute_batch`].
-    pub fn try_execute_batch_banded_f64(
-        &self,
-        schedule: &BandedSchedule,
-        b: &[f64],
-        batch: usize,
-    ) -> Result<(Vec<f64>, ExecutionReport), GustError> {
-        self.try_execute_batch_banded_generic(schedule, b, batch)
-    }
-
-    /// The shared element-generic body of the banded batch walks (see
-    /// [`Gust::try_execute_batch_generic`]).
-    fn try_execute_batch_banded_generic<E: Element>(
-        &self,
-        schedule: &BandedSchedule,
-        b: &[E],
-        batch: usize,
-    ) -> Result<(Vec<E>, ExecutionReport), GustError> {
-        self.check_batch(schedule.length(), schedule.cols(), b.len(), batch)?;
-        let cols = schedule.cols();
-
-        let backend = self.backend();
-        let rb = E::reg_block(backend);
-        let rows = schedule.rows();
-        let mut y = vec![E::ZERO; rows * batch];
-        let workers = self.batch_workers(batch.div_ceil(rb));
-        // With a single band, banding is vacuous and the walk takes the
-        // unbanded per-window path, including its staging decisions
-        // (decided once, at full register-block width, exactly as
-        // [`Gust::execute_batch`] does).
-        let single_band = schedule.bands().count() == 1;
-        let stage_flags: Vec<bool> = schedule
-            .windows()
-            .iter()
-            .map(|w| single_band && window_staged(w.window(), cols, rb.min(batch), E::BYTES))
-            .collect();
-        let needs_interleave = single_band
-            && schedule
-                .windows()
-                .iter()
-                .zip(&stage_flags)
-                .any(|(w, &staged)| w.nnz() > 0 && !staged);
-
-        run_blocks(
-            workers,
-            &mut y,
-            rows,
-            rb,
-            batch,
-            |j0, bb, y_block, scratch| {
-                run_block_banded(
-                    backend,
-                    schedule,
-                    b,
-                    j0,
-                    bb,
-                    &stage_flags,
-                    if needs_interleave {
-                        PanelSource::Interleave
-                    } else {
-                        PanelSource::Unused
-                    },
-                    0,
-                    rows,
-                    y_block,
-                    scratch,
-                );
-            },
-        );
-
-        Ok((y, self.banded_report(schedule, batch as u64)))
-    }
-
-    /// Batched SpMV over a 2D row×column [`TiledSchedule`] — the full 2D
-    /// composition: each register block of right-hand sides (a pool
-    /// task) walks the row tiles outermost, and within a tile performs
-    /// the banded band sweep of [`Gust::execute_batch_banded`] with the
-    /// accumulator panel confined to the tile's rows. Both the per-band
-    /// operand slice and the per-tile accumulator panel are sized by
-    /// their budgets to stay cache-resident.
+    /// blocking. Each register block of right-hand sides (a pool task,
+    /// see [`crate::parallel::Pool`]) walks the row tiles outermost, and
+    /// within a tile sweeps the bands in order, interleaving one band's
+    /// operand slice and walking every window's slots of that band, with
+    /// the tile's accumulator panel carried across the sweep. Both the
+    /// per-band operand slice and the per-tile accumulator panel are
+    /// sized by their budgets to stay cache-resident.
     ///
     /// Per tile, outputs are bit-identical to
     /// `self.execute_batch(&tile.to_unbanded(), b, batch)` for the same
-    /// backend, for every worker count; a single-tile schedule
-    /// reproduces [`Gust::execute_batch_banded`] exactly.
+    /// backend, for every worker count.
     ///
     /// # Panics
     ///
@@ -1128,15 +854,16 @@ impl Gust {
         let rows = schedule.rows();
         let mut y = vec![E::ZERO; rows * batch];
         let workers = self.batch_workers(batch.div_ceil(rb));
-        // Per-tile staging decisions, mirroring [`Gust::execute_batch_banded`]:
-        // a single-band tile takes the unbanded per-window path with the
-        // same staging heuristics. The whole-panel interleave those
+        // Per-tile staging decisions: a single-band tile takes the
+        // unbanded per-window path with the staging heuristics of
+        // [`Gust::execute_batch`]. The whole-panel interleave those
         // unstaged windows read depends only on the register block, not
         // the tile, so it is hoisted out of the tile loop — one
         // transpose per block shared by every tile, exactly the
         // amortization the untiled walk gets (multi-band tiles use a
         // separate band-slice buffer and cannot clobber it).
-        let tile_flags: Vec<(Vec<bool>, bool)> = schedule
+        let mut needs_panel = false;
+        let tile_flags: Vec<Vec<bool>> = schedule
             .tiles()
             .iter()
             .map(|tile| {
@@ -1148,16 +875,15 @@ impl Gust {
                         single_band && window_staged(w.window(), cols, rb.min(batch), E::BYTES)
                     })
                     .collect();
-                let reads_panel = single_band
+                needs_panel |= single_band
                     && tile
                         .windows()
                         .iter()
                         .zip(&flags)
                         .any(|(w, &staged)| w.nnz() > 0 && !staged);
-                (flags, reads_panel)
+                flags
             })
             .collect();
-        let needs_panel = tile_flags.iter().any(|&(_, reads)| reads);
 
         run_blocks(
             workers,
@@ -1171,19 +897,13 @@ impl Gust {
                     kernels::interleave_panel(b, cols, j0, bb, &mut scratch.xb);
                 }
                 for (t, tile) in schedule.tiles().iter().enumerate() {
-                    let (flags, reads_panel) = &tile_flags[t];
                     run_block_banded(
                         backend,
                         tile,
                         b,
                         j0,
                         bb,
-                        flags,
-                        if *reads_panel {
-                            PanelSource::Ready
-                        } else {
-                            PanelSource::Unused
-                        },
+                        &tile_flags[t],
                         schedule.tile_range(t).start,
                         rows,
                         y_block,
@@ -1217,23 +937,9 @@ impl Gust {
         )
     }
 
-    /// The banded counterpart of [`Gust::analytic_report`]: identical
-    /// derivation, with the banded color total (`Σ` over windows *and*
-    /// bands — banding trades modeled cycles for host locality).
-    fn banded_report(&self, schedule: &BandedSchedule, batch: u64) -> ExecutionReport {
-        self.report_from_counts(
-            schedule.total_colors(),
-            schedule.total_stalls(),
-            schedule.nnz() as u64,
-            schedule.rows() as u64,
-            schedule.cols() as u64,
-            batch,
-        )
-    }
-
     /// The tiled counterpart of [`Gust::analytic_report`]: identical
-    /// derivation over the tile × window × band color total (tiling, like
-    /// banding, trades modeled cycles for host locality).
+    /// derivation over the tile × window × band color total (bands and
+    /// tiles trade modeled cycles for host locality).
     fn tiled_report(&self, schedule: &TiledSchedule, batch: u64) -> ExecutionReport {
         self.report_from_counts(
             schedule.total_colors(),
@@ -1449,7 +1155,7 @@ pub(crate) struct BlockScratch<E> {
     /// (only filled when some window skips staging). The tiled walk
     /// fills it once per register block and shares it across tiles.
     xb: Vec<E>,
-    /// Per-band operand slice of the multi-band walks (kept separate
+    /// Per-band operand slice of the multi-band tile walks (kept separate
     /// from `xb` so a multi-band tile cannot clobber the shared
     /// whole-panel interleave of its sibling tiles).
     band_xb: Vec<E>,
@@ -1486,10 +1192,9 @@ impl<E> BlockScratch<E> {
     }
 }
 
-/// The single-vector banded band sweep: walks `schedule` (a whole
-/// matrix's banded schedule, or one tile of a [`TiledSchedule`]) against
-/// `x`, writing the permuted outputs into `y` (`schedule.rows()` long —
-/// for a tile, the tile's slice of the full output). Bands outer,
+/// The single-vector band sweep of one tile of a [`TiledSchedule`]:
+/// walks `schedule` against `x`, writing the permuted outputs into `y`
+/// (`schedule.rows()` long — the tile's slice of the full output). Bands outer,
 /// windows inner, every window's adders carrying partial sums across
 /// bands; per adder the product order is the merged window's slot order,
 /// which keeps the output bit-identical to the unbanded engine on
@@ -1649,8 +1354,8 @@ fn run_block<E: Element>(
     }
 }
 
-/// Executes a cache-blocked schedule against one register block of `bb`
-/// right-hand sides starting at panel column `j0` — the banded
+/// Executes one tile of a [`TiledSchedule`] against one register block
+/// of `bb` right-hand sides starting at panel column `j0` — the banded
 /// counterpart of [`run_block`]. Bands are swept in order: each band's
 /// operand slice is interleaved once (cache-budget-sized, so the
 /// following walks gather from a resident block) and every window's
@@ -1660,9 +1365,10 @@ fn run_block<E: Element>(
 /// the output bit-identical to [`run_block`] on
 /// [`BandedSchedule::to_unbanded`].
 ///
-/// `schedule` may be one tile of a [`TiledSchedule`]: `row0` rebases the
-/// tile-local row permutation into the `rows_total`-row output block
-/// (0 and `schedule.rows()` for an untiled banded schedule).
+/// `row0` rebases the tile-local row permutation into the
+/// `rows_total`-row output block. Single-band tiles read unstaged
+/// operands from `scratch.xb`, which the caller has already filled with
+/// this block's interleaved whole panel whenever such a window exists.
 #[allow(clippy::too_many_arguments)]
 fn run_block_banded<E: Element>(
     backend: Backend,
@@ -1671,7 +1377,6 @@ fn run_block_banded<E: Element>(
     j0: usize,
     bb: usize,
     stage_flags: &[bool],
-    panel: PanelSource,
     row0: usize,
     rows_total: usize,
     y_block: &mut [E],
@@ -1689,10 +1394,6 @@ fn run_block_banded<E: Element>(
     // unchanged and staging copies values, so the output stays
     // bit-identical to the multi-band walk.
     if schedule.bands().count() == 1 {
-        if panel == PanelSource::Interleave {
-            scratch.xb.resize(cols * bb, E::ZERO);
-            kernels::interleave_panel_band(b, cols, 0, cols, j0, bb, &mut scratch.xb);
-        }
         scratch.acc.resize(l * bb, E::ZERO);
         for (w, banded) in schedule.windows().iter().enumerate() {
             let window = banded.window();
@@ -2125,9 +1826,6 @@ mod tests {
         assert_eq!(gust.execute(&s, &[1.0; 5]).output, Vec::<f32>::new());
         let (y, _) = gust.execute_batch(&s, &[1.0; 40], 8);
         assert_eq!(y, Vec::<f32>::new());
-        let banded = gust.schedule_banded(&m);
-        let (y, _) = gust.execute_batch_banded(&banded, &[1.0; 40], 8);
-        assert_eq!(y, Vec::<f32>::new());
         let tiled = gust.schedule_tiled(&m);
         assert_eq!(tiled.tile_count(), 1);
         assert_eq!(
@@ -2145,10 +1843,13 @@ mod tests {
         let x = random_x(60, 3);
         let gust = Gust::new(GustConfig::new(8));
         for bands in [1usize, 2, 7] {
-            let banded = Scheduler::new(gust.config().clone())
-                .schedule_banded_with(&m, ColumnBands::with_count(60, bands));
-            let flat = banded.to_unbanded();
-            let from_banded = gust.execute_banded(&banded, &x);
+            let banded = Scheduler::new(gust.config().clone()).schedule_tiled_with(
+                &m,
+                1,
+                ColumnBands::with_count(60, bands),
+            );
+            let flat = banded.tiles()[0].to_unbanded();
+            let from_banded = gust.execute_tiled(&banded, &x);
             let from_flat = gust.execute(&flat, &x);
             assert_eq!(
                 from_banded.output, from_flat.output,
@@ -2163,13 +1864,18 @@ mod tests {
     #[test]
     fn single_band_schedule_equals_the_flat_schedule() {
         let m = CsrMatrix::from(&gen::uniform(40, 40, 300, 9));
-        // A budget covering the whole operand vector → one band → the
-        // banded scheduler must reproduce the flat schedule exactly,
+        // Budgets covering both vectors → one tile of one band → the
+        // tiled scheduler must reproduce the flat schedule exactly,
         // coloring and all.
-        let gust = Gust::new(GustConfig::new(8).with_cache_budget(Some(1 << 30)));
-        let banded = gust.schedule_banded(&m);
-        assert_eq!(banded.bands().count(), 1);
-        assert_eq!(banded.to_unbanded(), gust.schedule(&m));
+        let gust = Gust::new(
+            GustConfig::new(8)
+                .with_cache_budget(Some(1 << 30))
+                .with_row_budget(Some(1 << 30)),
+        );
+        let tiled = gust.schedule_tiled(&m);
+        assert_eq!(tiled.tile_count(), 1);
+        assert_eq!(tiled.tiles()[0].bands().count(), 1);
+        assert_eq!(tiled.tiles()[0].to_unbanded(), gust.schedule(&m));
     }
 
     #[test]
@@ -2177,12 +1883,15 @@ mod tests {
         use crate::schedule::{banded::ColumnBands, Scheduler};
         let m = CsrMatrix::from(&gen::uniform(48, 64, 400, 23));
         let gust = Gust::new(GustConfig::new(8).with_parallelism(Some(1)));
-        let banded = Scheduler::new(gust.config().clone())
-            .schedule_banded_with(&m, ColumnBands::with_count(64, 5));
-        let flat = banded.to_unbanded();
+        let banded = Scheduler::new(gust.config().clone()).schedule_tiled_with(
+            &m,
+            1,
+            ColumnBands::with_count(64, 5),
+        );
+        let flat = banded.tiles()[0].to_unbanded();
         for batch in [1usize, 8, 17] {
             let panel = random_panel(64, batch, 7);
-            let (y_banded, r_banded) = gust.execute_batch_banded(&banded, &panel, batch);
+            let (y_banded, r_banded) = gust.execute_batch_tiled(&banded, &panel, batch);
             let (y_flat, r_flat) = gust.execute_batch(&flat, &panel, batch);
             assert_eq!(y_banded, y_flat, "batch {batch}");
             assert_eq!(r_banded, r_flat);
@@ -2197,10 +1906,13 @@ mod tests {
         let panel = random_panel(64, batch, 11);
         let sequential = Gust::new(GustConfig::new(8).with_parallelism(Some(1)));
         let threaded = Gust::new(GustConfig::new(8).with_parallelism(Some(4)));
-        let schedule = Scheduler::new(sequential.config().clone())
-            .schedule_banded_with(&m, ColumnBands::with_count(64, 3));
-        let (seq, seq_report) = sequential.execute_batch_banded(&schedule, &panel, batch);
-        let (par, par_report) = threaded.execute_batch_banded(&schedule, &panel, batch);
+        let schedule = Scheduler::new(sequential.config().clone()).schedule_tiled_with(
+            &m,
+            1,
+            ColumnBands::with_count(64, 3),
+        );
+        let (seq, seq_report) = sequential.execute_batch_tiled(&schedule, &panel, batch);
+        let (par, par_report) = threaded.execute_batch_tiled(&schedule, &panel, batch);
         assert_eq!(seq, par, "pool fan-out must not change a single bit");
         assert_eq!(seq_report, par_report);
     }
@@ -2221,17 +1933,16 @@ mod tests {
             &banded,
             "one tile IS the banded schedule"
         );
+        let flat = banded.to_unbanded();
         let from_tiled = gust.execute_tiled(&tiled, &x);
-        let from_banded = gust.execute_banded(&banded, &x);
-        assert_eq!(from_tiled.output, from_banded.output);
-        assert_eq!(from_tiled.report, from_banded.report);
+        assert_eq!(from_tiled.output, gust.execute(&flat, &x).output);
         let panel = random_panel(60, 17, 5);
         assert_eq!(
-            gust.execute_batch_tiled(&tiled, &panel, 17),
-            gust.execute_batch_banded(&banded, &panel, 17)
+            gust.execute_batch_tiled(&tiled, &panel, 17).0,
+            gust.execute_batch(&flat, &panel, 17).0
         );
         // The auto path under all-covering budgets also degenerates to
-        // one tile of one band — the flat schedule, banded-walked.
+        // one tile of one band — the flat schedule.
         let generous = Gust::new(
             GustConfig::new(8)
                 .with_cache_budget(Some(1 << 30))
@@ -2317,8 +2028,11 @@ mod tests {
         let m = CsrMatrix::from(&gen::uniform(64, 64, 700, 31));
         let gust = Gust::new(GustConfig::new(8));
         let flat = gust.schedule(&m);
-        let banded = Scheduler::new(gust.config().clone())
-            .schedule_banded_with(&m, ColumnBands::with_count(64, 4));
+        let banded = Scheduler::new(gust.config().clone()).schedule_tiled_with(
+            &m,
+            1,
+            ColumnBands::with_count(64, 4),
+        );
         // Banding trades modeled cycles for host locality; it can never
         // reduce the color total below the flat schedule's.
         assert!(banded.total_colors() >= flat.total_colors());

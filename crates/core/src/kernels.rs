@@ -278,7 +278,7 @@ pub(crate) fn interleave_panel<T: Copy>(b: &[T], cols: usize, j0: usize, bb: usi
 
 /// Interleaves one register block of a **column band** of the panel:
 /// `xb[i·bb + j] = b[(j0+j)·cols + col0 + i]` for `i < width` — the
-/// banded engine's per-band operand slice, sized by the cache budget so
+/// tiled engine's per-band operand slice, sized by the cache budget so
 /// the following band walk gathers from a cache-resident block. Reads
 /// are sequential per right-hand side, so the transpose streams at
 /// memory bandwidth. Exact under every backend (a copy).
@@ -410,7 +410,7 @@ pub(crate) fn stage_panel_f64(
 /// `row_perm` is the window's slice of the schedule's permutation
 /// (tile-local for 2D tiled schedules — `row0` rebases it to the global
 /// output rows; 0 for untiled walks). A copy, exact under every backend;
-/// one body serves the flat, banded and tiled batch walks so the dump
+/// one body serves the flat and tiled batch walks so the dump
 /// cannot drift between them.
 ///
 /// # Panics

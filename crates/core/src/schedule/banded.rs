@@ -1,5 +1,5 @@
-//! Cache-blocked column-band schedules: 2D blocking composed with the
-//! edge-coloring schedule.
+//! Cache-blocked column bands: the body of every row tile of a
+//! [`super::tiled::TiledSchedule`].
 //!
 //! On matrices whose operand vector exceeds the last-level cache, the
 //! random `x[col]` gathers dominate execution and the window-local
@@ -9,7 +9,9 @@
 //! into [`ColumnBands`] sized so one band's operand slice fits a
 //! configurable cache budget ([`crate::GustConfig::with_cache_budget`]),
 //! colors each window × band sub-graph independently, and stores the
-//! result as a [`BandedSchedule`]: per window, one structure-of-arrays
+//! result as a [`BandedSchedule`] — one tile's body, never a plan of its
+//! own: a one-tile tiled schedule *is* the column-banded schedule. Per
+//! window it holds one structure-of-arrays
 //! slot stream ordered **band-major** with CSR-style band offsets
 //! ([`BandedWindow::band_slots`]) and a parallel **band-local** column
 //! array ([`BandedWindow::local_cols`]), so a band walk can index
@@ -29,7 +31,7 @@
 //! under every backend (the SIMD kernels vectorize multiplies, which are
 //! IEEE-exact, and keep per-accumulator add order); with a single band
 //! the banded schedule *is* the ordinary schedule, coloring and all.
-//! `tests/banded_equivalence.rs` pins both properties.
+//! `tests/tiled_equivalence.rs` pins both properties.
 //!
 //! # Cost model
 //!
@@ -150,7 +152,7 @@ impl ColumnBands {
     }
 }
 
-/// A density-aware band-count decision for one (sub-)matrix.
+/// A density-aware band-count decision for one row tile.
 ///
 /// The cache budget alone gives a **lower** bound on the band count
 /// (narrower bands keep a band's operand slice resident), but it is not
@@ -162,11 +164,12 @@ impl ColumnBands {
 /// the blocking must be chosen per matrix from its structure, not from
 /// the cache geometry alone.
 ///
-/// [`BandPlan::choose`] therefore takes the budget-implied count
+/// [`BandPlan::choose_for_tile`] therefore takes the budget-implied count
 /// ([`BandPlan::budget_bands`]) and caps it at the nnz/row density
-/// ([`BandPlan::density_cap`]): per window of `l` rows, a band then
-/// averages at least `l` scheduled slots — one useful multiply–accumulate
-/// per accumulator value the band sweep re-streams.
+/// ([`BandPlan::density_cap`]) — per window of `l` rows, a band then
+/// averages at least `l` scheduled slots, one useful multiply–accumulate
+/// per accumulator value the band sweep re-streams — and at the tile's
+/// per-column gather count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BandPlan {
     bands: ColumnBands,
@@ -175,55 +178,22 @@ pub struct BandPlan {
 }
 
 impl BandPlan {
-    /// Chooses a band partition for a `rows × cols` matrix with `nnz`
+    /// Chooses a band partition for a `rows × cols` row tile with `nnz`
     /// non-zeros, walked at effective batch width `batch` (1 for
     /// single-vector walks, the per-block panel width for batched ones)
     /// with operand elements `elem_bytes` wide (4 for f32, 8 for f64)
     /// under a cache budget of `budget_bytes`.
     ///
     /// The count is the budget-implied band count capped at the average
-    /// row degree (and always within `1..=max(cols, 1)`); degenerate
-    /// shapes (`cols == 0`, empty matrices, budgets below one column
-    /// slice) all resolve to a valid partition rather than panicking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget_bytes`, `batch` or `elem_bytes` is zero.
-    #[must_use]
-    pub fn choose(
-        rows: usize,
-        cols: usize,
-        nnz: usize,
-        batch: usize,
-        elem_bytes: usize,
-        budget_bytes: usize,
-    ) -> Self {
-        assert!(budget_bytes > 0, "cache budget must be non-zero");
-        assert!(batch > 0, "effective batch width must be non-zero");
-        assert!(elem_bytes > 0, "element width must be non-zero");
-        let band_cols = (budget_bytes / (elem_bytes * batch)).max(1);
-        let budget_bands = cols.div_ceil(band_cols).max(1);
-        let density_cap = (nnz / rows.max(1)).max(1);
-        let count = budget_bands.min(density_cap).min(cols.max(1)).max(1);
-        Self {
-            bands: ColumnBands::with_count(cols, count),
-            budget_bands,
-            density_cap,
-        }
-    }
-
-    /// As [`BandPlan::choose`], for one **row tile** of a 2D tiled
-    /// schedule: additionally caps the band count at the tile's
-    /// per-column gather count, `max(1, nnz / cols)`.
-    ///
-    /// The extra cap matters because a tile walks only a slice of the
-    /// matrix: banding pays when the *tile itself* re-gathers a band's
-    /// columns, and a hyper-sparse tile (fewer non-zeros than columns)
-    /// touches each operand at most about once — its band sweeps would
-    /// re-stream band-sized operand slices per tile with no reuse to
-    /// show for it. The untiled [`BandPlan::choose`] deliberately skips
-    /// this cap: a whole-matrix band sweep amortizes each band slice
-    /// across every window of the matrix.
+    /// row degree and at the tile's per-column gather count,
+    /// `max(1, nnz / cols)`, and always within `1..=max(cols, 1)`. The
+    /// gather cap matters because banding pays only when the *tile
+    /// itself* re-gathers a band's columns: a hyper-sparse tile (fewer
+    /// non-zeros than columns) touches each operand at most about once,
+    /// so its band sweeps would re-stream band-sized operand slices with
+    /// no reuse to show for it. Degenerate shapes (`cols == 0`, empty
+    /// tiles, budgets below one column slice) all resolve to a valid
+    /// partition rather than panicking.
     ///
     /// # Panics
     ///
@@ -237,12 +207,23 @@ impl BandPlan {
         elem_bytes: usize,
         budget_bytes: usize,
     ) -> Self {
-        let mut plan = Self::choose(rows, cols, nnz, batch, elem_bytes, budget_bytes);
+        assert!(budget_bytes > 0, "cache budget must be non-zero");
+        assert!(batch > 0, "effective batch width must be non-zero");
+        assert!(elem_bytes > 0, "element width must be non-zero");
+        let band_cols = (budget_bytes / (elem_bytes * batch)).max(1);
+        let budget_bands = cols.div_ceil(band_cols).max(1);
+        let density_cap = (nnz / rows.max(1)).max(1);
         let reuse_cap = (nnz / cols.max(1)).max(1);
-        if plan.count() > reuse_cap {
-            plan.bands = ColumnBands::with_count(cols, reuse_cap.min(cols.max(1)));
+        let count = budget_bands
+            .min(density_cap)
+            .min(reuse_cap)
+            .min(cols.max(1))
+            .max(1);
+        Self {
+            bands: ColumnBands::with_count(cols, count),
+            budget_bands,
+            density_cap,
         }
-        plan
     }
 
     /// The chosen partition.
@@ -434,10 +415,10 @@ impl BandedWindow {
     }
 }
 
-/// A fully scheduled matrix with cache-blocked column bands — the banded
-/// counterpart of [`ScheduledMatrix`], produced by
-/// [`crate::schedule::Scheduler::schedule_banded`] and executed by
-/// [`crate::Gust::execute_banded`] / [`crate::Gust::execute_batch_banded`].
+/// One row tile's cache-blocked column-band schedule — the banded
+/// counterpart of [`ScheduledMatrix`]. Built only as a tile of a
+/// [`super::tiled::TiledSchedule`] and walked by
+/// [`crate::Gust::execute_tiled`] / [`crate::Gust::execute_batch_tiled`].
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BandedSchedule {
@@ -451,8 +432,8 @@ pub struct BandedSchedule {
 }
 
 impl BandedSchedule {
-    /// Assembles a banded schedule from its parts. Crate-internal:
-    /// produced by the scheduler and the binary reader, both of which
+    /// Assembles a banded tile body from its parts. Crate-internal:
+    /// produced by the scheduler and the `GUTL` reader, both of which
     /// guarantee (or validate) the band invariants.
     ///
     /// # Panics
@@ -656,15 +637,15 @@ mod tests {
 
     #[test]
     fn band_plan_caps_the_band_count_at_the_row_density() {
-        // 1024 rows × 4096 cols × 8 nnz/row under a budget that would
+        // 4096 rows × 4096 cols × 8 nnz/row under a budget that would
         // demand 64 batched bands: the density cap wins at 8.
-        let plan = BandPlan::choose(1024, 4096, 8 * 1024, 8, 4, 4096 * 4 * 8 / 64);
+        let plan = BandPlan::choose_for_tile(4096, 4096, 8 * 4096, 8, 4, 4096 * 4 * 8 / 64);
         assert_eq!(plan.budget_bands(), 64);
         assert_eq!(plan.density_cap(), 8);
         assert_eq!(plan.count(), 8);
         // A generous budget keeps one band regardless of density.
         assert_eq!(
-            BandPlan::choose(1024, 4096, 8 * 1024, 8, 4, 1 << 30).count(),
+            BandPlan::choose_for_tile(4096, 4096, 8 * 4096, 8, 4, 1 << 30).count(),
             1
         );
     }
@@ -672,14 +653,14 @@ mod tests {
     #[test]
     fn band_plan_handles_degenerate_shapes() {
         // cols == 0: one empty band.
-        let plan = BandPlan::choose(10, 0, 0, 8, 4, 1024);
+        let plan = BandPlan::choose_for_tile(10, 0, 0, 8, 4, 1024);
         assert_eq!(plan.count(), 1);
         assert_eq!(plan.bands().cols(), 0);
         // Empty matrix: density cap clamps to one band.
-        assert_eq!(BandPlan::choose(0, 64, 0, 1, 4, 1024).count(), 1);
+        assert_eq!(BandPlan::choose_for_tile(0, 64, 0, 1, 4, 1024).count(), 1);
         // Budget below one column slice: never more bands than columns
         // (with_count would panic otherwise), still density-capped.
-        let tiny = BandPlan::choose(2, 7, 1000, 8, 4, 1);
+        let tiny = BandPlan::choose_for_tile(2, 7, 1000, 8, 4, 1);
         assert!(tiny.count() <= 7);
         assert_eq!(tiny.bands().cols(), 7);
     }
@@ -691,15 +672,14 @@ mod tests {
         // would demand.
         let tile = BandPlan::choose_for_tile(32 * 1024, 1 << 20, 6 * 32 * 1024, 8, 4, 1 << 20);
         assert_eq!(tile.count(), 1);
-        // The same shape untiled keeps its density-capped budget count.
-        let whole = BandPlan::choose(32 * 1024, 1 << 20, 6 * 32 * 1024, 8, 4, 1 << 20);
-        assert!(whole.count() > 1);
-        // A dense tile keeps the ordinary plan.
+        assert!(tile.budget_bands() > 1 && tile.density_cap() > 1);
+        // The same columns re-gathered six times each keep the
+        // density-capped budget count.
+        let reused = BandPlan::choose_for_tile(1 << 20, 1 << 20, 6 << 20, 8, 4, 1 << 20);
+        assert_eq!(reused.count(), 6);
+        // A dense tile keeps the budget-implied count.
         let dense = BandPlan::choose_for_tile(1024, 512, 64 * 1024, 8, 4, 1024);
-        assert_eq!(
-            dense.count(),
-            BandPlan::choose(1024, 512, 64 * 1024, 8, 4, 1024).count()
-        );
+        assert_eq!(dense.count(), dense.budget_bands());
         // Degenerate columns stay valid.
         assert_eq!(BandPlan::choose_for_tile(10, 0, 0, 8, 4, 1024).count(), 1);
     }
@@ -715,8 +695,8 @@ mod tests {
         assert_eq!(f32_bands.count(), 8); // ceil(1024 / 128)
         assert_eq!(f64_bands.count(), 16); // ceil(1024 / 64)
 
-        let f32_plan = BandPlan::choose(1024, 4096, 64 * 1024, 8, 4, 4096);
-        let f64_plan = BandPlan::choose(1024, 4096, 64 * 1024, 8, 8, 4096);
+        let f32_plan = BandPlan::choose_for_tile(1024, 4096, 64 * 1024, 8, 4, 4096);
+        let f64_plan = BandPlan::choose_for_tile(1024, 4096, 64 * 1024, 8, 8, 4096);
         assert_eq!(f64_plan.budget_bands(), 2 * f32_plan.budget_bands());
         assert!(f64_plan.count() >= f32_plan.count());
     }
@@ -727,8 +707,8 @@ mod tests {
         // single-vector plan must never be finer than the batched plan.
         for (rows, cols, nnz) in [(512usize, 4096usize, 32 * 512usize), (64, 100, 6400)] {
             for budget in [256usize, 4096, 1 << 20] {
-                let single = BandPlan::choose(rows, cols, nnz, 1, 4, budget);
-                let batched = BandPlan::choose(rows, cols, nnz, 8, 4, budget);
+                let single = BandPlan::choose_for_tile(rows, cols, nnz, 1, 4, budget);
+                let batched = BandPlan::choose_for_tile(rows, cols, nnz, 8, 4, budget);
                 assert!(
                     single.count() <= batched.count(),
                     "{rows}x{cols}/{nnz} at {budget}: single {} > batched {}",

@@ -25,16 +25,15 @@
 //!   result lands in its own slot, making the output bit-identical to
 //!   the sequential result; see [`crate::GustConfig::with_parallelism`].
 //!
-//! [`Scheduler::schedule_banded`] additionally composes the coloring
-//! with cache-aware column blocking (see [`banded`]): each window × band
-//! sub-graph is colored independently so the execution engine can walk
-//! one cache-resident operand slice at a time — with the band count
-//! chosen per call by the density-aware [`banded::BandPlan`] (batch
-//! width 1 for single-vector walks, the register block for batched
-//! ones). [`Scheduler::schedule_tiled`] adds the second blocking
-//! dimension (see [`tiled`]): rows split into budget-sized tiles, each
-//! tile's sub-matrix scheduled as an independent banded matrix so the
-//! output side stays cache-resident too.
+//! [`Scheduler::schedule_tiled`] additionally composes the coloring with
+//! 2D cache blocking (see [`tiled`]): rows split into budget-sized
+//! tiles so the output side stays cache-resident, and each tile's
+//! sub-matrix is cut into column bands (see [`banded`]) whose window ×
+//! band sub-graphs are colored independently, so the execution engine
+//! can walk one cache-resident operand slice at a time — with the band
+//! count chosen per tile by the density-aware [`banded::BandPlan`]
+//! (batch width 1 for single-vector walks, the register block for
+//! batched ones).
 
 pub mod banded;
 pub mod edge_coloring;
@@ -115,89 +114,21 @@ impl Scheduler {
         )
     }
 
-    /// Schedules `matrix` with cache-blocked column bands (see
-    /// [`banded`]) sized for **single-vector** execution: the density-aware
-    /// [`BandPlan::choose`] picks the band count from
-    /// [`GustConfig::effective_cache_budget`] at batch width 1 — a band's
-    /// single-vector operand slice fits the budget — capped at the
-    /// matrix's nnz/row density so sparse rows don't pay accumulator
-    /// re-streaming. The result executes via
-    /// [`crate::Gust::execute_banded`]. With a budget that covers the
-    /// whole operand vector this degenerates to a single band and the
-    /// exact schedule [`Scheduler::schedule`] produces.
-    ///
-    /// Schedules meant for [`crate::Gust::execute_batch_banded`] should
-    /// come from [`Scheduler::schedule_banded_for_batch`] instead: a
-    /// batched walk streams a register block of operands per band, so its
-    /// bands must be narrower for the slice to stay resident. (Earlier
-    /// revisions always sized for the batched slice, which handed
-    /// single-vector walks bands `reg_block×` narrower than the budget
-    /// allows.)
-    #[must_use]
-    pub fn schedule_banded(&self, matrix: &CsrMatrix) -> BandedSchedule {
-        self.schedule_banded_for_batch(matrix, 1)
-    }
-
-    /// As [`Scheduler::schedule_banded`], sized for batched execution of
-    /// `batch` right-hand sides: the effective width is
-    /// `min(batch, reg_block)` — one register block's band slice
-    /// (`band_cols × width × 4` bytes) fits the cache budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    #[must_use]
-    pub fn schedule_banded_for_batch(&self, matrix: &CsrMatrix, batch: usize) -> BandedSchedule {
-        let width = batch.min(self.config.effective_backend().reg_block());
-        self.schedule_banded_for_width(matrix, batch, width, std::mem::size_of::<f32>())
-    }
-
-    /// As [`Scheduler::schedule_banded_for_batch`], sized for **f64**
-    /// batched execution ([`crate::Gust::execute_batch_banded_f64`]):
-    /// the effective width is `min(batch, reg_block_f64)` and the band
-    /// budget divides by 8-byte operands, so bands are half as wide as
-    /// the f32 plan's under the same cache budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    #[must_use]
-    pub fn schedule_banded_for_batch_f64(
-        &self,
-        matrix: &CsrMatrix,
-        batch: usize,
-    ) -> BandedSchedule {
-        let width = batch.min(self.config.effective_backend().reg_block_f64());
-        self.schedule_banded_for_width(matrix, batch, width, std::mem::size_of::<f64>())
-    }
-
-    fn schedule_banded_for_width(
-        &self,
-        matrix: &CsrMatrix,
-        batch: usize,
-        width: usize,
-        elem_bytes: usize,
-    ) -> BandedSchedule {
-        assert!(batch > 0, "batch must contain at least one vector");
-        let plan = BandPlan::choose(
-            matrix.rows(),
-            matrix.cols(),
-            matrix.nnz(),
-            width,
-            elem_bytes,
-            self.config.effective_cache_budget(),
-        );
-        self.schedule_banded_with(matrix, plan.into_bands())
-    }
-
-    /// As [`Scheduler::schedule_banded`], with an explicit band
-    /// partition (tests and tuning sweeps).
+    /// Schedules `matrix` as one column-banded body with an explicit band
+    /// partition: every window × band sub-graph is colored independently.
+    /// This is the body of every row tile ([`Scheduler::schedule_tiled`]);
+    /// with one band it is the exact schedule [`Scheduler::schedule`]
+    /// produces, coloring and all.
     ///
     /// # Panics
     ///
     /// Panics if `bands` does not cover exactly `matrix.cols()` columns.
     #[must_use]
-    pub fn schedule_banded_with(&self, matrix: &CsrMatrix, bands: ColumnBands) -> BandedSchedule {
+    pub(crate) fn schedule_banded_with(
+        &self,
+        matrix: &CsrMatrix,
+        bands: ColumnBands,
+    ) -> BandedSchedule {
         assert_eq!(
             bands.cols(),
             matrix.cols(),
@@ -227,12 +158,12 @@ impl Scheduler {
     /// for **single-vector** execution: rows are partitioned by
     /// [`GustConfig::effective_row_budget`] (tile output slices stay
     /// cache-resident, tiles aligned to the accelerator length), and each
-    /// tile's sub-matrix is scheduled as an independent banded matrix
-    /// with its own density-aware [`BandPlan`]. Executes via
+    /// tile's sub-matrix is scheduled as an independent column-banded
+    /// body with its own density-aware [`BandPlan`]. Executes via
     /// [`crate::Gust::execute_tiled`] /
     /// [`crate::Gust::execute_batch_tiled`]. With budgets covering both
     /// vectors this degenerates to one tile of one band — the exact
-    /// [`Scheduler::schedule`] output, banded-walked.
+    /// [`Scheduler::schedule`] output.
     #[must_use]
     pub fn schedule_tiled(&self, matrix: &CsrMatrix) -> TiledSchedule {
         self.schedule_tiled_for_batch(matrix, 1)
@@ -313,6 +244,7 @@ impl Scheduler {
     /// As [`Scheduler::schedule_tiled`], with an explicit row-tile count
     /// and a shared band partition (tests and tuning sweeps): rows split
     /// into `row_tiles` near-equal tiles, every tile banded by `bands`.
+    /// One tile is the purely column-banded schedule.
     ///
     /// # Panics
     ///
@@ -406,8 +338,8 @@ impl Scheduler {
         ws.scratch.assemble(&ws.window, colors, bound, stalls)
     }
 
-    /// The banded per-window pipeline: materialize the full window once,
-    /// then per band carve the sub-window
+    /// The per-window pipeline of a banded tile body: materialize the
+    /// full window once, then per band carve the sub-window
     /// ([`windows::Window::fill_band_from`]), color/arbitrate it
     /// independently, assemble a [`WindowSchedule`] per band, and merge
     /// band-major into a [`BandedWindow`].

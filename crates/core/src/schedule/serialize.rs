@@ -29,6 +29,10 @@
 //! emptiness *is* the utilization loss), so the byte length of a serialized
 //! schedule matches [`ScheduledMatrix::dense_stream_bytes`] up to the
 //! per-cell bookkeeping this container format adds.
+//!
+//! The tiled (`"GUTL"`) payload wraps the same per-window cell grid in
+//! row-tile boundaries and, per tile, a column-band partition plus
+//! per-window band offsets (see [`write_tiled_schedule`]).
 
 // Production loaders must surface failures as typed errors, never
 // `unwrap` panics: this module is part of the fault-tolerant loading
@@ -37,7 +41,7 @@
 
 use super::banded::{BandedSchedule, BandedWindow, ColumnBands};
 use super::scheduled::{ScheduledMatrix, WindowSchedule};
-use super::tiled::TiledSchedule;
+use super::tiled::{self, TiledSchedule};
 use crate::verify::{self, AuditReport, VerifiedSchedule};
 use gust_sparse::checksum::crc32;
 use gust_sparse::faults;
@@ -45,9 +49,6 @@ use std::io::{self, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"GUST";
-/// Banded-schedule container magic: the band partition and per-window
-/// band offsets wrap the same per-window cell grid as the flat format.
-const BANDED_MAGIC: &[u8; 4] = b"GUSB";
 /// Tiled-schedule container magic: row-tile boundaries wrapping one
 /// banded-schedule body (band partition + per-window cell grids + band
 /// offsets) per tile.
@@ -209,7 +210,7 @@ pub fn write_schedule<W: Write>(schedule: &ScheduledMatrix, mut writer: W) -> io
 }
 
 /// Writes one window's header and dense per-color cell grid (the shared
-/// payload of the flat and banded containers).
+/// payload of the flat container and of every tile body).
 fn write_window<W: Write>(window: &WindowSchedule, l: usize, writer: &mut W) -> io::Result<()> {
     writer.write_all(&window.colors().to_le_bytes())?;
     writer.write_all(&window.vizing_bound().to_le_bytes())?;
@@ -241,34 +242,10 @@ fn write_window<W: Write>(window: &WindowSchedule, l: usize, writer: &mut W) -> 
     Ok(())
 }
 
-/// Writes `schedule` — a cache-blocked banded schedule — to `writer`.
-///
-/// Payload layout (inside the checksummed envelope, [`BANDED_MAGIC`]):
-///
-/// ```text
-/// length u32 | rows u64 | cols u64
-/// | band count u64 | band_starts: (bands + 1) × u32
-/// | row_perm: rows × u32
-/// | window count u64
-/// | per window: the flat per-window block, then (bands + 1) × u32 offsets
-/// ```
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_banded_schedule<W: Write>(schedule: &BandedSchedule, mut writer: W) -> io::Result<()> {
-    let mut payload = Vec::new();
-    payload.write_all(&(schedule.length() as u32).to_le_bytes())?;
-    payload.write_all(&(schedule.rows() as u64).to_le_bytes())?;
-    payload.write_all(&(schedule.cols() as u64).to_le_bytes())?;
-    write_banded_body(schedule, &mut payload)?;
-    write_container(BANDED_MAGIC, &payload, &mut writer)
-}
-
 /// Writes the banded payload that follows the shape header: band count,
 /// band boundaries, row permutation, window count, then each window's
-/// cell grid plus its band slot offsets. Shared by the `GUSB` container
-/// and each tile of the `GUTL` container.
+/// cell grid plus its band slot offsets — one row tile's body in the
+/// `GUTL` container.
 fn write_banded_body<W: Write>(schedule: &BandedSchedule, writer: &mut W) -> io::Result<()> {
     writer.write_all(&(schedule.bands().count() as u64).to_le_bytes())?;
     for &start in schedule.bands().starts() {
@@ -462,38 +439,9 @@ fn read_window<R: Read>(
     ))
 }
 
-/// Reads a banded schedule previously written with
-/// [`write_banded_schedule`].
-///
-/// # Errors
-///
-/// [`ReadScheduleError::Format`] on a bad magic/version, an inconsistent
-/// band partition, or a slot whose column falls outside its band;
-/// [`ReadScheduleError::Corrupt`] on a truncated or bit-damaged stream;
-/// [`ReadScheduleError::Io`] on reader failure.
-pub fn read_banded_schedule<R: Read>(reader: R) -> Result<BandedSchedule, ReadScheduleError> {
-    let payload = read_container(BANDED_MAGIC, "bad banded magic", reader)?;
-    let mut reader = payload.as_slice();
-    let length = read_u32(&mut reader)? as usize;
-    if length == 0 {
-        return Err(ReadScheduleError::Format("zero length".into()));
-    }
-    let rows = read_u64(&mut reader)? as usize;
-    let cols = read_u64(&mut reader)? as usize;
-    let schedule = read_banded_body(&mut reader, length, rows, cols)?;
-    if !reader.is_empty() {
-        return Err(ReadScheduleError::Format(format!(
-            "{} trailing payload bytes",
-            reader.len()
-        )));
-    }
-    Ok(schedule)
-}
-
 /// Reads the banded payload that follows the shape header (see
 /// [`write_banded_body`]), validating the band partition and every
-/// window's band offsets. Shared by the `GUSB` container and each tile
-/// of the `GUTL` container.
+/// window's band offsets — one row tile's body in the `GUTL` container.
 fn read_banded_body<R: Read>(
     reader: &mut R,
     length: usize,
@@ -614,10 +562,7 @@ pub fn read_tiled_schedule<R: Read>(reader: R) -> Result<TiledSchedule, ReadSche
     for _ in 0..=tile_count {
         row_starts.push(read_u32(&mut reader)?);
     }
-    if row_starts[0] != 0
-        || row_starts.last().copied() != Some(rows as u32)
-        || row_starts.windows(2).any(|w| w[0] > w[1])
-    {
+    if !tiled::row_starts_are_valid(&row_starts, rows) {
         return Err(ReadScheduleError::Format(format!(
             "row-tile boundaries must ascend from 0 to {rows}"
         )));
@@ -692,30 +637,6 @@ pub fn write_schedule_file(schedule: &ScheduledMatrix, path: impl AsRef<Path>) -
     write_file_atomic(path.as_ref(), |w| write_schedule(schedule, w))
 }
 
-/// Reads a banded schedule from `path` (see [`read_schedule_file`]).
-///
-/// # Errors
-///
-/// As [`read_banded_schedule`].
-pub fn read_banded_schedule_file(
-    path: impl AsRef<Path>,
-) -> Result<BandedSchedule, ReadScheduleError> {
-    read_banded_schedule(io::BufReader::new(std::fs::File::open(path)?))
-}
-
-/// Writes a banded schedule to `path` (atomically — see
-/// [`write_schedule_file`]).
-///
-/// # Errors
-///
-/// Propagates I/O errors; on error `path` is untouched.
-pub fn write_banded_schedule_file(
-    schedule: &BandedSchedule,
-    path: impl AsRef<Path>,
-) -> io::Result<()> {
-    write_file_atomic(path.as_ref(), |w| write_banded_schedule(schedule, w))
-}
-
 /// Reads a tiled schedule from `path` (see [`read_schedule_file`]).
 ///
 /// # Errors
@@ -760,17 +681,6 @@ pub fn read_schedule_file_verified(
     read_schedule_file(path).map(VerifiedSchedule::witness)
 }
 
-/// As [`read_schedule_file_verified`], for banded schedules.
-///
-/// # Errors
-///
-/// As [`read_banded_schedule_file`].
-pub fn read_banded_schedule_file_verified(
-    path: impl AsRef<Path>,
-) -> Result<VerifiedSchedule<BandedSchedule>, ReadScheduleError> {
-    read_banded_schedule_file(path).map(VerifiedSchedule::witness)
-}
-
 /// As [`read_schedule_file_verified`], for tiled schedules.
 ///
 /// # Errors
@@ -782,7 +692,25 @@ pub fn read_tiled_schedule_file_verified(
     read_tiled_schedule_file(path).map(VerifiedSchedule::witness)
 }
 
-/// The shared load-or-rebuild policy behind the `*_cached` helpers:
+/// Moves a damaged or forged schedule cache out of the way (renamed to
+/// `<path>.corrupt`, or removed when the rename fails) and warns on
+/// stderr — the quarantine step shared by [`read_schedule_cached`] and
+/// the serving registry's disk loads.
+pub(crate) fn quarantine_corrupt_cache(path: &Path, err: &ReadScheduleError) {
+    match gust_sparse::io::quarantine_corrupt(path) {
+        Some(dest) => eprintln!(
+            "warning: quarantined corrupt schedule cache {} -> {} ({err})",
+            path.display(),
+            dest.display()
+        ),
+        None => eprintln!(
+            "warning: removed corrupt schedule cache {} ({err})",
+            path.display()
+        ),
+    }
+}
+
+/// The load-or-rebuild policy behind [`read_schedule_cached`]:
 /// serve `path` when it holds an intact container; quarantine it (rename
 /// to `<path>.corrupt`) when it is damaged; in every failure case fall
 /// back to `build` and best-effort rewrite the file. Scheduling again is
@@ -800,17 +728,7 @@ fn cached_schedule<T>(
             // Damaged bytes and checksum-valid-but-forged contents take
             // the same quarantine path: keep the evidence, never execute.
             Err(err @ (ReadScheduleError::Corrupt(_) | ReadScheduleError::Audit(_))) => {
-                match gust_sparse::io::quarantine_corrupt(path) {
-                    Some(dest) => eprintln!(
-                        "warning: quarantined corrupt schedule cache {} -> {} ({err})",
-                        path.display(),
-                        dest.display()
-                    ),
-                    None => eprintln!(
-                        "warning: removed corrupt schedule cache {} ({err})",
-                        path.display()
-                    ),
-                }
+                quarantine_corrupt_cache(path, &err);
             }
             // Older version, foreign file, transient I/O failure: the
             // rebuild below overwrites it either way.
@@ -834,32 +752,6 @@ pub fn read_schedule_cached(
         path.as_ref(),
         |p| read_schedule_file(p),
         |s, p| write_schedule_file(s, p),
-        build,
-    )
-}
-
-/// As [`read_schedule_cached`], for banded schedules.
-pub fn read_banded_schedule_cached(
-    path: impl AsRef<Path>,
-    build: impl FnOnce() -> BandedSchedule,
-) -> BandedSchedule {
-    cached_schedule(
-        path.as_ref(),
-        |p| read_banded_schedule_file(p),
-        |s, p| write_banded_schedule_file(s, p),
-        build,
-    )
-}
-
-/// As [`read_schedule_cached`], for tiled schedules.
-pub fn read_tiled_schedule_cached(
-    path: impl AsRef<Path>,
-    build: impl FnOnce() -> TiledSchedule,
-) -> TiledSchedule {
-    cached_schedule(
-        path.as_ref(),
-        |p| read_tiled_schedule_file(p),
-        |s, p| write_tiled_schedule_file(s, p),
         build,
     )
 }
@@ -1018,10 +910,12 @@ mod tests {
         assert_eq!(round_trip(&schedule), schedule);
     }
 
-    fn banded_round_trip(schedule: &BandedSchedule) -> BandedSchedule {
-        let mut buf = Vec::new();
-        write_banded_schedule(schedule, &mut buf).expect("write to vec");
-        read_banded_schedule(buf.as_slice()).expect("read own output")
+    /// One tile body as the `GUTL` writer encodes it (no envelope, so
+    /// the body reader's structural parsing is what the tests exercise).
+    fn body_bytes(schedule: &BandedSchedule) -> Vec<u8> {
+        let mut body = Vec::new();
+        write_banded_body(schedule, &mut body).expect("write to vec");
+        body
     }
 
     #[test]
@@ -1031,46 +925,29 @@ mod tests {
         for bands in [1usize, 2, 7] {
             let schedule = Scheduler::new(GustConfig::new(8))
                 .schedule_banded_with(&m, ColumnBands::with_count(70, bands));
-            let back = banded_round_trip(&schedule);
+            let body = body_bytes(&schedule);
+            let back = read_banded_body(&mut body.as_slice(), 8, 60, 70).expect("read own output");
             assert_eq!(back, schedule, "{bands} bands");
-            // And the round-tripped schedule executes identically.
-            let gust = Gust::new(GustConfig::new(8));
-            let x: Vec<f32> = (0..70).map(|i| (i % 5) as f32 - 2.0).collect();
-            assert_eq!(
-                gust.execute_banded(&back, &x),
-                gust.execute_banded(&schedule, &x)
-            );
         }
-    }
-
-    #[test]
-    fn banded_reader_rejects_flat_streams_and_vice_versa() {
-        let m = CsrMatrix::identity(8);
-        let gust = Gust::new(GustConfig::new(4));
-        let flat = gust.schedule(&m);
-        let mut flat_buf = Vec::new();
-        write_schedule(&flat, &mut flat_buf).expect("write");
-        assert!(read_banded_schedule(flat_buf.as_slice()).is_err());
-
-        let banded = gust.schedule_banded(&m);
-        let mut banded_buf = Vec::new();
-        write_banded_schedule(&banded, &mut banded_buf).expect("write");
-        assert!(read_schedule(banded_buf.as_slice()).is_err());
     }
 
     #[test]
     fn banded_reader_rejects_out_of_band_columns() {
         use crate::schedule::{banded::ColumnBands, Scheduler};
         let m = CsrMatrix::from(&gen::uniform(16, 16, 80, 3));
-        let schedule = Scheduler::new(GustConfig::new(4))
-            .schedule_banded_with(&m, ColumnBands::with_count(16, 2));
+        let schedule = Scheduler::new(GustConfig::new(4)).schedule_tiled_with(
+            &m,
+            1,
+            ColumnBands::with_count(16, 2),
+        );
         let mut buf = Vec::new();
-        write_banded_schedule(&schedule, &mut buf).expect("write");
-        // Payload: length 4 + rows 8 + cols 8 + band count 8 + 3 × u32
-        // boundaries + 16 × u32 row_perm + window count 8 = 112 bytes
-        // past the envelope, then the first window (colors 4 + vizing 4
-        // + stalls 8), then the first cell.
-        let first_cell = ENVELOPE + 112 + 16;
+        write_tiled_schedule(&schedule, &mut buf).expect("write");
+        // Payload: length 4 + rows 8 + cols 8 + tile count 8 + 2 × u32
+        // row boundaries, then the tile body: band count 8 + 3 × u32
+        // band boundaries + 16 × u32 row_perm + window count 8 = 128
+        // bytes past the envelope, then the first window (colors 4 +
+        // vizing 4 + stalls 8), then the first cell.
+        let first_cell = ENVELOPE + 128 + 16;
         let occupied = buf[first_cell..]
             .iter()
             .position(|&b| b == 1)
@@ -1083,7 +960,7 @@ mod tests {
         let wrong = if col < 8 { col + 8 } else { col - 8 };
         buf[col_at..col_at + 4].copy_from_slice(&wrong.to_le_bytes());
         fix_crc(&mut buf);
-        let err = read_banded_schedule(buf.as_slice()).unwrap_err();
+        let err = read_tiled_schedule(buf.as_slice()).unwrap_err();
         assert!(
             err.to_string().contains("outside"),
             "unexpected error: {err}"
@@ -1118,16 +995,14 @@ mod tests {
     fn tiled_reader_rejects_other_containers_and_truncation() {
         let m = CsrMatrix::from(&gen::uniform(12, 12, 50, 5));
         let gust = Gust::new(GustConfig::new(4));
-        // A banded stream is not a tiled stream and vice versa.
-        let banded = gust.schedule_banded(&m);
-        let mut banded_buf = Vec::new();
-        write_banded_schedule(&banded, &mut banded_buf).expect("write");
-        assert!(read_tiled_schedule(banded_buf.as_slice()).is_err());
+        // A flat stream is not a tiled stream and vice versa.
+        let mut flat_buf = Vec::new();
+        write_schedule(&gust.schedule(&m), &mut flat_buf).expect("write");
+        assert!(read_tiled_schedule(flat_buf.as_slice()).is_err());
 
         let tiled = gust.schedule_tiled(&m);
         let mut buf = Vec::new();
         write_tiled_schedule(&tiled, &mut buf).expect("write");
-        assert!(read_banded_schedule(buf.as_slice()).is_err());
         assert!(read_schedule(buf.as_slice()).is_err());
         for cut in [3usize, 20, buf.len() / 2, buf.len() - 1] {
             assert!(
@@ -1161,14 +1036,59 @@ mod tests {
     }
 
     #[test]
-    fn banded_round_trip_handles_truncation() {
-        let m = CsrMatrix::from(&gen::uniform(12, 12, 50, 5));
-        let schedule = Gust::new(GustConfig::new(4)).schedule_banded(&m);
+    fn tiled_reader_rejects_empty_interior_tiles() {
+        use crate::schedule::{banded::ColumnBands, Scheduler};
+        // A checksum-valid stream whose tile bodies are each well formed
+        // but whose first tile is empty: boundaries [0, 0, 16]. Only a
+        // 0-row matrix may carry an empty tile, and then only one.
+        let scheduler = Scheduler::new(GustConfig::new(4));
+        let empty = CsrMatrix::try_new(0, 16, vec![0], vec![], vec![]).unwrap();
+        let full = CsrMatrix::from(&gen::uniform(16, 16, 80, 3));
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&4u32.to_le_bytes());
+        payload.extend_from_slice(&16u64.to_le_bytes());
+        payload.extend_from_slice(&16u64.to_le_bytes());
+        payload.extend_from_slice(&2u64.to_le_bytes());
+        for start in [0u32, 0, 16] {
+            payload.extend_from_slice(&start.to_le_bytes());
+        }
+        for tile in [&empty, &full] {
+            let body = scheduler.schedule_banded_with(tile, ColumnBands::with_count(16, 2));
+            payload.extend_from_slice(&body_bytes(&body));
+        }
         let mut buf = Vec::new();
-        write_banded_schedule(&schedule, &mut buf).expect("write");
-        for cut in [3usize, 20, buf.len() / 2, buf.len() - 1] {
+        write_container(TILED_MAGIC, &payload, &mut buf).expect("write");
+        let err = read_tiled_schedule(buf.as_slice()).unwrap_err();
+        assert!(
+            err.to_string().contains("ascend"),
+            "unexpected error: {err}"
+        );
+    }
+
+    #[test]
+    fn zero_row_tiled_schedule_is_admitted_and_round_trips() {
+        let m = CsrMatrix::try_new(0, 16, vec![0], vec![], vec![]).expect("0×16 is valid");
+        let gust = Gust::new(GustConfig::new(4));
+        let schedule = gust.schedule_tiled(&m);
+        assert_eq!(schedule.row_starts(), &[0, 0]);
+        let admitted = gust
+            .admit_tiled(schedule.clone())
+            .expect("the single empty tile of a 0-row matrix is legal");
+        let mut buf = Vec::new();
+        write_tiled_schedule(&admitted, &mut buf).expect("write");
+        assert_eq!(read_tiled_schedule(buf.as_slice()).unwrap(), schedule);
+    }
+
+    #[test]
+    fn banded_round_trip_handles_truncation() {
+        use crate::schedule::{banded::ColumnBands, Scheduler};
+        let m = CsrMatrix::from(&gen::uniform(12, 12, 50, 5));
+        let schedule = Scheduler::new(GustConfig::new(4))
+            .schedule_banded_with(&m, ColumnBands::with_count(12, 3));
+        let body = body_bytes(&schedule);
+        for cut in [3usize, 20, body.len() / 2, body.len() - 1] {
             assert!(
-                read_banded_schedule(&buf[..cut]).is_err(),
+                read_banded_body(&mut &body[..cut], 4, 12, 12).is_err(),
                 "truncation at {cut} must fail"
             );
         }
@@ -1183,9 +1103,6 @@ mod tests {
         write_schedule(&gust.schedule(&m), &mut buf).expect("write flat");
         streams.push(("flat", buf));
         let mut buf = Vec::new();
-        write_banded_schedule(&gust.schedule_banded(&m), &mut buf).expect("write banded");
-        streams.push(("banded", buf));
-        let mut buf = Vec::new();
         write_tiled_schedule(&gust.schedule_tiled(&m), &mut buf).expect("write tiled");
         streams.push(("tiled", buf));
 
@@ -1193,7 +1110,6 @@ mod tests {
             let read_any = |bytes: &[u8]| -> Result<(), ReadScheduleError> {
                 match kind {
                     "flat" => read_schedule(bytes).map(drop),
-                    "banded" => read_banded_schedule(bytes).map(drop),
                     _ => read_tiled_schedule(bytes).map(drop),
                 }
             };
@@ -1238,18 +1154,18 @@ mod tests {
             std::thread::current().id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("m.gusb");
+        let path = dir.join("m.gust");
         let m = CsrMatrix::from(&gen::uniform(12, 12, 50, 5));
         let gust = Gust::new(GustConfig::new(4));
-        let expected = gust.schedule_banded(&m);
+        let expected = gust.schedule(&m);
 
         // First call: cache miss, builds and writes.
-        let first = read_banded_schedule_cached(&path, || gust.schedule_banded(&m));
+        let first = read_schedule_cached(&path, || gust.schedule(&m));
         assert_eq!(first, expected);
         assert!(path.is_file(), "cache must be written on miss");
 
         // Second call: pure cache hit (build closure must not run).
-        let second = read_banded_schedule_cached(&path, || panic!("cache hit must not rebuild"));
+        let second = read_schedule_cached(&path, || panic!("cache hit must not rebuild"));
         assert_eq!(second, expected);
 
         // Damage one payload byte: the next load must quarantine and
@@ -1258,13 +1174,13 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x04;
         std::fs::write(&path, &bytes).unwrap();
-        let third = read_banded_schedule_cached(&path, || gust.schedule_banded(&m));
+        let third = read_schedule_cached(&path, || gust.schedule(&m));
         assert_eq!(third, expected, "corrupt cache must fall back to rebuild");
-        let quarantined = dir.join("m.gusb.corrupt");
+        let quarantined = dir.join("m.gust.corrupt");
         assert!(quarantined.is_file(), "corrupt cache must be quarantined");
         assert_eq!(std::fs::read(&quarantined).unwrap(), bytes);
         // And the cache was rewritten healthy.
-        assert_eq!(read_banded_schedule_file(&path).unwrap(), expected);
+        assert_eq!(read_schedule_file(&path).unwrap(), expected);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1286,10 +1202,13 @@ mod tests {
             flat
         );
 
+        // The load-or-rebuild policy is container-generic.
         let tiled_path = dir.join("m.gutl");
-        let tiled = read_tiled_schedule_cached(&tiled_path, || gust.schedule_tiled(&m));
+        let read = |p: &Path| read_tiled_schedule_file(p);
+        let write = |s: &TiledSchedule, p: &Path| write_tiled_schedule_file(s, p);
+        let tiled = cached_schedule(&tiled_path, read, write, || gust.schedule_tiled(&m));
         assert_eq!(
-            read_tiled_schedule_cached(&tiled_path, || panic!("hit must not rebuild")),
+            cached_schedule(&tiled_path, read, write, || panic!("hit must not rebuild")),
             tiled
         );
         std::fs::remove_dir_all(&dir).unwrap();

@@ -1,43 +1,41 @@
-//! 2D row×column tiled schedules: cache blocking for matrices whose
-//! **output** vector also exceeds the last-level cache.
+//! 2D row×column tiled schedules: the cache-blocked schedule family.
 //!
-//! Column bands ([`super::banded`]) keep the `x[col]` gathers resident,
-//! but on tall matrices the `y[row]` side still thrashes: the banded
-//! batch walk carries one accumulator bank per window, and with millions
-//! of rows the bank array itself is re-streamed from memory once per
-//! band. The GPU SpMV literature (Yang et al.) reaches the same
-//! conclusion for this regime — when both vectors spill, blocking must
-//! be two-dimensional.
+//! Column bands ([`super::banded`]) keep the `x[col]` gathers resident;
+//! row tiles keep the `y[row]` side resident too. On tall matrices a
+//! band sweep over the whole matrix carries one accumulator bank per
+//! window, and with millions of rows the bank array itself is
+//! re-streamed from memory once per band. The GPU SpMV literature (Yang
+//! et al.) reaches the same conclusion for this regime — when both
+//! vectors spill, blocking must be two-dimensional.
 //!
 //! A [`TiledSchedule`] partitions the rows into contiguous **row tiles**
 //! sized by [`crate::GustConfig::with_row_budget`] (`GUST_ROW_BUDGET`
 //! override) and schedules each tile's sub-matrix
 //! ([`gust_sparse::CsrMatrix::row_slice`]) as an independent
-//! [`BandedSchedule`]: windowed, load-balanced and column-banded on its
-//! own, with a per-tile density-aware [`super::banded::BandPlan`]. The
-//! execution engine ([`crate::Gust::execute_tiled`] /
+//! [`BandedSchedule`] body: windowed, load-balanced and column-banded on
+//! its own, with a per-tile density-aware [`super::banded::BandPlan`].
+//! The execution engine ([`crate::Gust::execute_tiled`] /
 //! [`crate::Gust::execute_batch_tiled`]) walks tiles outermost, so the
 //! accumulator carry of a band sweep is confined to one tile's output
-//! slice — both vectors stay cache-resident at once.
+//! slice — both vectors stay cache-resident at once. One tile is the
+//! purely column-banded schedule, and one tile of one band is the flat
+//! [`crate::schedule::Scheduler::schedule`] output: there is no separate
+//! banded plan family.
 //!
 //! # Bit-identity
 //!
-//! A tile is scheduled exactly as a stand-alone matrix, so tiled
-//! execution of tile `t` is the PR 4 banded walk of that tile — which is
-//! bit-identical to the unbanded engine on the tile's flattened schedule
-//! ([`BandedSchedule::to_unbanded`]) under every backend. The tiled
-//! output is the concatenation of the tiles' outputs (each original row
-//! lives in exactly one tile), so the whole tiled run is bit-identical
-//! to running the unbanded engine per tile and stitching the slices, and
-//! a **single row tile reproduces the [`BandedSchedule`] path exactly**,
-//! partition, coloring and walk. `tests/tiled_equivalence.rs` pins both
-//! properties per backend.
+//! A tile is scheduled exactly as a stand-alone matrix, and its band
+//! sweep is bit-identical to the unbanded engine on the tile's flattened
+//! schedule ([`BandedSchedule::to_unbanded`]) under every backend. The
+//! tiled output is the concatenation of the tiles' outputs (each
+//! original row lives in exactly one tile), so the whole tiled run is
+//! bit-identical to running the unbanded engine per tile and stitching
+//! the slices. `tests/tiled_equivalence.rs` pins this per backend.
 
 use super::banded::BandedSchedule;
 use std::ops::Range;
 
-/// A fully scheduled matrix with 2D row×column tiles — the tiled
-/// counterpart of [`BandedSchedule`], produced by
+/// A fully scheduled matrix with 2D row×column tiles, produced by
 /// [`crate::schedule::Scheduler::schedule_tiled`] and executed by
 /// [`crate::Gust::execute_tiled`] / [`crate::Gust::execute_batch_tiled`].
 #[derive(Debug, Clone, PartialEq)]
@@ -62,7 +60,7 @@ impl TiledSchedule {
     ///
     /// # Panics
     ///
-    /// Panics if the row partition does not ascend from 0 to `rows`, a
+    /// Panics if the row partition is invalid ([`row_starts_are_valid`]), a
     /// tile's shape disagrees with its row range or the matrix columns,
     /// or a tile targets a different accelerator length.
     #[must_use]
@@ -79,9 +77,7 @@ impl TiledSchedule {
             "tile count inconsistent with row boundaries"
         );
         assert!(
-            row_starts.first() == Some(&0)
-                && row_starts.last().copied() == Some(rows as u32)
-                && row_starts.windows(2).all(|w| w[0] <= w[1]),
+            row_starts_are_valid(&row_starts, rows),
             "row-tile boundaries must ascend from 0 to {rows}"
         );
         let mut nnz = 0usize;
@@ -150,17 +146,17 @@ impl TiledSchedule {
 
     /// Per-tile banded schedules, in row order. Each tile is a complete
     /// stand-alone [`BandedSchedule`] over the tile's rows and **all**
-    /// columns; with a single tile, `tiles()[0]` *is* the schedule
-    /// [`crate::schedule::Scheduler::schedule_banded_with`] would have
-    /// produced for the whole matrix.
+    /// columns; with a single tile of a single band,
+    /// `tiles()[0].to_unbanded()` *is* the flat schedule
+    /// [`crate::schedule::Scheduler::schedule`] produces.
     #[must_use]
     pub fn tiles(&self) -> &[BandedSchedule] {
         &self.tiles
     }
 
     /// Total colors across tiles, windows and bands — the tiled
-    /// streaming cycle count. At least the flat schedule's total: like
-    /// banding, tiling trades modeled cycles for host cache locality
+    /// streaming cycle count. At least the flat schedule's total: bands
+    /// and tiles trade modeled cycles for host cache locality
     /// (each tile's ragged final window wastes lanes the untiled
     /// windowing would have filled).
     #[must_use]
@@ -173,6 +169,22 @@ impl TiledSchedule {
     pub fn total_stalls(&self) -> u64 {
         self.tiles.iter().map(BandedSchedule::total_stalls).sum()
     }
+}
+
+/// Whether `row_starts` is a valid row-tile partition of `rows` rows:
+/// boundaries strictly ascend from 0 to `rows`, so every tile is
+/// non-empty — except for a 0-row matrix, whose partition is the single
+/// empty tile `[0, 0]`. The one rule the constructor, the `GUTL` reader
+/// and the auditor all apply.
+#[must_use]
+pub(crate) fn row_starts_are_valid(row_starts: &[u32], rows: usize) -> bool {
+    if rows == 0 {
+        return row_starts == [0, 0];
+    }
+    row_starts.len() >= 2
+        && row_starts[0] == 0
+        && row_starts.last().map(|&e| e as usize) == Some(rows)
+        && row_starts.windows(2).all(|w| w[0] < w[1])
 }
 
 /// Near-equal row-tile boundaries: tile `t` covers rows
@@ -234,6 +246,23 @@ mod tests {
         }
         // Zero rows degenerate to one empty tile.
         assert_eq!(row_tile_starts(0, 1), vec![0, 0]);
+    }
+
+    #[test]
+    fn row_starts_are_valid_only_when_strictly_ascending() {
+        assert!(row_starts_are_valid(&[0, 3, 5], 5));
+        assert!(row_starts_are_valid(&[0, 0], 0));
+        // Empty interior or trailing tiles, wrong ends, no tiles at all.
+        for (starts, rows) in [
+            (&[0u32, 0, 5][..], 5usize),
+            (&[0, 5, 5], 5),
+            (&[0, 4], 5),
+            (&[1, 5], 5),
+            (&[0], 0),
+            (&[0, 0, 0], 0),
+        ] {
+            assert!(!row_starts_are_valid(starts, rows), "{starts:?} / {rows}");
+        }
     }
 
     #[test]

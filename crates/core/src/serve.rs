@@ -7,7 +7,7 @@
 //!
 //! * [`ScheduleRegistry`] — a content-addressed, in-RAM memo of
 //!   prepared schedules keyed by a hash of the CSR structure, backed by
-//!   the existing on-disk schedule cache (GUST/GUSB/GUTL containers).
+//!   the existing on-disk schedule cache (GUST/GUTL containers).
 //!   A corrupt cache file is quarantined on disk
 //!   ([`gust_sparse::io::quarantine_corrupt`]) and mirrored in RAM as a
 //!   poisoned-entry eviction; builds are retried with jittered
@@ -57,7 +57,6 @@
 
 use crate::engine::Gust;
 use crate::error::GustError;
-use crate::schedule::banded::BandedSchedule;
 use crate::schedule::scheduled::ScheduledMatrix;
 use crate::schedule::serialize;
 use crate::schedule::tiled::TiledSchedule;
@@ -171,8 +170,6 @@ fn splitmix64_mix(mut z: u64) -> u64 {
 pub enum ScheduleKind {
     /// The flat `M_sch`/`Row_sch`/`Col_sch` schedule (GUST container).
     Flat,
-    /// The cache-blocked banded schedule (GUSB container).
-    Banded,
     /// The 2D row×column tiled schedule (GUTL container).
     Tiled,
 }
@@ -182,8 +179,6 @@ pub enum ScheduleKind {
 pub enum PreparedSchedule {
     /// A flat schedule, executed via [`Gust::try_execute_batch`].
     Flat(ScheduledMatrix),
-    /// A banded schedule, executed via [`Gust::try_execute_batch_banded`].
-    Banded(BandedSchedule),
     /// A tiled schedule, executed via [`Gust::try_execute_batch_tiled`].
     Tiled(TiledSchedule),
 }
@@ -194,7 +189,6 @@ impl PreparedSchedule {
     pub fn kind(&self) -> ScheduleKind {
         match self {
             Self::Flat(_) => ScheduleKind::Flat,
-            Self::Banded(_) => ScheduleKind::Banded,
             Self::Tiled(_) => ScheduleKind::Tiled,
         }
     }
@@ -204,7 +198,6 @@ impl PreparedSchedule {
     pub fn length(&self) -> usize {
         match self {
             Self::Flat(s) => s.length(),
-            Self::Banded(s) => s.length(),
             Self::Tiled(s) => s.length(),
         }
     }
@@ -214,7 +207,6 @@ impl PreparedSchedule {
     pub fn rows(&self) -> usize {
         match self {
             Self::Flat(s) => s.rows(),
-            Self::Banded(s) => s.rows(),
             Self::Tiled(s) => s.rows(),
         }
     }
@@ -224,7 +216,6 @@ impl PreparedSchedule {
     pub fn cols(&self) -> usize {
         match self {
             Self::Flat(s) => s.cols(),
-            Self::Banded(s) => s.cols(),
             Self::Tiled(s) => s.cols(),
         }
     }
@@ -234,7 +225,6 @@ impl Auditable for PreparedSchedule {
     fn audit(&self) -> AuditReport {
         match self {
             Self::Flat(s) => s.audit(),
-            Self::Banded(s) => s.audit(),
             Self::Tiled(s) => s.audit(),
         }
     }
@@ -372,7 +362,7 @@ struct RegistryInner {
 pub struct ScheduleRegistry {
     engine: Gust,
     kind: ScheduleKind,
-    /// Batch width the banded/tiled planners size their bands for.
+    /// Batch width the tiled planner sizes its tiles and bands for.
     batch_hint: usize,
     cache_dir: Option<PathBuf>,
     retry: RetryPolicy,
@@ -421,7 +411,7 @@ impl ScheduleRegistry {
         self
     }
 
-    /// Batch width the banded/tiled planners size for (default 8).
+    /// Batch width the tiled planner sizes for (default 8).
     #[must_use]
     pub fn with_batch_hint(mut self, batch: usize) -> Self {
         self.batch_hint = batch.max(1);
@@ -429,7 +419,7 @@ impl ScheduleRegistry {
     }
 
     /// Backs the memo with an on-disk cache directory. Containers are
-    /// named `<key>.{gust,gusb,gutl}` by content hash; corrupt files
+    /// named `<key>.{gust,gutl}` by content hash; corrupt files
     /// are quarantined as `<name>.corrupt` and rebuilt.
     #[must_use]
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
@@ -545,7 +535,6 @@ impl ScheduleRegistry {
     fn cache_path(&self, key: MatrixKey) -> Option<PathBuf> {
         let ext = match self.kind {
             ScheduleKind::Flat => "gust",
-            ScheduleKind::Banded => "gusb",
             ScheduleKind::Tiled => "gutl",
         };
         self.cache_dir
@@ -615,9 +604,6 @@ impl ScheduleRegistry {
                     // Best-effort write-back; serving never depends on it.
                     let _ = match &schedule {
                         PreparedSchedule::Flat(s) => serialize::write_schedule_file(s, &path),
-                        PreparedSchedule::Banded(s) => {
-                            serialize::write_banded_schedule_file(s, &path)
-                        }
                         PreparedSchedule::Tiled(s) => {
                             serialize::write_tiled_schedule_file(s, &path)
                         }
@@ -668,8 +654,6 @@ impl ScheduleRegistry {
         let loaded = match self.kind {
             ScheduleKind::Flat => serialize::read_schedule_file_verified(&path)
                 .map(|v| VerifiedSchedule::witness(PreparedSchedule::Flat(v.into_inner()))),
-            ScheduleKind::Banded => serialize::read_banded_schedule_file_verified(&path)
-                .map(|v| VerifiedSchedule::witness(PreparedSchedule::Banded(v.into_inner()))),
             ScheduleKind::Tiled => serialize::read_tiled_schedule_file_verified(&path)
                 .map(|v| VerifiedSchedule::witness(PreparedSchedule::Tiled(v.into_inner()))),
         };
@@ -692,17 +676,7 @@ impl ScheduleRegistry {
                     inner.stats.audit_rejects += 1;
                 }
                 drop(inner);
-                match gust_sparse::io::quarantine_corrupt(&path) {
-                    Some(dest) => eprintln!(
-                        "warning: quarantined corrupt schedule cache {} -> {} ({err})",
-                        path.display(),
-                        dest.display()
-                    ),
-                    None => eprintln!(
-                        "warning: removed corrupt schedule cache {} ({err})",
-                        path.display()
-                    ),
-                }
+                serialize::quarantine_corrupt_cache(&path, &err);
                 None
             }
             Err(_) => None,
@@ -739,10 +713,6 @@ impl ScheduleRegistry {
     fn build_once(&self, matrix: &CsrMatrix) -> PreparedSchedule {
         match self.kind {
             ScheduleKind::Flat => PreparedSchedule::Flat(self.engine.schedule(matrix)),
-            ScheduleKind::Banded => PreparedSchedule::Banded(
-                self.engine
-                    .schedule_banded_for_batch(matrix, self.batch_hint),
-            ),
             ScheduleKind::Tiled => PreparedSchedule::Tiled(
                 self.engine
                     .schedule_tiled_for_batch(matrix, self.batch_hint),
@@ -1454,9 +1424,6 @@ fn dispatch_f32(
 ) -> Result<Vec<f32>, GustError> {
     match schedule {
         PreparedSchedule::Flat(s) => engine.try_execute_batch(s, panel, batch).map(|(y, _)| y),
-        PreparedSchedule::Banded(s) => engine
-            .try_execute_batch_banded(s, panel, batch)
-            .map(|(y, _)| y),
         PreparedSchedule::Tiled(s) => engine
             .try_execute_batch_tiled(s, panel, batch)
             .map(|(y, _)| y),
@@ -1473,9 +1440,6 @@ fn dispatch_f64(
     match schedule {
         PreparedSchedule::Flat(s) => engine
             .try_execute_batch_f64(s, panel, batch)
-            .map(|(y, _)| y),
-        PreparedSchedule::Banded(s) => engine
-            .try_execute_batch_banded_f64(s, panel, batch)
             .map(|(y, _)| y),
         PreparedSchedule::Tiled(s) => engine
             .try_execute_batch_tiled_f64(s, panel, batch)

@@ -9,16 +9,16 @@
 //! assume. In-memory schedules establish it by construction (the
 //! [`Scheduler`](crate::schedule::Scheduler) colors conflict-free and the
 //! constructors `debug_assert` it), but `debug_assert`s vanish in release
-//! builds, and a deserialized `GUST`/`GUSB`/`GUTL` stream can carry a valid
+//! builds, and a deserialized `GUST`/`GUTL` stream can carry a valid
 //! checksum around forged contents. This module closes that gap: it audits
-//! the **complete safety contract** for any flat, banded or tiled schedule
+//! the **complete safety contract** for any flat or tiled schedule
 //! and returns a typed [`AuditReport`] with slot-precise violation
 //! locations instead of panicking.
 //!
 //! # The audited contract
 //!
-//! For every window of a schedule (and, for banded/tiled containers, every
-//! band and tile on top):
+//! For every window of a schedule (and, for tiled schedules, every band
+//! and tile on top):
 //!
 //! 1. **Structure** — the SoA arrays agree in length and `color_ptr` is a
 //!    monotone CSR-style partition covering every slot exactly once.
@@ -38,7 +38,8 @@
 //!    scatter two windows' outputs into one row concurrently.
 //! 6. **Band/tile containment** — band slot pointers partition each
 //!    window's slots and every slot's column falls inside its band's
-//!    `[start, end)`; tile row boundaries partition `0..rows`.
+//!    `[start, end)`; tile row boundaries strictly ascend from 0 to
+//!    `rows` (a 0-row matrix has the single empty tile `[0, 0]`).
 //! 7. **Coverage** (optional, against a source [`CsrMatrix`]) — the slot
 //!    stream reproduces the matrix triplet-for-triplet.
 //!
@@ -62,7 +63,7 @@ use std::ops::Deref;
 
 use crate::schedule::banded::BandedSchedule;
 use crate::schedule::scheduled::{ScheduledMatrix, WindowSchedule};
-use crate::schedule::tiled::TiledSchedule;
+use crate::schedule::tiled::{self, TiledSchedule};
 use gust_sparse::CsrMatrix;
 
 /// Reports are truncated at this many violations: a forged stream can
@@ -397,10 +398,10 @@ pub fn audit_schedule(schedule: &ScheduledMatrix) -> AuditReport {
     AuditReport::from_violations(out)
 }
 
-/// Audits a column-banded schedule: everything [`audit_schedule`] proves
-/// plus band-partition and per-window band slot-pointer containment.
-#[must_use]
-pub fn audit_banded(schedule: &BandedSchedule) -> AuditReport {
+/// Audits one tile's column-banded body: everything [`audit_schedule`]
+/// proves plus band-partition and per-window band slot-pointer
+/// containment.
+fn audit_banded(schedule: &BandedSchedule) -> AuditReport {
     let mut out = Vec::new();
     audit_shape(
         schedule.windows().len(),
@@ -478,8 +479,9 @@ pub fn audit_banded(schedule: &BandedSchedule) -> AuditReport {
     AuditReport::from_violations(out)
 }
 
-/// Audits a row-tiled schedule: the tile partition plus a full
-/// [`audit_banded`] of every tile (violations wrapped in
+/// Audits a row-tiled schedule: the tile partition plus, for every
+/// tile's banded body, everything [`audit_schedule`] proves and the band
+/// containment of contract item 6 (violations wrapped in
 /// [`Violation::Tile`]).
 #[must_use]
 pub fn audit_tiled(schedule: &TiledSchedule) -> AuditReport {
@@ -496,10 +498,7 @@ pub fn audit_tiled(schedule: &TiledSchedule) -> AuditReport {
                 ),
             },
         );
-    } else if starts.first() != Some(&0)
-        || starts.last().copied() != Some(schedule.rows() as u32)
-        || starts.windows(2).any(|w| w[0] >= w[1])
-    {
+    } else if !tiled::row_starts_are_valid(starts, schedule.rows()) {
         push(
             &mut out,
             Violation::TileStructure {
@@ -588,33 +587,6 @@ pub fn audit_schedule_against(schedule: &ScheduledMatrix, matrix: &CsrMatrix) ->
     report
 }
 
-/// [`audit_banded`] plus exact CSR coverage.
-#[must_use]
-pub fn audit_banded_against(schedule: &BandedSchedule, matrix: &CsrMatrix) -> AuditReport {
-    let mut report = audit_banded(schedule);
-    if !report.is_clean() {
-        return report;
-    }
-    let mut rebuilt: Vec<(u32, u32, u32)> = Vec::with_capacity(schedule.nnz());
-    for (w, banded) in schedule.windows().iter().enumerate() {
-        collect_window_triplets(
-            banded.window(),
-            w * schedule.length(),
-            schedule.row_perm(),
-            0,
-            &mut rebuilt,
-        );
-    }
-    audit_coverage(
-        &mut rebuilt,
-        schedule.rows(),
-        schedule.cols(),
-        matrix,
-        &mut report.violations,
-    );
-    report
-}
-
 /// [`audit_tiled`] plus exact CSR coverage (tile row permutations are
 /// tile-local; triplets are lifted by each tile's row offset).
 #[must_use]
@@ -656,12 +628,6 @@ pub trait Auditable {
 impl Auditable for ScheduledMatrix {
     fn audit(&self) -> AuditReport {
         audit_schedule(self)
-    }
-}
-
-impl Auditable for BandedSchedule {
-    fn audit(&self) -> AuditReport {
-        audit_banded(self)
     }
 }
 
@@ -1218,10 +1184,14 @@ mod tests {
         let (m, s) = schedules(11);
         assert!(audit_schedule(&s).is_clean());
         assert!(audit_schedule_against(&s, &m).is_clean());
-        let gust = Gust::new(GustConfig::new(8));
-        let banded = gust.schedule_banded(&m);
-        assert!(audit_banded(&banded).is_clean());
-        assert!(audit_banded_against(&banded, &m).is_clean());
+        let gust = Gust::new(GustConfig::new(8).with_cache_budget(Some(64)));
+        let tiled = gust.schedule_tiled(&m);
+        assert!(
+            tiled.tiles()[0].bands().count() > 1,
+            "want a multi-band tile"
+        );
+        assert!(audit_tiled(&tiled).is_clean());
+        assert!(audit_tiled_against(&tiled, &m).is_clean());
     }
 
     #[test]

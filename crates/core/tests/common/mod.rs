@@ -1,6 +1,6 @@
 //! Shared byte-surgery helpers for the schedule-container audit tests.
 //!
-//! These walk the serialized `GUST`/`GUSB`/`GUTL` layouts (see
+//! These walk the serialized `GUST`/`GUTL` layouts (see
 //! `gust::schedule::serialize`) to locate occupied cells, so tests can
 //! forge *semantically* invalid containers — wrong `row_mod`/`col`
 //! values — and then re-checksum, producing files every byte-level
@@ -101,8 +101,9 @@ pub fn flat_cells(buf: &[u8]) -> Vec<Cell> {
     cells
 }
 
-/// Walks one banded body (band header + row_perm + windows with band
-/// slot pointers), appending cells; returns the offset past the body.
+/// Walks one tile's banded body (band header + row_perm + windows with
+/// band slot pointers), appending cells; returns the offset past the
+/// body.
 fn walk_banded_body(
     buf: &[u8],
     mut off: usize,
@@ -121,18 +122,6 @@ fn walk_banded_body(
         off += (bands + 1) * 4; // band_slot_ptr
     }
     off
-}
-
-/// Occupied cells of a serialized **banded** (`GUSB`) container.
-pub fn banded_cells(buf: &[u8]) -> Vec<Cell> {
-    let mut off = ENVELOPE;
-    let l = read_u32(buf, off) as usize;
-    off += 4;
-    let rows = read_u64(buf, off) as usize;
-    off += 8 + 8;
-    let mut cells = Vec::new();
-    walk_banded_body(buf, off, l, rows, &mut cells);
-    cells
 }
 
 /// Occupied cells of a serialized **tiled** (`GUTL`) container, all

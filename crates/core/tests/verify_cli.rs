@@ -105,3 +105,25 @@ fn mixed_batch_reports_worst_outcome() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("OK"));
     assert!(String::from_utf8_lossy(&out.stderr).contains("REJECTED"));
 }
+
+#[test]
+fn retired_banded_container_magic_is_unrecognized_with_exit_two() {
+    // The retired stand-alone banded container's magic: no reader
+    // accepts it any more, so the CLI must not audit it as anything.
+    let mut buf = container(5);
+    buf[..4].copy_from_slice(b"GUSB");
+    let path = temp_file("retired-banded", &buf);
+
+    let out = Command::new(BIN)
+        .arg(&path)
+        .output()
+        .expect("run gust-verify");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unrecognized magic"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("(expected GUST or GUTL)"),
+        "stderr: {stderr}"
+    );
+}

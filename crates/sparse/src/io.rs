@@ -635,11 +635,15 @@ pub fn read_bin_file_with_fingerprint(
 }
 
 /// Moves a corrupt on-disk artifact out of the way by renaming it to
-/// `<path>.corrupt` (replacing any previous quarantine of the same
-/// file), so the rebuilt artifact can take its place while the damaged
-/// bytes stay available for post-mortem. Falls back to deleting the
-/// file when the rename itself fails. Returns the quarantine path if
-/// the rename succeeded.
+/// `<path>.corrupt` (the rename atomically replaces any previous
+/// quarantine of the same file), so the rebuilt artifact can take its
+/// place while the damaged bytes stay available for post-mortem. Falls
+/// back to deleting the file when the rename itself fails. Returns the
+/// quarantine path if the rename succeeded.
+///
+/// No separate delete of an old quarantine precedes the rename: with
+/// several loaders racing on one corrupt file, such a delete could
+/// remove the evidence a faster racer had just quarantined.
 ///
 /// Best-effort by design: the caller is already on its degradation path
 /// and must not fail because quarantining did.
@@ -647,7 +651,6 @@ pub fn quarantine_corrupt(path: &Path) -> Option<PathBuf> {
     let mut os = path.as_os_str().to_os_string();
     os.push(".corrupt");
     let dest = PathBuf::from(os);
-    let _ = std::fs::remove_file(&dest);
     if std::fs::rename(path, &dest).is_ok() {
         Some(dest)
     } else {

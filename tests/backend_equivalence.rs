@@ -416,23 +416,23 @@ fn f64_banded_and_tiled_walks_match_their_flat_f64_counterparts() {
     let panel = positive_panel_f64(96, batch, 177);
     let oracle_bound = ulp_bound_f64(&matrix);
     for backend in std::iter::once(Backend::Scalar).chain(simd_backends()) {
-        let gust = Gust::new(
-            GustConfig::new(8)
-                .with_backend(Some(backend))
-                .with_cache_budget(Some(512))
-                .with_row_budget(Some(256)),
-        );
+        let config = GustConfig::new(8)
+            .with_backend(Some(backend))
+            .with_cache_budget(Some(512));
+        let gust = Gust::new(config.clone().with_row_budget(Some(256)));
 
-        // A banded f64 walk is bit-identical to flat-walking the merged
-        // (unbanded) schedule: the band sweep preserves per-window slot
-        // order, in f64 exactly as in f32.
-        let banded = gust.schedule_banded_for_batch_f64(&matrix, batch);
+        // A single-tile (purely banded) f64 walk is bit-identical to
+        // flat-walking the tile's merged (unbanded) schedule: the band
+        // sweep preserves per-window slot order, in f64 exactly as in f32.
+        let banded = Gust::new(config.with_row_budget(Some(1 << 30)))
+            .schedule_tiled_for_batch_f64(&matrix, batch);
+        assert_eq!(banded.tile_count(), 1);
         assert!(
-            banded.bands().count() > 1,
+            banded.tiles()[0].bands().count() > 1,
             "budget must force a multi-band f64 plan"
         );
-        let (y_banded, _) = gust.execute_batch_banded_f64(&banded, &panel, batch);
-        let (y_flat, _) = gust.execute_batch_f64(&banded.to_unbanded(), &panel, batch);
+        let (y_banded, _) = gust.execute_batch_tiled_f64(&banded, &panel, batch);
+        let (y_flat, _) = gust.execute_batch_f64(&banded.tiles()[0].to_unbanded(), &panel, batch);
         assert_eq!(
             y_flat,
             y_banded,

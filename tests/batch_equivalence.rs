@@ -114,3 +114,30 @@ proptest! {
         prop_assert!(max_relative_error(&y, &expected) < 1e-3);
     }
 }
+
+/// Repeated pool-backed `execute_batch` calls spawn no new threads after
+/// warm-up — the persistent pool's whole point: iterative solvers pay
+/// thread startup once per process, not once per SpMV.
+#[test]
+fn warm_pool_spawns_no_threads_across_execute_batch_calls() {
+    let matrix = generate(0, 64, 64, 500, 42);
+    let engine = Gust::new(GustConfig::new(8).with_parallelism(Some(4)));
+    let schedule = engine.schedule(&matrix);
+    let batch = 33usize; // 5 register blocks: real fan-out work
+    let b = panel(64, batch, 9);
+
+    // Warm-up: the pool lazily spawns its workers here.
+    let (warm, _) = engine.execute_batch(&schedule, &b, batch);
+    let spawned_after_warmup = Pool::global().threads_spawned();
+    assert!(spawned_after_warmup > 0, "fan-out must engage the pool");
+
+    for _ in 0..8 {
+        let (again, _) = engine.execute_batch(&schedule, &b, batch);
+        assert_eq!(again, warm, "results stay bit-identical run to run");
+    }
+    assert_eq!(
+        Pool::global().threads_spawned(),
+        spawned_after_warmup,
+        "a warm pool must not spawn new threads"
+    );
+}

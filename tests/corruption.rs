@@ -3,15 +3,15 @@
 //! valid stream without panicking, reporting the damage as a typed
 //! error — [`gust_sparse::SparseError::Corrupt`] / `ParseError` for the
 //! GSPB matrix cache, [`ReadScheduleError::Corrupt`] / `Format` for the
-//! `GUST`/`GUSB`/`GUTL` schedule containers — and the cached loaders
+//! `GUST`/`GUTL` schedule containers — and the cached loaders
 //! must quarantine a damaged cache and transparently rebuild from
 //! source.
 
 use gust::schedule::serialize::{
-    read_banded_schedule, read_schedule, read_tiled_schedule, write_banded_schedule,
-    write_schedule, write_tiled_schedule, ReadScheduleError,
+    read_schedule, read_tiled_schedule, write_schedule, write_tiled_schedule, ReadScheduleError,
 };
-use gust::{Gust, GustConfig};
+use gust::schedule::Scheduler;
+use gust::{ColumnBands, Gust, GustConfig};
 use gust_sparse::io::{
     read_bin, read_matrix_market, read_matrix_market_cached, write_bin, write_matrix_market,
 };
@@ -129,19 +129,24 @@ fn schedule_containers_survive_truncation_and_bit_flips() {
     let m = sample_matrix();
     let gust = Gust::new(GustConfig::new(4));
     let flat = gust.schedule(&m);
-    let banded = gust.schedule_banded(&m);
+    // One tile of three bands: the multi-band tile body on its own.
+    let banded = Scheduler::new(gust.config().clone()).schedule_tiled_with(
+        &m,
+        1,
+        ColumnBands::with_count(10, 3),
+    );
     let tiled = gust.schedule_tiled(&m);
 
     let mut flat_bytes = Vec::new();
     write_schedule(&flat, &mut flat_bytes).expect("serialize flat");
     let mut banded_bytes = Vec::new();
-    write_banded_schedule(&banded, &mut banded_bytes).expect("serialize banded");
+    write_tiled_schedule(&banded, &mut banded_bytes).expect("serialize banded");
     let mut tiled_bytes = Vec::new();
     write_tiled_schedule(&tiled, &mut tiled_bytes).expect("serialize tiled");
 
     assert_eq!(read_schedule(flat_bytes.as_slice()).expect("flat"), flat);
     assert_eq!(
-        read_banded_schedule(banded_bytes.as_slice()).expect("banded"),
+        read_tiled_schedule(banded_bytes.as_slice()).expect("banded"),
         banded
     );
     assert_eq!(
@@ -157,7 +162,7 @@ fn schedule_containers_survive_truncation_and_bit_flips() {
     }
     for cut in 0..banded_bytes.len() {
         assert_schedule_rejects(
-            read_banded_schedule(&banded_bytes[..cut]),
+            read_tiled_schedule(&banded_bytes[..cut]),
             &format!("banded truncated at {cut}"),
         );
     }
@@ -185,7 +190,7 @@ fn schedule_containers_survive_truncation_and_bit_flips() {
             let mut damaged = banded_bytes.clone();
             damaged[byte] ^= 1 << bit;
             assert_schedule_rejects(
-                read_banded_schedule(damaged.as_slice()),
+                read_tiled_schedule(damaged.as_slice()),
                 &format!("banded bit {bit} of byte {byte}"),
             );
         }

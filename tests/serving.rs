@@ -12,7 +12,7 @@
 //!
 //! Every matrix and vector here is **integer-valued** with small
 //! magnitudes, so every product and partial sum is exactly
-//! representable and every summation order (engine slot order, banded
+//! representable and every summation order (engine slot order, tiled band
 //! walk, reference row order) produces the same bits. That turns
 //! "responses are correct" into the strongest possible assertion: each
 //! response must equal the reference `CsrMatrix::spmv` **bitwise**, no
