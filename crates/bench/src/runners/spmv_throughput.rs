@@ -74,7 +74,7 @@
 use crate::legacy;
 use crate::table::TextTable;
 use gust::kernels::{cpu_features, Backend};
-use gust::{BandedSchedule, Gust, GustConfig, ScheduledMatrix, TiledSchedule};
+use gust::{Gust, GustConfig, TiledSchedule};
 use gust_sparse::ops::max_relative_error;
 use gust_sparse::{gen, CsrMatrix};
 use std::time::{Duration, Instant};
@@ -331,8 +331,6 @@ fn measure_kernels(
     let row_budget_used = workload
         .row_budget
         .unwrap_or_else(gust::config::default_row_budget);
-    let single_flats = tile_flats(&tiled_single);
-    let tiled_flats = tile_flats(&tiled);
 
     // Correctness gates. The scalar single-vector engine is the anchor.
     let reference = scalar.execute(&schedule, &x);
@@ -400,9 +398,9 @@ fn measure_kernels(
         // plans, so each is gated against its own flattenings.
         let tiled_run = gust.execute_tiled(&tiled_single, &x);
         let mut single_expected = vec![0.0f32; rows];
-        for (t, flat) in single_flats.iter().enumerate() {
+        for (t, tile) in tiled_single.tiles().iter().enumerate() {
             single_expected[tiled_single.tile_range(t)]
-                .copy_from_slice(&gust.execute(flat, &x).output);
+                .copy_from_slice(&gust.execute(tile.flat(), &x).output);
         }
         assert_eq!(
             tiled_run.output,
@@ -414,8 +412,8 @@ fn measure_kernels(
         assert!(err < 1e-3, "{} tiled diverged: {err}", backend.name());
         let (tiled_y, _) = gust.execute_batch_tiled(&tiled, &panel, rb);
         let mut tiled_expected = vec![0.0f32; rows * rb];
-        for (t, flat) in tiled_flats.iter().enumerate() {
-            let (y_flat, _) = gust.execute_batch(flat, &panel, rb);
+        for (t, tile) in tiled.tiles().iter().enumerate() {
+            let (y_flat, _) = gust.execute_batch(tile.flat(), &panel, rb);
             let range = tiled.tile_range(t);
             for j in 0..rb {
                 tiled_expected[j * rows + range.start..j * rows + range.end]
@@ -582,16 +580,6 @@ fn measure_kernels(
     });
 
     results
-}
-
-/// Every tile's flattened schedule, in row order — the oracle of the
-/// tiled bit-identity gates.
-fn tile_flats(tiled: &TiledSchedule) -> Vec<ScheduledMatrix> {
-    tiled
-        .tiles()
-        .iter()
-        .map(BandedSchedule::to_unbanded)
-        .collect()
 }
 
 /// The largest band count over `tiled`'s tiles (the `banded` column).

@@ -250,9 +250,9 @@ impl GustConfig {
     /// so one band's operand slice at the walk's **effective batch
     /// width** — `band_cols × width × 4` bytes, where the width is 1 for
     /// single-vector schedules and the register block for batched ones
-    /// (see [`crate::schedule::banded::BandPlan`]) — fits the budget, so
-    /// every gather in a band walk hits a cache-resident slice of the
-    /// input vector.
+    /// (see [`crate::schedule::banded::ColumnBands::for_tile`]) — fits
+    /// the budget, so every gather in a band walk hits a cache-resident
+    /// slice of the input vector.
     ///
     /// `None` (default) selects at runtime: the `GUST_CACHE_BUDGET`
     /// environment variable if set (plain bytes, or with a `k`/`m`/`g`

@@ -76,10 +76,13 @@
 //! [`Gust::execute_tiled`] / [`Gust::execute_batch_tiled`] walk a
 //! [`TiledSchedule`] row tile by row tile so the `y[row]` side stays
 //! resident, and within a tile band by band with accumulator carry so
-//! the `x[col]` gathers stay inside a budget-sized column slice. Each
-//! tile's output is bit-identical per backend to the unbanded engine on
-//! the tile's flattened schedule — see [`crate::schedule::banded`] and
-//! [`crate::schedule::tiled`].
+//! the `x[col]` gathers stay inside a budget-sized column slice. A tile
+//! contains its flat schedule ([`BandedSchedule::flat`]), and a
+//! single-band tile is walked by the very per-window loops of
+//! [`Gust::execute`] / [`Gust::execute_batch`] on its slice of the
+//! output. Each tile's output is bit-identical per backend to the flat
+//! engine on [`BandedSchedule::flat`] — see [`crate::schedule::banded`]
+//! and [`crate::schedule::tiled`].
 
 use crate::config::{GustConfig, SchedulingPolicy};
 use crate::error::GustError;
@@ -272,55 +275,8 @@ impl Gust {
     /// `x.len() != schedule.cols()`.
     pub fn try_execute(&self, schedule: &ScheduledMatrix, x: &[f32]) -> Result<GustRun, GustError> {
         self.check_single(schedule.length(), schedule.cols(), x.len())?;
-        let l = self.config.length();
-
-        let backend = self.backend();
         let mut y = vec![0.0f32; schedule.rows()];
-        let mut adders = vec![0.0f32; l];
-        let mut stage: Vec<f32> = Vec::new();
-
-        let row_perm = schedule.row_perm();
-        for (w, window) in schedule.windows().iter().enumerate() {
-            // Only the lanes this window's rows occupy are live: the final
-            // window of a matrix with `rows % l != 0` is ragged, and lanes
-            // past its row count are never scheduled (row_mod < active) nor
-            // dumped.
-            let active = schedule.window_rows(w);
-            adders[..active].fill(0.0);
-
-            // The streaming pass: color-major slot order means each adder
-            // sees its products in color order, so this flat walk is
-            // bit-identical to the per-cycle walk — under every backend,
-            // because the kernels only vectorize the multiply-gathers and
-            // keep the scatter into `adders` in slot order. Windows whose
-            // reused columns compact a larger-than-cache `x` first gather
-            // their distinct entries into a dense window-local stage
-            // (same values, so still bit-identical) and index it through
-            // the compacted `local_cols`.
-            let (idx, operands): (&[u32], &[f32]) =
-                if window_staged(window, x.len(), 1, std::mem::size_of::<f32>()) {
-                    stage.resize(window.gather_cols().len(), 0.0);
-                    kernels::gather(backend, x, window.gather_cols(), &mut stage);
-                    (window.local_cols(), &stage)
-                } else {
-                    (window.cols(), x)
-                };
-            kernels::window_walk(
-                backend,
-                window.values(),
-                idx,
-                window.row_mods(),
-                operands,
-                &mut adders,
-            );
-
-            // Dump: adder `i` holds the row scheduled at position w*l + i.
-            let base = w * l;
-            for (i, &acc) in adders[..active].iter().enumerate() {
-                y[row_perm[base + i] as usize] = acc;
-            }
-        }
-
+        flat_walk_single(self.backend(), schedule, x, &mut y);
         Ok(GustRun {
             output: y,
             report: self.analytic_report(schedule, 1),
@@ -557,22 +513,8 @@ impl Gust {
         let rb = E::reg_block(backend);
         let rows = schedule.rows();
         let mut y = vec![E::ZERO; rows * batch];
-        let blocks = batch.div_ceil(rb);
-        let workers = self.batch_workers(blocks);
-        // Decide staging once per window, at the full register-block
-        // width, so every block (ragged tails included) takes the same
-        // path and the interleave is built exactly when some window
-        // reads it.
-        let stage_flags: Vec<bool> = schedule
-            .windows()
-            .iter()
-            .map(|w| window_staged(w, cols, rb.min(batch), E::BYTES))
-            .collect();
-        let needs_interleave = schedule
-            .windows()
-            .iter()
-            .zip(&stage_flags)
-            .any(|(w, &staged)| w.nnz() > 0 && !staged);
+        let workers = self.config.effective_workers(batch.div_ceil(rb));
+        let (stage_flags, needs_panel) = panel_stage_flags::<E>(schedule, rb.min(batch));
 
         run_blocks(
             workers,
@@ -581,6 +523,9 @@ impl Gust {
             rb,
             batch,
             |j0, bb, y_block, scratch| {
+                if needs_panel {
+                    scratch.interleave(b, cols, j0, bb);
+                }
                 run_block(
                     backend,
                     schedule,
@@ -588,7 +533,8 @@ impl Gust {
                     j0,
                     bb,
                     &stage_flags,
-                    needs_interleave,
+                    0,
+                    rows,
                     y_block,
                     scratch,
                 );
@@ -722,9 +668,8 @@ impl Gust {
     ///
     /// Per adder the product order is the merged window's slot order
     /// whether walked band by band or flat, so each tile's output slice
-    /// is **bit-identical** to
-    /// `self.execute(&tile.to_unbanded(), x)` under every backend (see
-    /// [`crate::schedule::banded`]).
+    /// is **bit-identical** to `self.execute(tile.flat(), x)` under every
+    /// backend (see [`crate::schedule::banded`]).
     ///
     /// # Panics
     ///
@@ -771,8 +716,8 @@ impl Gust {
     /// sized by their budgets to stay cache-resident.
     ///
     /// Per tile, outputs are bit-identical to
-    /// `self.execute_batch(&tile.to_unbanded(), b, batch)` for the same
-    /// backend, for every worker count.
+    /// `self.execute_batch(tile.flat(), b, batch)` for the same backend,
+    /// for every worker count.
     ///
     /// # Panics
     ///
@@ -853,34 +798,25 @@ impl Gust {
         let rb = E::reg_block(backend);
         let rows = schedule.rows();
         let mut y = vec![E::ZERO; rows * batch];
-        let workers = self.batch_workers(batch.div_ceil(rb));
-        // Per-tile staging decisions: a single-band tile takes the
-        // unbanded per-window path with the staging heuristics of
-        // [`Gust::execute_batch`]. The whole-panel interleave those
-        // unstaged windows read depends only on the register block, not
-        // the tile, so it is hoisted out of the tile loop — one
-        // transpose per block shared by every tile, exactly the
-        // amortization the untiled walk gets (multi-band tiles use a
-        // separate band-slice buffer and cannot clobber it).
+        let workers = self.config.effective_workers(batch.div_ceil(rb));
+        // Per-tile staging decisions: a single-band tile is walked by the
+        // flat panel walk of [`Gust::execute_batch`], with its staging
+        // heuristics. The whole-panel interleave those unstaged windows
+        // read depends only on the register block, not the tile, so it
+        // is hoisted out of the tile loop — one transpose per block
+        // shared by every tile, exactly the amortization the untiled
+        // walk gets (multi-band tiles use a separate band-slice buffer
+        // and cannot clobber it).
         let mut needs_panel = false;
         let tile_flags: Vec<Vec<bool>> = schedule
             .tiles()
             .iter()
             .map(|tile| {
-                let single_band = tile.bands().count() == 1;
-                let flags: Vec<bool> = tile
-                    .windows()
-                    .iter()
-                    .map(|w| {
-                        single_band && window_staged(w.window(), cols, rb.min(batch), E::BYTES)
-                    })
-                    .collect();
-                needs_panel |= single_band
-                    && tile
-                        .windows()
-                        .iter()
-                        .zip(&flags)
-                        .any(|(w, &staged)| w.nnz() > 0 && !staged);
+                if tile.bands().count() > 1 {
+                    return Vec::new();
+                }
+                let (flags, reads_panel) = panel_stage_flags::<E>(tile.flat(), rb.min(batch));
+                needs_panel |= reads_panel;
                 flags
             })
             .collect();
@@ -893,8 +829,7 @@ impl Gust {
             batch,
             |j0, bb, y_block, scratch| {
                 if needs_panel {
-                    scratch.xb.resize(cols * bb, E::ZERO);
-                    kernels::interleave_panel(b, cols, j0, bb, &mut scratch.xb);
+                    scratch.interleave(b, cols, j0, bb);
                 }
                 for (t, tile) in schedule.tiles().iter().enumerate() {
                     run_block_banded(
@@ -914,12 +849,6 @@ impl Gust {
         );
 
         Ok((y, self.tiled_report(schedule, batch as u64)))
-    }
-
-    /// Worker threads for a batched run over `blocks` register blocks
-    /// (see [`GustConfig::effective_workers`]).
-    fn batch_workers(&self, blocks: usize) -> usize {
-        self.config.effective_workers(blocks)
     }
 
     /// The accounting of `batch` SpMVs over `schedule`, derived from the
@@ -1166,7 +1095,7 @@ pub(crate) struct BlockScratch<E> {
     acc: Vec<E>,
 }
 
-impl<E> BlockScratch<E> {
+impl<E: Element> BlockScratch<E> {
     /// Retained capacity ceiling per buffer: 2²² elements (16 MiB of
     /// f32, 32 MiB of f64). Below it, buffers amortize across pool tasks
     /// and `execute_batch` calls (the repeated-solve pattern); above it —
@@ -1190,74 +1119,128 @@ impl<E> BlockScratch<E> {
             }
         }
     }
+
+    /// Interleaves the register block of `bb` right-hand sides starting
+    /// at panel column `j0` into `xb`, for the windows that read the
+    /// whole panel: one slot's `bb` vector elements become contiguous,
+    /// so the kernel's inner loop is a unit-stride multiply-accumulate.
+    /// Plain resize (no clear): the interleave overwrites every cell.
+    fn interleave(&mut self, b: &[E], cols: usize, j0: usize, bb: usize) {
+        self.xb.resize(cols * bb, E::ZERO);
+        kernels::interleave_panel(b, cols, j0, bb, &mut self.xb);
+    }
+}
+
+/// The per-window staging decisions of a panel walk over `schedule` at
+/// register-block width `bb`, plus whether some non-empty window skips
+/// staging and so reads the whole-panel interleave. Decided once per
+/// window at the full register-block width, so every block (ragged
+/// tails included) takes the same path and the interleave is built
+/// exactly when some window reads it.
+fn panel_stage_flags<E: Element>(schedule: &ScheduledMatrix, bb: usize) -> (Vec<bool>, bool) {
+    let flags: Vec<bool> = schedule
+        .windows()
+        .iter()
+        .map(|w| window_staged(w, schedule.cols(), bb, E::BYTES))
+        .collect();
+    let reads_panel = schedule
+        .windows()
+        .iter()
+        .zip(&flags)
+        .any(|(w, &staged)| w.nnz() > 0 && !staged);
+    (flags, reads_panel)
+}
+
+/// The single-vector walk of a flat schedule: streams `schedule` against
+/// `x`, writing the permuted outputs into `y` (`schedule.rows()` long —
+/// all of the output for [`Gust::execute`], one tile's slice of it for a
+/// single-band tile of [`Gust::execute_tiled`]).
+fn flat_walk_single(backend: Backend, schedule: &ScheduledMatrix, x: &[f32], y: &mut [f32]) {
+    debug_assert_eq!(y.len(), schedule.rows());
+    let l = schedule.length();
+    let mut adders = vec![0.0f32; l];
+    let mut stage: Vec<f32> = Vec::new();
+
+    let row_perm = schedule.row_perm();
+    for (w, window) in schedule.windows().iter().enumerate() {
+        // Only the lanes this window's rows occupy are live: the final
+        // window of a matrix with `rows % l != 0` is ragged, and lanes
+        // past its row count are never scheduled (row_mod < active) nor
+        // dumped.
+        let active = schedule.window_rows(w);
+        adders[..active].fill(0.0);
+
+        // The streaming pass: color-major slot order means each adder
+        // sees its products in color order, so this flat walk is
+        // bit-identical to the per-cycle walk — under every backend,
+        // because the kernels only vectorize the multiply-gathers and
+        // keep the scatter into `adders` in slot order. Windows whose
+        // reused columns compact a larger-than-cache `x` first gather
+        // their distinct entries into a dense window-local stage
+        // (same values, so still bit-identical) and index it through
+        // the compacted `local_cols`.
+        let (idx, operands): (&[u32], &[f32]) =
+            if window_staged(window, x.len(), 1, std::mem::size_of::<f32>()) {
+                stage.resize(window.gather_cols().len(), 0.0);
+                kernels::gather(backend, x, window.gather_cols(), &mut stage);
+                (window.local_cols(), &stage)
+            } else {
+                (window.cols(), x)
+            };
+        kernels::window_walk(
+            backend,
+            window.values(),
+            idx,
+            window.row_mods(),
+            operands,
+            &mut adders,
+        );
+
+        // Dump: adder `i` holds the row scheduled at position w*l + i.
+        let base = w * l;
+        for (i, &acc) in adders[..active].iter().enumerate() {
+            y[row_perm[base + i] as usize] = acc;
+        }
+    }
 }
 
 /// The single-vector band sweep of one tile of a [`TiledSchedule`]:
-/// walks `schedule` against `x`, writing the permuted outputs into `y`
-/// (`schedule.rows()` long — the tile's slice of the full output). Bands outer,
-/// windows inner, every window's adders carrying partial sums across
-/// bands; per adder the product order is the merged window's slot order,
-/// which keeps the output bit-identical to the unbanded engine on
-/// [`BandedSchedule::to_unbanded`] (see [`crate::schedule::banded`]).
-fn banded_walk_single(backend: Backend, schedule: &BandedSchedule, x: &[f32], y: &mut [f32]) {
-    let l = schedule.length();
-    let window_count = schedule.windows().len();
-    debug_assert_eq!(y.len(), schedule.rows());
-    let row_perm = schedule.row_perm();
-
-    if schedule.bands().count() == 1 {
-        // Single band (cache-resident shapes under the auto budget):
-        // banding is vacuous, so take the unbanded [`Gust::execute`]
-        // shape — one hot adder bank reused across windows, dump as
-        // each window finishes, and the same per-window staging
-        // decisions. Staging copies values and the per-window slot
-        // order is unchanged, so the output stays bit-identical to
-        // the multi-band walk.
-        let mut adders = vec![0.0f32; l];
-        let mut stage: Vec<f32> = Vec::new();
-        for (w, banded) in schedule.windows().iter().enumerate() {
-            let window = banded.window();
-            let active = schedule.window_rows(w);
-            adders[..active].fill(0.0);
-            let (idx, operands): (&[u32], &[f32]) =
-                if window_staged(window, x.len(), 1, std::mem::size_of::<f32>()) {
-                    stage.resize(window.gather_cols().len(), 0.0);
-                    kernels::gather(backend, x, window.gather_cols(), &mut stage);
-                    (window.local_cols(), &stage)
-                } else {
-                    (window.cols(), x)
-                };
-            kernels::window_walk(
-                backend,
-                window.values(),
-                idx,
-                window.row_mods(),
-                operands,
-                &mut adders,
-            );
-            let base = w * l;
-            for (i, &acc) in adders[..active].iter().enumerate() {
-                y[row_perm[base + i] as usize] = acc;
-            }
-        }
+/// walks `tile` against `x`, writing the permuted outputs into `y`
+/// (the tile's slice of the full output). Bands outer, windows inner,
+/// every window's adders carrying partial sums across bands; per adder
+/// the product order is the merged window's slot order, which keeps the
+/// output bit-identical to [`flat_walk_single`] on
+/// [`BandedSchedule::flat`] (see [`crate::schedule::banded`]).
+fn banded_walk_single(backend: Backend, tile: &BandedSchedule, x: &[f32], y: &mut [f32]) {
+    let flat = tile.flat();
+    // Single band (cache-resident shapes under the auto budget): banding
+    // is vacuous, so the tile is its flat schedule — one hot adder bank
+    // reused across windows, per-window staging, dump as each window
+    // finishes.
+    if tile.bands().count() == 1 {
+        flat_walk_single(backend, flat, x, y);
         return;
     }
 
+    let l = flat.length();
+    let window_count = flat.windows().len();
+    debug_assert_eq!(y.len(), flat.rows());
+    let row_perm = flat.row_perm();
     // One adder bank per window, all carried across the band sweep.
     let mut adders = vec![0.0f32; window_count * l];
-    for b in 0..schedule.bands().count() {
-        let range = schedule.bands().range(b);
+    for b in 0..tile.bands().count() {
+        let range = tile.bands().range(b);
         let xs = &x[range.start as usize..range.end as usize];
-        for (w, window) in schedule.windows().iter().enumerate() {
-            let slots = window.band_slots(b);
+        for (w, (window, banded)) in flat.windows().iter().zip(tile.windows()).enumerate() {
+            let slots = banded.band_slots(b);
             if slots.is_empty() {
                 continue;
             }
             kernels::window_walk(
                 backend,
-                &window.window().values()[slots.clone()],
-                &window.local_cols()[slots.clone()],
-                &window.window().row_mods()[slots],
+                &window.values()[slots.clone()],
+                &banded.local_cols()[slots.clone()],
+                &window.row_mods()[slots],
                 xs,
                 &mut adders[w * l..(w + 1) * l],
             );
@@ -1265,7 +1248,7 @@ fn banded_walk_single(backend: Backend, schedule: &BandedSchedule, x: &[f32], y:
     }
 
     for w in 0..window_count {
-        let active = schedule.window_rows(w);
+        let active = flat.window_rows(w);
         let base = w * l;
         for (i, &acc) in adders[base..base + active].iter().enumerate() {
             y[row_perm[base + i] as usize] = acc;
@@ -1273,12 +1256,19 @@ fn banded_walk_single(backend: Backend, schedule: &BandedSchedule, x: &[f32], y:
     }
 }
 
-/// Executes the whole schedule against one register block of `bb` ≤
-/// [`Gust::reg_block`] right-hand sides starting at panel column `j0`,
-/// writing the column-major `rows × bb` output block. Full blocks and
-/// ragged tails run the same backend kernel ([`kernels::panel_walk`]) —
-/// the tail is just a smaller `bb` — and follow the same per-window
-/// staging decisions (`stage_flags`, one per window).
+/// Executes a flat schedule against one register block of `bb` ≤
+/// [`Gust::reg_block`] right-hand sides starting at panel column `j0`.
+/// Full blocks and ragged tails run the same backend kernel
+/// ([`kernels::panel_walk`]) — the tail is just a smaller `bb` — and
+/// follow the same per-window staging decisions (`stage_flags`, one per
+/// window, from [`panel_stage_flags`]).
+///
+/// Unstaged windows read `scratch.xb`, which the caller has already
+/// filled with this block's interleaved whole panel
+/// ([`BlockScratch::interleave`]) whenever such a window exists. `row0`
+/// rebases the row permutation into the column-major `rows_total × bb`
+/// output block: 0 for [`Gust::execute_batch`], the tile's first row
+/// for a single-band tile of [`Gust::execute_batch_tiled`].
 #[allow(clippy::too_many_arguments)]
 fn run_block<E: Element>(
     backend: Backend,
@@ -1287,24 +1277,13 @@ fn run_block<E: Element>(
     j0: usize,
     bb: usize,
     stage_flags: &[bool],
-    needs_interleave: bool,
+    row0: usize,
+    rows_total: usize,
     y_block: &mut [E],
     scratch: &mut BlockScratch<E>,
 ) {
     let cols = schedule.cols();
-    let rows = schedule.rows();
     let l = schedule.length();
-
-    // Interleave the block's operands for windows that read the whole
-    // panel: one slot's `bb` vector elements become contiguous, so the
-    // kernel's inner loop is a unit-stride multiply-accumulate. Plain
-    // resize (no clear): the interleave loop overwrites every cell, and
-    // the accumulator is zeroed per window, so stale contents from a
-    // previous block are never read.
-    if needs_interleave {
-        scratch.xb.resize(cols * bb, E::ZERO);
-        kernels::interleave_panel(b, cols, j0, bb, &mut scratch.xb);
-    }
     scratch.acc.resize(l * bb, E::ZERO);
 
     let row_perm = schedule.row_perm();
@@ -1346,8 +1325,8 @@ fn run_block<E: Element>(
         kernels::scatter_panel(
             &scratch.acc[..active * bb],
             &row_perm[base..base + active],
-            0,
-            rows,
+            row0,
+            rows_total,
             bb,
             y_block,
         );
@@ -1363,16 +1342,15 @@ fn run_block<E: Element>(
 /// accumulator panel. Per (window, adder, right-hand side) the
 /// accumulation order equals the merged window's slot order, which keeps
 /// the output bit-identical to [`run_block`] on
-/// [`BandedSchedule::to_unbanded`].
+/// [`BandedSchedule::flat`].
 ///
 /// `row0` rebases the tile-local row permutation into the
-/// `rows_total`-row output block. Single-band tiles read unstaged
-/// operands from `scratch.xb`, which the caller has already filled with
-/// this block's interleaved whole panel whenever such a window exists.
+/// `rows_total`-row output block. A single-band tile is handed to
+/// [`run_block`] with its `stage_flags`.
 #[allow(clippy::too_many_arguments)]
 fn run_block_banded<E: Element>(
     backend: Backend,
-    schedule: &BandedSchedule,
+    tile: &BandedSchedule,
     b: &[E],
     j0: usize,
     bb: usize,
@@ -1382,86 +1360,53 @@ fn run_block_banded<E: Element>(
     y_block: &mut [E],
     scratch: &mut BlockScratch<E>,
 ) {
-    let cols = schedule.cols();
-    let l = schedule.length();
-    let window_count = schedule.windows().len();
-    let row_perm = schedule.row_perm();
-
+    let flat = tile.flat();
     // Single band (cache-resident shapes under the auto budget): the
-    // carry is vacuous, so take the unbanded [`run_block`] shape — one
-    // small hot accumulator bank, per-window staging per `stage_flags`,
-    // dump each window as it finishes. Slot order per window is
-    // unchanged and staging copies values, so the output stays
-    // bit-identical to the multi-band walk.
-    if schedule.bands().count() == 1 {
-        scratch.acc.resize(l * bb, E::ZERO);
-        for (w, banded) in schedule.windows().iter().enumerate() {
-            let window = banded.window();
-            let active = schedule.window_rows(w);
-            scratch.acc[..active * bb].fill(E::ZERO);
-            let (idx, operands): (&[u32], &[E]) = if stage_flags[w] {
-                scratch
-                    .stage
-                    .resize(window.gather_cols().len() * bb, E::ZERO);
-                E::stage_panel(
-                    backend,
-                    b,
-                    cols,
-                    j0,
-                    bb,
-                    window.gather_cols(),
-                    &mut scratch.stage,
-                );
-                (window.local_cols(), &scratch.stage)
-            } else {
-                (window.cols(), &scratch.xb)
-            };
-            E::panel_walk(
-                backend,
-                window.values(),
-                idx,
-                window.row_mods(),
-                operands,
-                &mut scratch.acc,
-                bb,
-            );
-            let base = w * l;
-            kernels::scatter_panel(
-                &scratch.acc[..active * bb],
-                &row_perm[base..base + active],
-                row0,
-                rows_total,
-                bb,
-                y_block,
-            );
-        }
+    // carry is vacuous, so the tile is its flat schedule.
+    if tile.bands().count() == 1 {
+        run_block(
+            backend,
+            flat,
+            b,
+            j0,
+            bb,
+            stage_flags,
+            row0,
+            rows_total,
+            y_block,
+            scratch,
+        );
         return;
     }
 
+    let cols = flat.cols();
+    let l = flat.length();
+    let window_count = flat.windows().len();
+    let row_perm = flat.row_perm();
     // One accumulator bank per window, all carried across the band
     // sweep. The fill is mandatory: banks persist from the previous
     // block in the thread-local scratch.
     scratch.acc.resize(window_count * l * bb, E::ZERO);
     scratch.acc.fill(E::ZERO);
 
-    for band in 0..schedule.bands().count() {
-        let range = schedule.bands().range(band);
+    for band in 0..tile.bands().count() {
+        let range = tile.bands().range(band);
         let (col0, width) = (range.start as usize, range.len());
         if width == 0 {
             continue;
         }
         scratch.band_xb.resize(width * bb, E::ZERO);
         kernels::interleave_panel_band(b, cols, col0, width, j0, bb, &mut scratch.band_xb);
-        for (w, window) in schedule.windows().iter().enumerate() {
-            let slots = window.band_slots(band);
+        for (w, (window, banded)) in flat.windows().iter().zip(tile.windows()).enumerate() {
+            let slots = banded.band_slots(band);
             if slots.is_empty() {
                 continue;
             }
             E::panel_walk(
                 backend,
-                &window.window().values()[slots.clone()],
-                &window.local_cols()[slots.clone()],
-                &window.window().row_mods()[slots],
+                &window.values()[slots.clone()],
+                &banded.local_cols()[slots.clone()],
+                &window.row_mods()[slots],
                 &scratch.band_xb,
                 &mut scratch.acc[w * l * bb..(w + 1) * l * bb],
                 bb,
@@ -1472,7 +1417,7 @@ fn run_block_banded<E: Element>(
     // Dump every window's active lanes through the row permutation into
     // each output column.
     for w in 0..window_count {
-        let active = schedule.window_rows(w);
+        let active = flat.window_rows(w);
         let base = w * l;
         kernels::scatter_panel(
             &scratch.acc[base * bb..(base + active) * bb],
@@ -1848,9 +1793,9 @@ mod tests {
                 1,
                 ColumnBands::with_count(60, bands),
             );
-            let flat = banded.tiles()[0].to_unbanded();
+            let flat = banded.tiles()[0].flat();
             let from_banded = gust.execute_tiled(&banded, &x);
-            let from_flat = gust.execute(&flat, &x);
+            let from_flat = gust.execute(flat, &x);
             assert_eq!(
                 from_banded.output, from_flat.output,
                 "{bands} bands: banded walk must be bit-identical"
@@ -1875,7 +1820,7 @@ mod tests {
         let tiled = gust.schedule_tiled(&m);
         assert_eq!(tiled.tile_count(), 1);
         assert_eq!(tiled.tiles()[0].bands().count(), 1);
-        assert_eq!(tiled.tiles()[0].to_unbanded(), gust.schedule(&m));
+        assert_eq!(tiled.tiles()[0].flat(), &gust.schedule(&m));
     }
 
     #[test]
@@ -1888,11 +1833,11 @@ mod tests {
             1,
             ColumnBands::with_count(64, 5),
         );
-        let flat = banded.tiles()[0].to_unbanded();
+        let flat = banded.tiles()[0].flat();
         for batch in [1usize, 8, 17] {
             let panel = random_panel(64, batch, 7);
             let (y_banded, r_banded) = gust.execute_batch_tiled(&banded, &panel, batch);
-            let (y_flat, r_flat) = gust.execute_batch(&flat, &panel, batch);
+            let (y_flat, r_flat) = gust.execute_batch(flat, &panel, batch);
             assert_eq!(y_banded, y_flat, "batch {batch}");
             assert_eq!(r_banded, r_flat);
         }
@@ -1933,13 +1878,13 @@ mod tests {
             &banded,
             "one tile IS the banded schedule"
         );
-        let flat = banded.to_unbanded();
+        let flat = banded.flat();
         let from_tiled = gust.execute_tiled(&tiled, &x);
-        assert_eq!(from_tiled.output, gust.execute(&flat, &x).output);
+        assert_eq!(from_tiled.output, gust.execute(flat, &x).output);
         let panel = random_panel(60, 17, 5);
         assert_eq!(
             gust.execute_batch_tiled(&tiled, &panel, 17).0,
-            gust.execute_batch(&flat, &panel, 17).0
+            gust.execute_batch(flat, &panel, 17).0
         );
         // The auto path under all-covering budgets also degenerates to
         // one tile of one band — the flat schedule.
@@ -1951,7 +1896,7 @@ mod tests {
         let auto = generous.schedule_tiled(&m);
         assert_eq!(auto.tile_count(), 1);
         assert_eq!(auto.tiles()[0].bands().count(), 1);
-        assert_eq!(auto.tiles()[0].to_unbanded(), generous.schedule(&m));
+        assert_eq!(auto.tiles()[0].flat(), &generous.schedule(&m));
     }
 
     #[test]
@@ -1968,7 +1913,7 @@ mod tests {
             );
             let run = gust.execute_tiled(&tiled, &x);
             for (t, tile) in tiled.tiles().iter().enumerate() {
-                let flat = gust.execute(&tile.to_unbanded(), &x);
+                let flat = gust.execute(tile.flat(), &x);
                 assert_eq!(
                     &run.output[tiled.tile_range(t)],
                     flat.output.as_slice(),

@@ -10,9 +10,12 @@
 //! configurable cache budget ([`crate::GustConfig::with_cache_budget`]),
 //! colors each window × band sub-graph independently, and stores the
 //! result as a [`BandedSchedule`] — one tile's body, never a plan of its
-//! own: a one-tile tiled schedule *is* the column-banded schedule. Per
-//! window it holds one structure-of-arrays
-//! slot stream ordered **band-major** with CSR-style band offsets
+//! own: a one-tile tiled schedule *is* the column-banded schedule.
+//!
+//! A [`BandedSchedule`] *contains* the flat schedule
+//! ([`BandedSchedule::flat`]): a [`ScheduledMatrix`] whose windows hold
+//! each window's per-band colorings merged **band-major**. On top of it,
+//! every window keeps CSR-style band offsets
 //! ([`BandedWindow::band_slots`]) and a parallel **band-local** column
 //! array ([`BandedWindow::local_cols`]), so a band walk can index
 //! straight into the band's slice of `x`.
@@ -21,17 +24,17 @@
 //!
 //! Concatenating the per-band colorings of one window yields a *valid*
 //! ordinary [`WindowSchedule`] (each color bucket still came from one
-//! collision-free band coloring), exposed by
-//! [`BandedSchedule::to_unbanded`]. Within one color every adder receives
+//! collision-free band coloring). Within one color every adder receives
 //! at most one product, so an adder's accumulation order is exactly the
 //! slot order of the slots that target it — which is the same whether
-//! the engine walks the merged window flat (unbanded) or band by band
-//! with accumulator carry (banded). Banded execution is therefore
-//! **bit-identical** to unbanded execution of [`BandedSchedule::to_unbanded`]
-//! under every backend (the SIMD kernels vectorize multiplies, which are
-//! IEEE-exact, and keep per-accumulator add order); with a single band
-//! the banded schedule *is* the ordinary schedule, coloring and all.
-//! `tests/tiled_equivalence.rs` pins both properties.
+//! the engine walks the merged window flat or band by band with
+//! accumulator carry. Banded execution is therefore **bit-identical** to
+//! flat execution of [`BandedSchedule::flat`] under every backend (the
+//! SIMD kernels vectorize multiplies, which are IEEE-exact, and keep
+//! per-accumulator add order); with a single band the engine walks
+//! [`BandedSchedule::flat`] with the flat walk itself, and the flat
+//! schedule is the one [`crate::schedule::Scheduler::schedule`] builds,
+//! coloring and all. `tests/tiled_equivalence.rs` pins both properties.
 //!
 //! # Cost model
 //!
@@ -43,6 +46,7 @@
 //! a time.
 
 use super::scheduled::{ScheduledMatrix, WindowSchedule};
+use crate::verify::{self, AuditReport};
 use std::ops::Range;
 
 /// A partition of the column range into contiguous bands.
@@ -57,41 +61,65 @@ pub struct ColumnBands {
 }
 
 impl ColumnBands {
-    /// Partitions `cols` columns so that one band's operand slice at the
-    /// **effective batch width** — `band_cols × batch` elements of
-    /// `elem_bytes` each — fits in `budget_bytes`.
+    /// Chooses the band partition of a `rows × cols` row tile with `nnz`
+    /// non-zeros, walked at **effective batch width** `batch` with
+    /// operand elements `elem_bytes` wide, under a cache budget of
+    /// `budget_bytes`.
     ///
-    /// `batch` is the number of right-hand sides a band walk streams per
-    /// pass: **1** for single-vector [`crate::Gust::execute`] walks, the
-    /// backend's register block (or the batch size, whichever is
-    /// smaller) for [`crate::Gust::execute_batch`]. Earlier revisions
-    /// always divided the budget by the register block, which handed
-    /// single-vector walks bands `reg_block×` narrower than the budget
-    /// allows and cost ~35 % to accumulator re-streaming on uniform
-    /// LLC-exceeding shapes — sizing is now a per-call decision threaded
-    /// from the scheduling entry points.
+    /// The cache budget gives a **lower** bound on the band count: one
+    /// band's operand slice — `band_cols × batch` elements of
+    /// `elem_bytes` each — must fit it. `batch` is the number of
+    /// right-hand sides a band walk streams per pass: **1** for
+    /// single-vector [`crate::Gust::execute_tiled`] walks, the backend's
+    /// register block (or the batch size, whichever is smaller) for
+    /// batched ones — dividing a single-vector budget by the register
+    /// block would hand it bands `reg_block×` narrower than the budget
+    /// allows. `elem_bytes` is 4 for f32 walks and 8 for f64: an f64
+    /// band slice occupies twice the cache per column.
     ///
-    /// `elem_bytes` is the operand element width (4 for f32 walks, 8 for
-    /// f64): an f64 band slice occupies twice the cache per column, so
-    /// the budget halves the band width rather than silently assuming
-    /// 4-byte operands.
+    /// That count is then capped by the tile's structure. A row with `d`
+    /// non-zeros touches at most `d` distinct bands, so past the average
+    /// row degree (`nnz / rows`) extra bands stop making any gather
+    /// cheaper while every additional band re-streams each window's
+    /// accumulator bank once more — per window of `l` rows, a band then
+    /// averages at least `l` scheduled slots. RACE (Alappat et al.) makes
+    /// the same observation for coloring-based SpMV: the blocking must
+    /// be chosen per matrix from its structure, not from the cache
+    /// geometry alone. Banding also pays only when the tile itself
+    /// re-gathers a band's columns, so the count is capped at the
+    /// per-column gather count (`nnz / cols`) too: a hyper-sparse tile
+    /// touches each operand at most about once, and its band sweeps
+    /// would re-stream band-sized slices with no reuse to show for it.
+    ///
+    /// Every cap is at least one band and the budget count never exceeds
+    /// `max(cols, 1)`, so degenerate shapes (`cols == 0`, empty tiles,
+    /// budgets below one column slice) all resolve to a valid partition.
     ///
     /// # Panics
     ///
     /// Panics if `budget_bytes`, `batch` or `elem_bytes` is zero.
     #[must_use]
-    pub fn for_budget(cols: usize, budget_bytes: usize, batch: usize, elem_bytes: usize) -> Self {
+    pub fn for_tile(
+        rows: usize,
+        cols: usize,
+        nnz: usize,
+        batch: usize,
+        elem_bytes: usize,
+        budget_bytes: usize,
+    ) -> Self {
         assert!(budget_bytes > 0, "cache budget must be non-zero");
         assert!(batch > 0, "effective batch width must be non-zero");
         assert!(elem_bytes > 0, "element width must be non-zero");
         let band_cols = (budget_bytes / (elem_bytes * batch)).max(1);
-        let count = cols.div_ceil(band_cols).max(1);
-        Self::with_count(cols, count)
+        let budget_bands = cols.div_ceil(band_cols).max(1);
+        let density_cap = (nnz / rows.max(1)).max(1);
+        let reuse_cap = (nnz / cols.max(1)).max(1);
+        Self::with_count(cols, budget_bands.min(density_cap).min(reuse_cap))
     }
 
     /// Partitions `cols` columns into exactly `count` near-equal bands
     /// (used by tests and tuning sweeps; production sizing goes through
-    /// [`ColumnBands::for_budget`]).
+    /// [`ColumnBands::for_tile`]).
     ///
     /// # Panics
     ///
@@ -152,122 +180,15 @@ impl ColumnBands {
     }
 }
 
-/// A density-aware band-count decision for one row tile.
-///
-/// The cache budget alone gives a **lower** bound on the band count
-/// (narrower bands keep a band's operand slice resident), but it is not
-/// the whole story: a row with `d` non-zeros touches at most `d`
-/// distinct bands, so once the band count passes the average row degree,
-/// extra bands stop making any gather cheaper while every additional
-/// band re-streams each window's accumulator bank one more time. RACE
-/// (Alappat et al.) makes the same observation for coloring-based SpMV:
-/// the blocking must be chosen per matrix from its structure, not from
-/// the cache geometry alone.
-///
-/// [`BandPlan::choose_for_tile`] therefore takes the budget-implied count
-/// ([`BandPlan::budget_bands`]) and caps it at the nnz/row density
-/// ([`BandPlan::density_cap`]) — per window of `l` rows, a band then
-/// averages at least `l` scheduled slots, one useful multiply–accumulate
-/// per accumulator value the band sweep re-streams — and at the tile's
-/// per-column gather count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BandPlan {
-    bands: ColumnBands,
-    budget_bands: usize,
-    density_cap: usize,
-}
-
-impl BandPlan {
-    /// Chooses a band partition for a `rows × cols` row tile with `nnz`
-    /// non-zeros, walked at effective batch width `batch` (1 for
-    /// single-vector walks, the per-block panel width for batched ones)
-    /// with operand elements `elem_bytes` wide (4 for f32, 8 for f64)
-    /// under a cache budget of `budget_bytes`.
-    ///
-    /// The count is the budget-implied band count capped at the average
-    /// row degree and at the tile's per-column gather count,
-    /// `max(1, nnz / cols)`, and always within `1..=max(cols, 1)`. The
-    /// gather cap matters because banding pays only when the *tile
-    /// itself* re-gathers a band's columns: a hyper-sparse tile (fewer
-    /// non-zeros than columns) touches each operand at most about once,
-    /// so its band sweeps would re-stream band-sized operand slices with
-    /// no reuse to show for it. Degenerate shapes (`cols == 0`, empty
-    /// tiles, budgets below one column slice) all resolve to a valid
-    /// partition rather than panicking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget_bytes`, `batch` or `elem_bytes` is zero.
-    #[must_use]
-    pub fn choose_for_tile(
-        rows: usize,
-        cols: usize,
-        nnz: usize,
-        batch: usize,
-        elem_bytes: usize,
-        budget_bytes: usize,
-    ) -> Self {
-        assert!(budget_bytes > 0, "cache budget must be non-zero");
-        assert!(batch > 0, "effective batch width must be non-zero");
-        assert!(elem_bytes > 0, "element width must be non-zero");
-        let band_cols = (budget_bytes / (elem_bytes * batch)).max(1);
-        let budget_bands = cols.div_ceil(band_cols).max(1);
-        let density_cap = (nnz / rows.max(1)).max(1);
-        let reuse_cap = (nnz / cols.max(1)).max(1);
-        let count = budget_bands
-            .min(density_cap)
-            .min(reuse_cap)
-            .min(cols.max(1))
-            .max(1);
-        Self {
-            bands: ColumnBands::with_count(cols, count),
-            budget_bands,
-            density_cap,
-        }
-    }
-
-    /// The chosen partition.
-    #[must_use]
-    pub fn bands(&self) -> &ColumnBands {
-        &self.bands
-    }
-
-    /// Consumes the plan, yielding the partition.
-    #[must_use]
-    pub fn into_bands(self) -> ColumnBands {
-        self.bands
-    }
-
-    /// Bands chosen (equals `self.bands().count()`).
-    #[must_use]
-    pub fn count(&self) -> usize {
-        self.bands.count()
-    }
-
-    /// The band count the cache budget alone would have demanded.
-    #[must_use]
-    pub fn budget_bands(&self) -> usize {
-        self.budget_bands
-    }
-
-    /// The nnz/row density cap applied to [`BandPlan::budget_bands`].
-    #[must_use]
-    pub fn density_cap(&self) -> usize {
-        self.density_cap
-    }
-}
-
-/// One window of a [`BandedSchedule`]: the merged (band-major)
-/// [`WindowSchedule`] plus the band offsets and band-local columns the
-/// banded walk indexes with.
+/// The band metadata of one window of a [`BandedSchedule`]: the band
+/// offsets into the merged (band-major) window of
+/// [`BandedSchedule::flat`] and the band-local columns the banded walk
+/// indexes with.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BandedWindow {
-    /// The bands' schedules concatenated band-major: colors summed, slot
-    /// arrays appended, global column indices. A valid ordinary window.
-    window: WindowSchedule,
-    /// `band_slot_ptr[b]..band_slot_ptr[b + 1]` indexes the slot arrays
-    /// for band `b` (CSR-style, length `bands + 1`).
+    /// `band_slot_ptr[b]..band_slot_ptr[b + 1]` indexes the merged
+    /// window's slot arrays for band `b` (CSR-style, length `bands + 1`).
     band_slot_ptr: Vec<u32>,
     /// Per slot, the column rebased to its band:
     /// `local_cols[i] = cols[i] - band_start(band of i)`. What the band
@@ -277,15 +198,21 @@ pub struct BandedWindow {
 }
 
 impl BandedWindow {
-    /// Merges per-band window schedules (global columns, one per band —
-    /// possibly empty) into the band-major layout.
+    /// Merges window `w`'s per-band schedules (global columns, one per
+    /// band — possibly empty) into the band-major window: colors summed,
+    /// slot arrays appended, global column indices. Returns that window
+    /// (a valid ordinary window) and its band metadata.
     ///
     /// # Panics
     ///
     /// Panics if `bands.len() + 1 != band_starts.len()` or a band's
     /// columns fall outside its range.
     #[must_use]
-    pub(crate) fn from_bands(bands: &[WindowSchedule], band_starts: &[u32]) -> Self {
+    pub(crate) fn from_bands(
+        w: usize,
+        bands: &[WindowSchedule],
+        band_starts: &[u32],
+    ) -> (WindowSchedule, Self) {
         assert_eq!(bands.len() + 1, band_starts.len(), "band count mismatch");
         let nnz: usize = bands.iter().map(WindowSchedule::nnz).sum();
         let colors: u32 = bands.iter().map(WindowSchedule::colors).sum();
@@ -304,89 +231,68 @@ impl BandedWindow {
         let mut row_mods = Vec::with_capacity(nnz);
         let mut cols = Vec::with_capacity(nnz);
         let mut values = Vec::with_capacity(nnz);
-        let mut local_cols = Vec::with_capacity(nnz);
         let mut band_slot_ptr = Vec::with_capacity(bands.len() + 1);
         color_ptr.push(0u32);
         band_slot_ptr.push(0u32);
-        for (b, band) in bands.iter().enumerate() {
+        for band in bands {
             let base = lanes.len() as u32;
-            let start = band_starts[b];
-            let end = band_starts[b + 1];
             for &ptr in &band.color_ptr()[1..] {
                 color_ptr.push(base + ptr);
             }
             lanes.extend_from_slice(band.lanes());
             row_mods.extend_from_slice(band.row_mods());
+            cols.extend_from_slice(band.cols());
             values.extend_from_slice(band.values());
-            for &c in band.cols() {
-                assert!(
-                    c >= start && c < end,
-                    "band {b}: column {c} outside [{start}, {end})"
-                );
-                cols.push(c);
-                local_cols.push(c - start);
-            }
             band_slot_ptr.push(lanes.len() as u32);
         }
         let window = WindowSchedule::from_soa(
             colors, vizing, stalls, color_ptr, lanes, row_mods, cols, values,
         );
-        Self {
-            window,
-            band_slot_ptr,
-            local_cols,
-        }
+        let banded = Self::from_merged(w, &window, band_slot_ptr, band_starts)
+            .unwrap_or_else(|report| panic!("{report}"));
+        (window, banded)
     }
 
-    /// Rebuilds a banded window from a merged window plus its band slot
-    /// offsets (the serializer's path), revalidating that every slot's
-    /// column sits inside its band. Returns a description of the first
-    /// violation instead of a window.
+    /// Derives the band metadata of merged window `w` from its band slot
+    /// offsets, after auditing the offsets and every slot's band
+    /// containment (contract item 6 of [`crate::verify`]) on the raw
+    /// arrays: the band-local columns are what the band walk's gathers
+    /// index with, so they must never leave their band. The `GUTL`
+    /// reader's path, and the last step of [`BandedWindow::from_bands`].
     pub(crate) fn from_merged(
-        window: WindowSchedule,
+        w: usize,
+        window: &WindowSchedule,
         band_slot_ptr: Vec<u32>,
         band_starts: &[u32],
-    ) -> Result<Self, String> {
-        if band_slot_ptr.len() != band_starts.len() {
-            return Err(format!(
-                "band pointer length {} inconsistent with {} bands",
-                band_slot_ptr.len(),
-                band_starts.len() - 1
-            ));
+    ) -> Result<Self, AuditReport> {
+        let mut violations = Vec::new();
+        verify::audit_banded_window(
+            w,
+            &band_slot_ptr,
+            band_starts,
+            window.cols(),
+            &mut violations,
+        );
+        if !violations.is_empty() {
+            return Err(AuditReport::from_violations(violations));
         }
-        if band_slot_ptr.first() != Some(&0)
-            || band_slot_ptr.last().copied() != Some(window.nnz() as u32)
-            || band_slot_ptr.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err("band slot pointers must ascend from 0 to nnz".into());
-        }
-        let mut local_cols = Vec::with_capacity(window.nnz());
-        for b in 0..band_slot_ptr.len() - 1 {
-            let (start, end) = (band_starts[b], band_starts[b + 1]);
-            for i in band_slot_ptr[b] as usize..band_slot_ptr[b + 1] as usize {
-                let c = window.cols()[i];
-                if c < start || c >= end {
-                    return Err(format!("band {b}: column {c} outside [{start}, {end})"));
-                }
-                local_cols.push(c - start);
-            }
-        }
+        let local_cols = band_slot_ptr
+            .windows(2)
+            .zip(band_starts)
+            .flat_map(|(slots, &start)| {
+                window.cols()[slots[0] as usize..slots[1] as usize]
+                    .iter()
+                    .map(move |&c| c - start)
+            })
+            .collect();
         Ok(Self {
-            window,
             band_slot_ptr,
             local_cols,
         })
     }
 
-    /// The merged band-major window (global columns) — what
-    /// [`BandedSchedule::to_unbanded`] collects.
-    #[must_use]
-    pub fn window(&self) -> &WindowSchedule {
-        &self.window
-    }
-
-    /// The slot range of band `b` into the window's slot arrays (and
-    /// into [`BandedWindow::local_cols`]).
+    /// The slot range of band `b` into the merged window's slot arrays
+    /// (and into [`BandedWindow::local_cols`]).
     ///
     /// # Panics
     ///
@@ -407,101 +313,77 @@ impl BandedWindow {
     pub fn local_cols(&self) -> &[u32] {
         &self.local_cols
     }
-
-    /// Non-zeros scheduled in this window.
-    #[must_use]
-    pub fn nnz(&self) -> usize {
-        self.window.nnz()
-    }
 }
 
-/// One row tile's cache-blocked column-band schedule — the banded
-/// counterpart of [`ScheduledMatrix`]. Built only as a tile of a
+/// One row tile's cache-blocked column-band schedule: the flat
+/// [`ScheduledMatrix`] of band-major merged windows plus the band
+/// partition and per-window band metadata. Built only as a tile of a
 /// [`super::tiled::TiledSchedule`] and walked by
 /// [`crate::Gust::execute_tiled`] / [`crate::Gust::execute_batch_tiled`].
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BandedSchedule {
-    length: usize,
-    rows: usize,
-    cols: usize,
-    nnz: usize,
-    row_perm: Vec<u32>,
+    flat: ScheduledMatrix,
     bands: ColumnBands,
+    /// Band metadata of `flat.windows()[w]`, one per window.
     windows: Vec<BandedWindow>,
 }
 
 impl BandedSchedule {
-    /// Assembles a banded tile body from its parts. Crate-internal:
-    /// produced by the scheduler and the `GUTL` reader, both of which
-    /// guarantee (or validate) the band invariants.
+    /// Assembles a banded tile body from its flat schedule and band
+    /// metadata. Crate-internal: produced by the scheduler and the
+    /// `GUTL` reader, both of which build `flat` through
+    /// [`ScheduledMatrix::from_parts`] (so its release-build index
+    /// bounds hold) and guarantee (or validate) the band invariants.
     ///
     /// # Panics
     ///
-    /// Panics if the band partition does not cover `cols`, a window's
-    /// band count disagrees with the partition, an adder index reaches
-    /// `length`, or a row-permutation entry reaches `rows` — the bounds
-    /// the SIMD execution kernels rely on.
+    /// Panics if the band partition does not cover the flat schedule's
+    /// columns, or the band metadata disagrees with the partition or
+    /// with its window's slot count — the bounds the band walk relies on.
     #[must_use]
     pub(crate) fn from_parts(
-        length: usize,
-        rows: usize,
-        cols: usize,
-        row_perm: Vec<u32>,
+        flat: ScheduledMatrix,
         bands: ColumnBands,
         windows: Vec<BandedWindow>,
     ) -> Self {
-        assert_eq!(bands.cols(), cols, "band partition must cover all columns");
-        let nnz = windows.iter().map(BandedWindow::nnz).sum();
-        for (w, window) in windows.iter().enumerate() {
+        assert_eq!(
+            bands.cols(),
+            flat.cols(),
+            "band partition must cover all columns"
+        );
+        assert_eq!(
+            windows.len(),
+            flat.windows().len(),
+            "one band layout per window"
+        );
+        for (w, (banded, window)) in windows.iter().zip(flat.windows()).enumerate() {
             assert_eq!(
-                window.band_slot_ptr.len(),
+                banded.band_slot_ptr.len(),
                 bands.count() + 1,
                 "window {w}: band count mismatch"
             );
-            let max_adder = window.window.row_mods().iter().copied().max().unwrap_or(0);
-            assert!(
-                window.window.row_mods().is_empty() || (max_adder as usize) < length,
-                "window {w}: adder {max_adder} out of range for length {length}"
+            assert_eq!(
+                banded.local_cols.len(),
+                window.nnz(),
+                "window {w}: band layout does not match its slots"
             );
         }
-        assert!(
-            row_perm.iter().all(|&r| (r as usize) < rows),
-            "row permutation entry out of range for {rows} rows"
-        );
         Self {
-            length,
-            rows,
-            cols,
-            nnz,
-            row_perm,
+            flat,
             bands,
             windows,
         }
     }
 
-    /// Accelerator length `l` the schedule targets.
+    /// The tile as a flat schedule: band-major merged windows, executable
+    /// by the flat engine. Banded execution is bit-identical to flat
+    /// execution of this schedule (see the module docs); with one band
+    /// it *is* the schedule [`crate::schedule::Scheduler::schedule`]
+    /// would have produced for the tile.
     #[must_use]
-    pub fn length(&self) -> usize {
-        self.length
-    }
-
-    /// Rows of the original matrix.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Columns of the original matrix.
-    #[must_use]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Scheduled non-zeros (equals the source matrix's nnz).
-    #[must_use]
-    pub fn nnz(&self) -> usize {
-        self.nnz
+    pub fn flat(&self) -> &ScheduledMatrix {
+        &self.flat
     }
 
     /// The column-band partition.
@@ -510,66 +392,22 @@ impl BandedSchedule {
         &self.bands
     }
 
-    /// Per-window banded schedules, in execution order.
+    /// Per-window band metadata, parallel to `flat().windows()`.
     #[must_use]
     pub fn windows(&self) -> &[BandedWindow] {
         &self.windows
-    }
-
-    /// The row permutation (`scheduled position → original row`).
-    #[must_use]
-    pub fn row_perm(&self) -> &[u32] {
-        &self.row_perm
-    }
-
-    /// Rows covered by window `w` (as [`ScheduledMatrix::window_rows`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is out of range.
-    #[must_use]
-    pub fn window_rows(&self, w: usize) -> usize {
-        assert!(w < self.windows.len(), "window {w} out of range");
-        (self.rows - w * self.length).min(self.length)
-    }
-
-    /// Total colors across windows and bands — the banded streaming cycle
-    /// count. At least [`ScheduledMatrix::total_colors`] of the unbanded
-    /// schedule: banding trades modeled cycles for host cache locality.
-    #[must_use]
-    pub fn total_colors(&self) -> u64 {
-        self.windows
-            .iter()
-            .map(|w| u64::from(w.window.colors()))
-            .sum()
-    }
-
-    /// Total stalled lane-cycles (naive scheduling only).
-    #[must_use]
-    pub fn total_stalls(&self) -> u64 {
-        self.windows.iter().map(|w| w.window.stalls()).sum()
-    }
-
-    /// Strips the band metadata: the merged windows as an ordinary
-    /// [`ScheduledMatrix`], executable by the unbanded engine. Banded
-    /// execution is bit-identical to unbanded execution of this schedule
-    /// (see the module docs); with one band this *is* the schedule
-    /// [`crate::schedule::Scheduler::schedule`] would have produced.
-    #[must_use]
-    pub fn to_unbanded(&self) -> ScheduledMatrix {
-        ScheduledMatrix::from_parts(
-            self.length,
-            self.rows,
-            self.cols,
-            self.row_perm.clone(),
-            self.windows.iter().map(|w| w.window.clone()).collect(),
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A shape whose structural caps never bind (one row, every column
+    /// gathered `cols` times), so the count is the budget-implied one.
+    fn budget_bands(cols: usize, budget: usize, batch: usize, elem_bytes: usize) -> ColumnBands {
+        ColumnBands::for_tile(1, cols, cols * cols, batch, elem_bytes, budget)
+    }
 
     #[test]
     fn with_count_covers_all_columns_in_order() {
@@ -588,19 +426,19 @@ mod tests {
     #[test]
     fn for_budget_sizes_the_batched_slice() {
         // 1 KiB budget, reg_block 8 → 32 columns per band.
-        let bands = ColumnBands::for_budget(100, 1024, 8, 4);
+        let bands = budget_bands(100, 1024, 8, 4);
         assert_eq!(bands.count(), 4); // ceil(100 / 32)
         for b in 0..bands.count() {
             let width = bands.range(b).len();
             assert!(width * 8 * 4 <= 1024 + 8 * 4, "band {b} width {width}");
         }
         // A budget covering everything yields one band.
-        assert_eq!(ColumnBands::for_budget(100, 1 << 20, 8, 4).count(), 1);
+        assert_eq!(budget_bands(100, 1 << 20, 8, 4).count(), 1);
     }
 
     #[test]
     fn zero_cols_gets_one_empty_band() {
-        let bands = ColumnBands::for_budget(0, 1024, 8, 4);
+        let bands = ColumnBands::for_tile(10, 0, 0, 8, 4, 1024);
         assert_eq!(bands.count(), 1);
         assert_eq!(bands.cols(), 0);
     }
@@ -616,89 +454,87 @@ mod tests {
         // Single-vector sizing (batch = 1) must not divide the budget by
         // the register block: 1 KiB covers 256 single-vector columns but
         // only 32 batched ones.
-        let single = ColumnBands::for_budget(1000, 1024, 1, 4);
-        let batched = ColumnBands::for_budget(1000, 1024, 8, 4);
+        let single = budget_bands(1000, 1024, 1, 4);
+        let batched = budget_bands(1000, 1024, 8, 4);
         assert_eq!(single.count(), 4); // ceil(1000 / 256)
         assert_eq!(batched.count(), 32); // ceil(1000 / 32)
-        assert!(single.count() <= batched.count());
     }
 
     #[test]
     fn for_budget_handles_degenerate_budgets() {
         // A budget smaller than one column slice degenerates to one
-        // column per band, never zero-width bands.
-        let bands = ColumnBands::for_budget(5, 1, 8, 4);
+        // column per band, never zero-width bands — and never more bands
+        // than columns.
+        let bands = budget_bands(5, 1, 8, 4);
         assert_eq!(bands.count(), 5);
         for b in 0..bands.count() {
             assert_eq!(bands.range(b).len(), 1);
         }
-        assert_eq!(ColumnBands::for_budget(0, 1, 8, 4).count(), 1);
+        assert_eq!(budget_bands(0, 1, 8, 4).count(), 1);
     }
 
     #[test]
     fn band_plan_caps_the_band_count_at_the_row_density() {
-        // 4096 rows × 4096 cols × 8 nnz/row under a budget that would
-        // demand 64 batched bands: the density cap wins at 8.
-        let plan = BandPlan::choose_for_tile(4096, 4096, 8 * 4096, 8, 4, 4096 * 4 * 8 / 64);
-        assert_eq!(plan.budget_bands(), 64);
-        assert_eq!(plan.density_cap(), 8);
-        assert_eq!(plan.count(), 8);
+        // 8192 rows × 4096 cols × 8 nnz/row (16 gathers per column)
+        // under a budget that would demand 64 batched bands: the density
+        // cap wins at 8.
+        let budget = 4096 * 4 * 8 / 64;
+        assert_eq!(budget_bands(4096, budget, 8, 4).count(), 64);
+        assert_eq!(
+            ColumnBands::for_tile(8192, 4096, 8 * 8192, 8, 4, budget).count(),
+            8
+        );
         // A generous budget keeps one band regardless of density.
         assert_eq!(
-            BandPlan::choose_for_tile(4096, 4096, 8 * 4096, 8, 4, 1 << 30).count(),
+            ColumnBands::for_tile(8192, 4096, 8 * 8192, 8, 4, 1 << 30).count(),
             1
         );
     }
 
     #[test]
     fn band_plan_handles_degenerate_shapes() {
-        // cols == 0: one empty band.
-        let plan = BandPlan::choose_for_tile(10, 0, 0, 8, 4, 1024);
-        assert_eq!(plan.count(), 1);
-        assert_eq!(plan.bands().cols(), 0);
-        // Empty matrix: density cap clamps to one band.
-        assert_eq!(BandPlan::choose_for_tile(0, 64, 0, 1, 4, 1024).count(), 1);
+        // Empty matrix: the structural caps clamp to one band.
+        assert_eq!(ColumnBands::for_tile(0, 64, 0, 1, 4, 1024).count(), 1);
         // Budget below one column slice: never more bands than columns
-        // (with_count would panic otherwise), still density-capped.
-        let tiny = BandPlan::choose_for_tile(2, 7, 1000, 8, 4, 1);
-        assert!(tiny.count() <= 7);
-        assert_eq!(tiny.bands().cols(), 7);
+        // (with_count would panic otherwise).
+        let tiny = ColumnBands::for_tile(2, 7, 1000, 8, 4, 1);
+        assert_eq!(tiny.count(), 7);
+        assert_eq!(tiny.cols(), 7);
     }
 
     #[test]
     fn tile_plans_cap_bands_at_the_per_column_gather_count() {
         // A hyper-sparse tile (fewer non-zeros than columns) gains
-        // nothing from bands: one band, regardless of what the budget
-        // would demand.
-        let tile = BandPlan::choose_for_tile(32 * 1024, 1 << 20, 6 * 32 * 1024, 8, 4, 1 << 20);
+        // nothing from bands: one band, although the budget demands 32
+        // and the row density allows 6.
+        let budget = 1 << 20;
+        assert_eq!(budget_bands(1 << 20, budget, 8, 4).count(), 32);
+        let tile = ColumnBands::for_tile(32 * 1024, 1 << 20, 6 * 32 * 1024, 8, 4, budget);
         assert_eq!(tile.count(), 1);
-        assert!(tile.budget_bands() > 1 && tile.density_cap() > 1);
         // The same columns re-gathered six times each keep the
         // density-capped budget count.
-        let reused = BandPlan::choose_for_tile(1 << 20, 1 << 20, 6 << 20, 8, 4, 1 << 20);
+        let reused = ColumnBands::for_tile(1 << 20, 1 << 20, 6 << 20, 8, 4, budget);
         assert_eq!(reused.count(), 6);
         // A dense tile keeps the budget-implied count.
-        let dense = BandPlan::choose_for_tile(1024, 512, 64 * 1024, 8, 4, 1024);
-        assert_eq!(dense.count(), dense.budget_bands());
-        // Degenerate columns stay valid.
-        assert_eq!(BandPlan::choose_for_tile(10, 0, 0, 8, 4, 1024).count(), 1);
+        let dense = ColumnBands::for_tile(1024, 512, 64 * 1024, 8, 4, 1024);
+        assert_eq!(dense.count(), budget_bands(512, 1024, 8, 4).count());
+        assert_eq!(dense.count(), 16);
     }
 
     #[test]
     fn f64_operands_halve_the_band_width() {
-        // The ISSUE 7 fix pinned: the budget divides by the element
-        // width, so an f64 band holds half the columns of an f32 band
-        // under the same budget (and the plan doubles its band count
-        // until a structural cap takes over).
-        let f32_bands = ColumnBands::for_budget(1024, 4096, 8, 4);
-        let f64_bands = ColumnBands::for_budget(1024, 4096, 8, 8);
+        // The budget divides by the element width, so an f64 band holds
+        // half the columns of an f32 band under the same budget.
+        let f32_bands = budget_bands(1024, 4096, 8, 4);
+        let f64_bands = budget_bands(1024, 4096, 8, 8);
         assert_eq!(f32_bands.count(), 8); // ceil(1024 / 128)
         assert_eq!(f64_bands.count(), 16); // ceil(1024 / 64)
 
-        let f32_plan = BandPlan::choose_for_tile(1024, 4096, 64 * 1024, 8, 4, 4096);
-        let f64_plan = BandPlan::choose_for_tile(1024, 4096, 64 * 1024, 8, 8, 4096);
-        assert_eq!(f64_plan.budget_bands(), 2 * f32_plan.budget_bands());
-        assert!(f64_plan.count() >= f32_plan.count());
+        // Until a structural cap takes over, the tile plan doubles too.
+        let f32_plan = ColumnBands::for_tile(1024, 1024, 64 * 1024, 8, 4, 4096);
+        let f64_plan = ColumnBands::for_tile(1024, 1024, 64 * 1024, 8, 8, 4096);
+        assert_eq!(f32_plan.count(), 8);
+        assert_eq!(f64_plan.count(), 16);
     }
 
     #[test]
@@ -707,8 +543,8 @@ mod tests {
         // single-vector plan must never be finer than the batched plan.
         for (rows, cols, nnz) in [(512usize, 4096usize, 32 * 512usize), (64, 100, 6400)] {
             for budget in [256usize, 4096, 1 << 20] {
-                let single = BandPlan::choose_for_tile(rows, cols, nnz, 1, 4, budget);
-                let batched = BandPlan::choose_for_tile(rows, cols, nnz, 8, 4, budget);
+                let single = ColumnBands::for_tile(rows, cols, nnz, 1, 4, budget);
+                let batched = ColumnBands::for_tile(rows, cols, nnz, 8, 4, budget);
                 assert!(
                     single.count() <= batched.count(),
                     "{rows}x{cols}/{nnz} at {budget}: single {} > batched {}",

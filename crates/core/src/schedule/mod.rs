@@ -31,9 +31,9 @@
 //! sub-matrix is cut into column bands (see [`banded`]) whose window ×
 //! band sub-graphs are colored independently, so the execution engine
 //! can walk one cache-resident operand slice at a time — with the band
-//! count chosen per tile by the density-aware [`banded::BandPlan`]
-//! (batch width 1 for single-vector walks, the register block for
-//! batched ones).
+//! count chosen per tile by the density-aware
+//! [`banded::ColumnBands::for_tile`] (batch width 1 for single-vector
+//! walks, the register block for batched ones).
 
 pub mod banded;
 pub mod edge_coloring;
@@ -48,7 +48,7 @@ pub mod workspace;
 
 use crate::config::{ColoringAlgorithm, GustConfig, SchedulingPolicy};
 use crate::parallel::Pool;
-use banded::{BandPlan, BandedSchedule, BandedWindow, ColumnBands};
+use banded::{BandedSchedule, BandedWindow, ColumnBands};
 use gust_sparse::CsrMatrix;
 use scheduled::{ScheduledMatrix, WindowSchedule};
 use std::sync::{Mutex, OnceLock};
@@ -99,7 +99,7 @@ impl Scheduler {
         let lb = self.config.policy() == SchedulingPolicy::EdgeColoringLb;
         let plan = WindowPlan::new(matrix, l, lb);
         let window_count = plan.window_count();
-        let threads = self.worker_count(window_count);
+        let threads = self.config.effective_workers(window_count);
 
         let windows = self.schedule_windows(window_count, threads, |ws, w| {
             self.schedule_one_window(matrix, &plan, w, ws)
@@ -115,10 +115,11 @@ impl Scheduler {
     }
 
     /// Schedules `matrix` as one column-banded body with an explicit band
-    /// partition: every window × band sub-graph is colored independently.
+    /// partition: every window × band sub-graph is colored independently,
+    /// and the band-major merged windows form the body's flat schedule.
     /// This is the body of every row tile ([`Scheduler::schedule_tiled`]);
-    /// with one band it is the exact schedule [`Scheduler::schedule`]
-    /// produces, coloring and all.
+    /// with one band its flat schedule is the exact schedule
+    /// [`Scheduler::schedule`] produces, coloring and all.
     ///
     /// # Panics
     ///
@@ -138,20 +139,22 @@ impl Scheduler {
         let lb = self.config.policy() == SchedulingPolicy::EdgeColoringLb;
         let plan = WindowPlan::new(matrix, l, lb);
         let window_count = plan.window_count();
-        let threads = self.worker_count(window_count);
+        let threads = self.config.effective_workers(window_count);
 
-        let windows = self.schedule_windows(window_count, threads, |ws, w| {
-            self.schedule_one_window_banded(matrix, &plan, &bands, w, ws)
-        });
-
-        BandedSchedule::from_parts(
+        let (windows, banded_windows) = self
+            .schedule_windows(window_count, threads, |ws, w| {
+                self.schedule_one_window_banded(matrix, &plan, &bands, w, ws)
+            })
+            .into_iter()
+            .unzip();
+        let flat = ScheduledMatrix::from_parts(
             l,
             matrix.rows(),
             matrix.cols(),
             plan.row_perm().to_vec(),
-            bands,
             windows,
-        )
+        );
+        BandedSchedule::from_parts(flat, bands, banded_windows)
     }
 
     /// Schedules `matrix` with 2D row×column tiles (see [`tiled`]) sized
@@ -159,7 +162,8 @@ impl Scheduler {
     /// [`GustConfig::effective_row_budget`] (tile output slices stay
     /// cache-resident, tiles aligned to the accelerator length), and each
     /// tile's sub-matrix is scheduled as an independent column-banded
-    /// body with its own density-aware [`BandPlan`]. Executes via
+    /// body with its own density-aware [`ColumnBands::for_tile`] band
+    /// count. Executes via
     /// [`crate::Gust::execute_tiled`] /
     /// [`crate::Gust::execute_batch_tiled`]. With budgets covering both
     /// vectors this degenerates to one tile of one band — the exact
@@ -220,8 +224,8 @@ impl Scheduler {
                 // Band count from the *tile's* structure: row density
                 // and per-column gather count are tile-local (a
                 // hyper-sparse tile gains nothing from bands — see
-                // [`BandPlan::choose_for_tile`]).
-                let plan = BandPlan::choose_for_tile(
+                // [`ColumnBands::for_tile`]).
+                let bands = ColumnBands::for_tile(
                     sub.rows(),
                     sub.cols(),
                     sub.nnz(),
@@ -229,7 +233,7 @@ impl Scheduler {
                     elem_bytes,
                     cache_budget,
                 );
-                self.schedule_banded_with(&sub, plan.into_bands())
+                self.schedule_banded_with(&sub, bands)
             })
             .collect();
         TiledSchedule::from_parts(
@@ -277,12 +281,6 @@ impl Scheduler {
             row_starts,
             tiles,
         )
-    }
-
-    /// Worker threads to use for `window_count` windows (see
-    /// [`GustConfig::effective_workers`]).
-    fn worker_count(&self, window_count: usize) -> usize {
-        self.config.effective_workers(window_count)
     }
 
     /// Runs `one(workspace, w)` for every window, sequentially or fanned
@@ -342,7 +340,7 @@ impl Scheduler {
     /// full window once, then per band carve the sub-window
     /// ([`windows::Window::fill_band_from`]), color/arbitrate it
     /// independently, assemble a [`WindowSchedule`] per band, and merge
-    /// band-major into a [`BandedWindow`].
+    /// band-major into one window plus its [`BandedWindow`] metadata.
     fn schedule_one_window_banded(
         &self,
         matrix: &CsrMatrix,
@@ -350,7 +348,7 @@ impl Scheduler {
         bands: &ColumnBands,
         w: usize,
         ws: &mut ColoringWorkspace,
-    ) -> BandedWindow {
+    ) -> (WindowSchedule, BandedWindow) {
         let l = self.config.length();
         plan.fill_window(matrix, w, &mut ws.window, &mut ws.lanes);
         let mut per_band = Vec::with_capacity(bands.count());
@@ -362,7 +360,7 @@ impl Scheduler {
             let (colors, stalls) = self.color_or_arbitrate(&ws.band_window, l, &mut ws.scratch);
             per_band.push(ws.scratch.assemble(&ws.band_window, colors, bound, stalls));
         }
-        BandedWindow::from_bands(&per_band, bands.starts())
+        BandedWindow::from_bands(w, &per_band, bands.starts())
     }
 
     /// Colors (or naively arbitrates) `window` under the configured

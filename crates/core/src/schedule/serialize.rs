@@ -198,15 +198,28 @@ pub fn write_schedule<W: Write>(schedule: &ScheduledMatrix, mut writer: W) -> io
     payload.write_all(&(schedule.length() as u32).to_le_bytes())?;
     payload.write_all(&(schedule.rows() as u64).to_le_bytes())?;
     payload.write_all(&(schedule.cols() as u64).to_le_bytes())?;
-    for &orig in schedule.row_perm() {
-        payload.write_all(&orig.to_le_bytes())?;
-    }
-    payload.write_all(&(schedule.windows().len() as u64).to_le_bytes())?;
-    let l = schedule.length();
-    for window in schedule.windows() {
-        write_window(window, l, &mut payload)?;
-    }
+    write_flat_body(schedule, &mut payload, |_, _| Ok(()))?;
     write_container(MAGIC, &payload, &mut writer)
+}
+
+/// Writes a flat schedule's body — row permutation, window count, then
+/// each window's cell grid followed by whatever `after_window(w, writer)`
+/// appends (a tile body's band offsets). The flat container's payload
+/// past its shape header, and the tail of every tile body.
+fn write_flat_body<W: Write>(
+    schedule: &ScheduledMatrix,
+    writer: &mut W,
+    mut after_window: impl FnMut(usize, &mut W) -> io::Result<()>,
+) -> io::Result<()> {
+    for &orig in schedule.row_perm() {
+        writer.write_all(&orig.to_le_bytes())?;
+    }
+    writer.write_all(&(schedule.windows().len() as u64).to_le_bytes())?;
+    for (w, window) in schedule.windows().iter().enumerate() {
+        write_window(window, schedule.length(), writer)?;
+        after_window(w, writer)?;
+    }
+    Ok(())
 }
 
 /// Writes one window's header and dense per-color cell grid (the shared
@@ -242,27 +255,20 @@ fn write_window<W: Write>(window: &WindowSchedule, l: usize, writer: &mut W) -> 
     Ok(())
 }
 
-/// Writes the banded payload that follows the shape header: band count,
-/// band boundaries, row permutation, window count, then each window's
-/// cell grid plus its band slot offsets — one row tile's body in the
-/// `GUTL` container.
-fn write_banded_body<W: Write>(schedule: &BandedSchedule, writer: &mut W) -> io::Result<()> {
-    writer.write_all(&(schedule.bands().count() as u64).to_le_bytes())?;
-    for &start in schedule.bands().starts() {
+/// Writes one row tile's body in the `GUTL` container: band count, band
+/// boundaries, then the tile's flat body ([`write_flat_body`]) with each
+/// window's band slot offsets after its cell grid.
+fn write_banded_body<W: Write>(tile: &BandedSchedule, writer: &mut W) -> io::Result<()> {
+    writer.write_all(&(tile.bands().count() as u64).to_le_bytes())?;
+    for &start in tile.bands().starts() {
         writer.write_all(&start.to_le_bytes())?;
     }
-    for &orig in schedule.row_perm() {
-        writer.write_all(&orig.to_le_bytes())?;
-    }
-    writer.write_all(&(schedule.windows().len() as u64).to_le_bytes())?;
-    let l = schedule.length();
-    for window in schedule.windows() {
-        write_window(window.window(), l, writer)?;
-        for &ptr in window.band_slot_ptr() {
+    write_flat_body(tile.flat(), writer, |w, writer| {
+        for &ptr in tile.windows()[w].band_slot_ptr() {
             writer.write_all(&ptr.to_le_bytes())?;
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// Writes `schedule` — a 2D row×column tiled schedule — to `writer`.
@@ -311,8 +317,29 @@ pub fn read_schedule<R: Read>(reader: R) -> Result<ScheduledMatrix, ReadSchedule
     }
     let rows = read_u64(&mut reader)? as usize;
     let cols = read_u64(&mut reader)? as usize;
-    let row_perm = read_row_perm(&mut reader, rows)?;
-    let window_count = read_u64(&mut reader)? as usize;
+    let schedule = read_flat_body(&mut reader, length, rows, cols, |_, _, _| Ok(()))?;
+    if !reader.is_empty() {
+        return Err(ReadScheduleError::Format(format!(
+            "{} trailing payload bytes",
+            reader.len()
+        )));
+    }
+    Ok(schedule)
+}
+
+/// Reads the flat body of a `rows × cols` schedule at accelerator length
+/// `length` (see [`write_flat_body`]), calling `after_window(reader, w,
+/// window)` after each audited window (a tile body reads its band
+/// offsets there), and builds it through [`ScheduledMatrix::from_parts`].
+fn read_flat_body<R: Read>(
+    reader: &mut R,
+    length: usize,
+    rows: usize,
+    cols: usize,
+    mut after_window: impl FnMut(&mut R, usize, &WindowSchedule) -> Result<(), ReadScheduleError>,
+) -> Result<ScheduledMatrix, ReadScheduleError> {
+    let row_perm = read_row_perm(reader, rows)?;
+    let window_count = read_u64(reader)? as usize;
     if window_count != rows.div_ceil(length) {
         return Err(ReadScheduleError::Format(format!(
             "window count {window_count} inconsistent with {rows} rows at length {length}"
@@ -322,20 +349,9 @@ pub fn read_schedule<R: Read>(reader: R) -> Result<ScheduledMatrix, ReadSchedule
     let mut scratch = verify::Scratch::new(length);
     for w in 0..window_count {
         let window_rows = (rows - (w * length).min(rows)).min(length);
-        windows.push(read_window(
-            &mut reader,
-            length,
-            cols,
-            w,
-            window_rows,
-            &mut scratch,
-        )?);
-    }
-    if !reader.is_empty() {
-        return Err(ReadScheduleError::Format(format!(
-            "{} trailing payload bytes",
-            reader.len()
-        )));
+        let window = read_window(reader, length, cols, w, window_rows, &mut scratch)?;
+        after_window(reader, w, &window)?;
+        windows.push(window);
     }
     Ok(ScheduledMatrix::from_parts(
         length, rows, cols, row_perm, windows,
@@ -481,45 +497,18 @@ fn read_banded_body<R: Read>(
         )));
     }
     let bands = ColumnBands::from_starts(band_starts);
-    let row_perm = read_row_perm(reader, rows)?;
-    let window_count = read_u64(reader)? as usize;
-    if window_count != rows.div_ceil(length) {
-        return Err(ReadScheduleError::Format(format!(
-            "window count {window_count} inconsistent with {rows} rows at length {length}"
-        )));
-    }
-    let mut windows = Vec::with_capacity(window_count);
-    let mut scratch = verify::Scratch::new(length);
-    for w in 0..window_count {
-        let window_rows = (rows - (w * length).min(rows)).min(length);
-        let window = read_window(reader, length, cols, w, window_rows, &mut scratch)?;
+    let mut banded = Vec::new();
+    let flat = read_flat_body(reader, length, rows, cols, |reader, w, window| {
         let mut band_slot_ptr = Vec::with_capacity(bands.count() + 1);
         for _ in 0..=bands.count() {
             band_slot_ptr.push(read_u32(reader)?);
         }
-        // Audit the band slot pointers and per-band column containment on
-        // the raw arrays before `from_merged` derives the band-local
-        // staging offsets from them.
-        let mut violations = Vec::new();
-        verify::audit_banded_window(
-            w,
-            &band_slot_ptr,
-            bands.starts(),
-            window.cols(),
-            &mut violations,
-        );
-        if !violations.is_empty() {
-            return Err(ReadScheduleError::Audit(Box::new(
-                AuditReport::from_violations(violations),
-            )));
-        }
-        let banded = BandedWindow::from_merged(window, band_slot_ptr, bands.starts())
-            .map_err(ReadScheduleError::Format)?;
-        windows.push(banded);
-    }
-    Ok(BandedSchedule::from_parts(
-        length, rows, cols, row_perm, bands, windows,
-    ))
+        let layout = BandedWindow::from_merged(w, window, band_slot_ptr, bands.starts())
+            .map_err(|report| ReadScheduleError::Audit(Box::new(report)))?;
+        banded.push(layout);
+        Ok(())
+    })?;
+    Ok(BandedSchedule::from_parts(flat, bands, banded))
 }
 
 /// Reads a tiled schedule previously written with

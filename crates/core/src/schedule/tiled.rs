@@ -13,7 +13,8 @@
 //! override) and schedules each tile's sub-matrix
 //! ([`gust_sparse::CsrMatrix::row_slice`]) as an independent
 //! [`BandedSchedule`] body: windowed, load-balanced and column-banded on
-//! its own, with a per-tile density-aware [`super::banded::BandPlan`].
+//! its own, with a per-tile density-aware band count
+//! ([`super::banded::ColumnBands::for_tile`]).
 //! The execution engine ([`crate::Gust::execute_tiled`] /
 //! [`crate::Gust::execute_batch_tiled`]) walks tiles outermost, so the
 //! accumulator carry of a band sweep is confined to one tile's output
@@ -25,12 +26,13 @@
 //! # Bit-identity
 //!
 //! A tile is scheduled exactly as a stand-alone matrix, and its band
-//! sweep is bit-identical to the unbanded engine on the tile's flattened
-//! schedule ([`BandedSchedule::to_unbanded`]) under every backend. The
-//! tiled output is the concatenation of the tiles' outputs (each
-//! original row lives in exactly one tile), so the whole tiled run is
-//! bit-identical to running the unbanded engine per tile and stitching
-//! the slices. `tests/tiled_equivalence.rs` pins this per backend.
+//! sweep is bit-identical to the flat engine on the flat schedule the
+//! tile contains ([`BandedSchedule::flat`]) under every backend — a
+//! single-band tile is walked by the flat walk itself. The tiled output
+//! is the concatenation of the tiles' outputs (each original row lives
+//! in exactly one tile), so the whole tiled run is bit-identical to
+//! running the flat engine per tile and stitching the slices.
+//! `tests/tiled_equivalence.rs` pins this per backend.
 
 use super::banded::BandedSchedule;
 use std::ops::Range;
@@ -83,10 +85,11 @@ impl TiledSchedule {
         let mut nnz = 0usize;
         for (t, tile) in tiles.iter().enumerate() {
             let tile_rows = (row_starts[t + 1] - row_starts[t]) as usize;
-            assert_eq!(tile.rows(), tile_rows, "tile {t}: row count mismatch");
-            assert_eq!(tile.cols(), cols, "tile {t}: column count mismatch");
-            assert_eq!(tile.length(), length, "tile {t}: length mismatch");
-            nnz += tile.nnz();
+            let flat = tile.flat();
+            assert_eq!(flat.rows(), tile_rows, "tile {t}: row count mismatch");
+            assert_eq!(flat.cols(), cols, "tile {t}: column count mismatch");
+            assert_eq!(flat.length(), length, "tile {t}: length mismatch");
+            nnz += flat.nnz();
         }
         Self {
             length,
@@ -147,7 +150,7 @@ impl TiledSchedule {
     /// Per-tile banded schedules, in row order. Each tile is a complete
     /// stand-alone [`BandedSchedule`] over the tile's rows and **all**
     /// columns; with a single tile of a single band,
-    /// `tiles()[0].to_unbanded()` *is* the flat schedule
+    /// `tiles()[0].flat()` *is* the flat schedule
     /// [`crate::schedule::Scheduler::schedule`] produces.
     #[must_use]
     pub fn tiles(&self) -> &[BandedSchedule] {
@@ -161,13 +164,13 @@ impl TiledSchedule {
     /// windowing would have filled).
     #[must_use]
     pub fn total_colors(&self) -> u64 {
-        self.tiles.iter().map(BandedSchedule::total_colors).sum()
+        self.tiles.iter().map(|t| t.flat().total_colors()).sum()
     }
 
     /// Total stalled lane-cycles (naive scheduling only).
     #[must_use]
     pub fn total_stalls(&self) -> u64 {
-        self.tiles.iter().map(BandedSchedule::total_stalls).sum()
+        self.tiles.iter().map(|t| t.flat().total_stalls()).sum()
     }
 }
 

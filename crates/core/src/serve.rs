@@ -184,15 +184,6 @@ pub enum PreparedSchedule {
 }
 
 impl PreparedSchedule {
-    /// The family this schedule belongs to.
-    #[must_use]
-    pub fn kind(&self) -> ScheduleKind {
-        match self {
-            Self::Flat(_) => ScheduleKind::Flat,
-            Self::Tiled(_) => ScheduleKind::Tiled,
-        }
-    }
-
     /// Accelerator length the schedule was built for.
     #[must_use]
     pub fn length(&self) -> usize {
@@ -362,8 +353,6 @@ struct RegistryInner {
 pub struct ScheduleRegistry {
     engine: Gust,
     kind: ScheduleKind,
-    /// Batch width the tiled planner sizes its tiles and bands for.
-    batch_hint: usize,
     cache_dir: Option<PathBuf>,
     retry: RetryPolicy,
     breaker: BreakerPolicy,
@@ -391,7 +380,6 @@ impl ScheduleRegistry {
         Self {
             engine,
             kind: ScheduleKind::Flat,
-            batch_hint: 8,
             cache_dir: None,
             retry: RetryPolicy::default(),
             breaker: BreakerPolicy::default(),
@@ -408,13 +396,6 @@ impl ScheduleRegistry {
     #[must_use]
     pub fn with_kind(mut self, kind: ScheduleKind) -> Self {
         self.kind = kind;
-        self
-    }
-
-    /// Batch width the tiled planner sizes for (default 8).
-    #[must_use]
-    pub fn with_batch_hint(mut self, batch: usize) -> Self {
-        self.batch_hint = batch.max(1);
         self
     }
 
@@ -713,9 +694,11 @@ impl ScheduleRegistry {
     fn build_once(&self, matrix: &CsrMatrix) -> PreparedSchedule {
         match self.kind {
             ScheduleKind::Flat => PreparedSchedule::Flat(self.engine.schedule(matrix)),
+            // Served panels aggregate requests, so tiles and bands are
+            // sized for a full register block.
             ScheduleKind::Tiled => PreparedSchedule::Tiled(
                 self.engine
-                    .schedule_tiled_for_batch(matrix, self.batch_hint),
+                    .schedule_tiled_for_batch(matrix, self.engine.reg_block()),
             ),
         }
     }

@@ -61,7 +61,7 @@
 use std::fmt;
 use std::ops::Deref;
 
-use crate::schedule::banded::BandedSchedule;
+use crate::schedule::banded::{BandedSchedule, BandedWindow};
 use crate::schedule::scheduled::{ScheduledMatrix, WindowSchedule};
 use crate::schedule::tiled::{self, TiledSchedule};
 use gust_sparse::CsrMatrix;
@@ -398,85 +398,40 @@ pub fn audit_schedule(schedule: &ScheduledMatrix) -> AuditReport {
     AuditReport::from_violations(out)
 }
 
-/// Audits one tile's column-banded body: everything [`audit_schedule`]
-/// proves plus band-partition and per-window band slot-pointer
-/// containment.
-fn audit_banded(schedule: &BandedSchedule) -> AuditReport {
-    let mut out = Vec::new();
-    audit_shape(
-        schedule.windows().len(),
-        schedule.rows(),
-        schedule.length(),
-        schedule.nnz(),
-        schedule.windows().iter().map(|w| w.window().nnz()).sum(),
-        &mut out,
-    );
-    let starts = schedule.bands().starts();
-    audit_band_partition(starts, schedule.cols(), &mut out);
-    let mut scratch = Scratch::new(schedule.length());
-    for (w, banded) in schedule.windows().iter().enumerate() {
-        let window = banded.window();
-        let window_rows =
-            (schedule.rows() - (w * schedule.length()).min(schedule.rows())).min(schedule.length());
-        audit_window_soa(
-            w,
-            window.colors(),
-            window.color_ptr(),
-            window.lanes(),
-            window.row_mods(),
-            window.cols(),
-            schedule.length(),
-            window_rows,
-            schedule.cols(),
-            &mut scratch,
-            &mut out,
-        );
-        audit_staging_index(w, window, schedule.cols(), &mut out);
-        audit_banded_window(w, banded.band_slot_ptr(), starts, window.cols(), &mut out);
-        // Merged-window staging: `local_cols[i]` must be the slot's offset
-        // inside its band, or the banded gather reads the wrong operand.
-        if banded.local_cols().len() != window.nnz() {
-            push(
-                &mut out,
-                Violation::BandPointer {
-                    window: w,
-                    what: format!(
-                        "have {} local columns for {} slots",
-                        banded.local_cols().len(),
-                        window.nnz()
-                    ),
-                },
-            );
-        } else if banded.band_slot_ptr().len() == starts.len() {
-            // `b` walks three parallel arrays (starts, slot_ptr, slot_ptr+1).
-            #[allow(clippy::needless_range_loop)]
-            for b in 0..starts.len() - 1 {
-                let (lo, hi) = (banded.band_slot_ptr()[b], banded.band_slot_ptr()[b + 1]);
-                if (hi as usize) > window.nnz() || lo > hi {
-                    continue; // already reported by audit_banded_window
-                }
-                for i in lo as usize..hi as usize {
-                    let expect = window.cols()[i].wrapping_sub(starts[b]);
-                    if banded.local_cols()[i] != expect
-                        && !push(
-                            &mut out,
-                            Violation::BandPointer {
-                                window: w,
-                                what: format!(
-                                    "slot {i}: local column {} disagrees with band offset {expect}",
-                                    banded.local_cols()[i]
-                                ),
-                            },
-                        )
-                    {
+/// Audits one tile's column-banded body: [`audit_schedule`] on the
+/// tile's flat schedule, plus band-partition and per-window band
+/// slot-pointer containment.
+fn audit_banded(tile: &BandedSchedule) -> AuditReport {
+    let flat = tile.flat();
+    let mut report = audit_schedule(flat);
+    let out = &mut report.violations;
+    let starts = tile.bands().starts();
+    audit_band_partition(starts, flat.cols(), out);
+    for (w, (window, banded)) in flat.windows().iter().zip(tile.windows()).enumerate() {
+        // Rebuild the window's band layout from its offsets: the rebuild
+        // audits the offsets and every slot's band containment, and its
+        // band-local columns are the ones the banded gather must read.
+        match BandedWindow::from_merged(w, window, banded.band_slot_ptr().to_vec(), starts) {
+            Err(rebuilt) => {
+                for v in rebuilt.violations {
+                    if !push(out, v) {
                         break;
                     }
                 }
             }
+            Ok(rebuilt) if rebuilt.local_cols() != banded.local_cols() => {
+                push(
+                    out,
+                    Violation::BandPointer {
+                        window: w,
+                        what: "disagree with the band-local columns".into(),
+                    },
+                );
+            }
+            Ok(_) => {}
         }
     }
-    audit_row_perm(schedule.row_perm(), schedule.rows(), &mut out);
-    AuditReport::from_violations(out)
+    report
 }
 
 /// Audits a row-tiled schedule: the tile partition plus, for every
@@ -508,21 +463,22 @@ pub fn audit_tiled(schedule: &TiledSchedule) -> AuditReport {
     }
     let mut total_nnz = 0usize;
     for (t, tile) in schedule.tiles().iter().enumerate() {
-        total_nnz += tile.nnz();
+        let flat = tile.flat();
+        total_nnz += flat.nnz();
         if starts.len() == schedule.tile_count() + 1 {
             let tile_rows = starts[t + 1].saturating_sub(starts[t]) as usize;
-            if tile.rows() != tile_rows
-                || tile.cols() != schedule.cols()
-                || tile.length() != schedule.length()
+            if flat.rows() != tile_rows
+                || flat.cols() != schedule.cols()
+                || flat.length() != schedule.length()
             {
                 push(
                     &mut out,
                     Violation::TileStructure {
                         what: format!(
                             "tile {t} is {}x{} (length {}) but its boundaries say {}x{} (length {})",
-                            tile.rows(),
-                            tile.cols(),
-                            tile.length(),
+                            flat.rows(),
+                            flat.cols(),
+                            flat.length(),
                             tile_rows,
                             schedule.cols(),
                             schedule.length()
@@ -568,15 +524,7 @@ pub fn audit_schedule_against(schedule: &ScheduledMatrix, matrix: &CsrMatrix) ->
         return report;
     }
     let mut rebuilt: Vec<(u32, u32, u32)> = Vec::with_capacity(schedule.nnz());
-    for (w, window) in schedule.windows().iter().enumerate() {
-        collect_window_triplets(
-            window,
-            w * schedule.length(),
-            schedule.row_perm(),
-            0,
-            &mut rebuilt,
-        );
-    }
+    collect_triplets(schedule, 0, &mut rebuilt);
     audit_coverage(
         &mut rebuilt,
         schedule.rows(),
@@ -596,17 +544,8 @@ pub fn audit_tiled_against(schedule: &TiledSchedule, matrix: &CsrMatrix) -> Audi
         return report;
     }
     let mut rebuilt: Vec<(u32, u32, u32)> = Vec::with_capacity(schedule.nnz());
-    for (t, tile) in schedule.tiles().iter().enumerate() {
-        let offset = schedule.row_starts()[t];
-        for (w, banded) in tile.windows().iter().enumerate() {
-            collect_window_triplets(
-                banded.window(),
-                w * tile.length(),
-                tile.row_perm(),
-                offset,
-                &mut rebuilt,
-            );
-        }
+    for (tile, &row0) in schedule.tiles().iter().zip(schedule.row_starts()) {
+        collect_triplets(tile.flat(), row0, &mut rebuilt);
     }
     audit_coverage(
         &mut rebuilt,
@@ -1088,21 +1027,18 @@ fn audit_shape(
     }
 }
 
-/// Rebuilds `(original_row, col, value_bits)` triplets from one window.
-/// Precondition (established by the structural audit): every `row_mod`
-/// indexes inside `row_perm` after the window offset.
-fn collect_window_triplets(
-    window: &WindowSchedule,
-    row_offset: usize,
-    row_perm: &[u32],
-    global_offset: u32,
-    out: &mut Vec<(u32, u32, u32)>,
-) {
-    for i in 0..window.nnz() {
-        let slot = window.slot(i);
-        let pos = row_offset + slot.row_mod as usize;
-        let orig = global_offset + row_perm[pos];
-        out.push((orig, slot.col, slot.value.to_bits()));
+/// Rebuilds `(original_row, col, value_bits)` triplets from a flat
+/// schedule whose rows start at original row `row0` (0 for a flat
+/// schedule, the tile's first row for a tile). Precondition (established
+/// by the structural audit): every `row_mod` indexes inside `row_perm`
+/// after its window's offset.
+fn collect_triplets(schedule: &ScheduledMatrix, row0: u32, out: &mut Vec<(u32, u32, u32)>) {
+    let row_perm = schedule.row_perm();
+    for (w, window) in schedule.windows().iter().enumerate() {
+        for slot in window.iter_slots() {
+            let pos = w * schedule.length() + slot.row_mod as usize;
+            out.push((row0 + row_perm[pos], slot.col, slot.value.to_bits()));
+        }
     }
 }
 

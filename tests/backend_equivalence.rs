@@ -160,11 +160,29 @@ fn staged_windows_are_bit_identical_to_the_unstaged_walk() {
         let unstaged = gust.execute_instrumented(&schedule, &x);
         assert_eq!(fast.output, unstaged.output, "{}", backend.name());
         assert_vectors_close(&fast.output, &reference_spmv(&matrix, &x), 1e-4);
+        // One tile of one band is the flat schedule, so the tile's
+        // windows take the staged path too — the tiled walks must match
+        // the same oracles.
+        let tiled = gust::schedule::Scheduler::new(gust.config().clone()).schedule_tiled_with(
+            &matrix,
+            1,
+            ColumnBands::with_count(matrix.cols(), 1),
+        );
+        assert_eq!(tiled.tiles()[0].flat(), &schedule);
+        let tiled_run = gust.execute_tiled(&tiled, &x);
+        assert_eq!(
+            tiled_run.output,
+            unstaged.output,
+            "{} tiled",
+            backend.name()
+        );
         // Batched staging under the scalar backend stays bit-identical
         // to per-vector runs; under AVX2 it matches within the FMA bound.
         for batch in [1usize, 5, 8] {
             let panel = positive_panel(matrix.cols(), batch, 37);
             let (y, _) = gust.execute_batch(&schedule, &panel, batch);
+            let (y_tiled, _) = gust.execute_batch_tiled(&tiled, &panel, batch);
+            assert_eq!(y_tiled, y, "{} tiled batch {batch}", backend.name());
             for j in 0..batch {
                 let col = &panel[j * matrix.cols()..(j + 1) * matrix.cols()];
                 let single = gust.execute(&schedule, col);
@@ -432,7 +450,7 @@ fn f64_banded_and_tiled_walks_match_their_flat_f64_counterparts() {
             "budget must force a multi-band f64 plan"
         );
         let (y_banded, _) = gust.execute_batch_tiled_f64(&banded, &panel, batch);
-        let (y_flat, _) = gust.execute_batch_f64(&banded.tiles()[0].to_unbanded(), &panel, batch);
+        let (y_flat, _) = gust.execute_batch_f64(banded.tiles()[0].flat(), &panel, batch);
         assert_eq!(
             y_flat,
             y_banded,

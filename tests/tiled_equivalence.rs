@@ -1,12 +1,15 @@
-//! Property tests pinning 2D row×column tiled execution to the unbanded
+//! Property tests pinning 2D row×column tiled execution to the flat
 //! engine, bit for bit, per backend.
 //!
 //! A [`TiledSchedule`] schedules each row tile's sub-matrix as an
 //! independent [`BandedSchedule`], so tiled execution of tile `t` must
-//! equal unbanded execution of that tile's flattened schedule —
-//! concatenated over tiles, the whole tiled output is **bit-identical to
-//! the unbanded engine run per tile**, under every backend, batched or
-//! not. These properties sweep the three matrix generators (uniform,
+//! equal flat execution of the flat schedule that tile contains
+//! ([`BandedSchedule::flat`]) — concatenated over tiles, the whole tiled
+//! output is **bit-identical to the flat engine run per tile**, under
+//! every backend, batched or not. A single-band tile runs the very walk
+//! [`Gust::execute`] runs, so the single-vector oracle is the
+//! instrumented color-by-color walk instead, which shares no loop with
+//! either. These properties sweep the three matrix generators (uniform,
 //! power-law, R-MAT), row-tile counts {1, 3}, band counts {1, 2, 7} and
 //! batch sizes {1, 8, 17} — one tile is the purely column-banded
 //! schedule, so the single-tile cases pin the band sweep on its own.
@@ -42,6 +45,16 @@ fn generate(kind: usize, rows: usize, cols: usize, nnz: usize, seed: u64) -> Csr
     CsrMatrix::from(&coo)
 }
 
+/// The instrumented color-by-color walk of every tile's flat schedule
+/// against `x`, stitched over the row tiles.
+fn instrumented(engine: &Gust, tiled: &TiledSchedule, x: &[f32]) -> Vec<f32> {
+    let mut y = vec![0.0f32; tiled.rows()];
+    for (t, tile) in tiled.tiles().iter().enumerate() {
+        y[tiled.tile_range(t)].copy_from_slice(&engine.execute_instrumented(tile.flat(), x).output);
+    }
+    y
+}
+
 /// The backends runnable on this host, scalar always included.
 fn backends() -> Vec<Backend> {
     let mut v = vec![Backend::Scalar];
@@ -58,9 +71,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Tiled execution — single vector and batched — is bit-identical to
-    /// the unbanded engine run on each tile's flattened schedule, per
-    /// backend, across generators × row tiles × band counts × batch
-    /// sizes.
+    /// the flat engine run on each tile's flat schedule, per backend,
+    /// across generators × row tiles × band counts × batch sizes.
     #[test]
     fn tiled_execution_is_bit_identical_per_backend(
         seed in 0u64..512,
@@ -79,36 +91,31 @@ proptest! {
                         tiles,
                         ColumnBands::with_count(cols, bands),
                     );
-                    let flats: Vec<ScheduledMatrix> =
-                        tiled.tiles().iter().map(BandedSchedule::to_unbanded).collect();
                     for backend in backends() {
                         let engine = Gust::new(
                             GustConfig::new(l)
                                 .with_backend(Some(backend))
                                 .with_parallelism(Some(1)),
                         );
-                        // Single vector: stitch the per-tile unbanded
-                        // outputs and compare bit for bit.
+                        // Single vector: stitch the per-tile instrumented
+                        // walks and compare bit for bit (`execute` is
+                        // backend-invariant, so the scalar oracle holds
+                        // for every backend).
                         let x = &panel(cols, 1, seed)[..];
                         let tiled_run = engine.execute_tiled(&tiled, x);
-                        let mut expected = vec![0.0f32; rows];
-                        for (t, flat) in flats.iter().enumerate() {
-                            let range = tiled.tile_range(t);
-                            expected[range].copy_from_slice(&engine.execute(flat, x).output);
-                        }
                         prop_assert_eq!(
-                            &tiled_run.output, &expected,
+                            &tiled_run.output, &instrumented(&engine, &tiled, x),
                             "kind {} tiles {} bands {} backend {}: single-vector walk diverged",
                             kind, tiles, bands, backend.name()
                         );
                         // Batched, including a multi-block ragged batch:
-                        // stitch per-tile unbanded panels column by column.
+                        // stitch per-tile flat panels column by column.
                         for batch in [1usize, 8, 17] {
                             let b = panel(cols, batch, seed.wrapping_add(batch as u64));
                             let (y_tiled, _) = engine.execute_batch_tiled(&tiled, &b, batch);
                             let mut expected = vec![0.0f32; rows * batch];
-                            for (t, flat) in flats.iter().enumerate() {
-                                let (y_flat, _) = engine.execute_batch(flat, &b, batch);
+                            for (t, tile) in tiled.tiles().iter().enumerate() {
+                                let (y_flat, _) = engine.execute_batch(tile.flat(), &b, batch);
                                 let range = tiled.tile_range(t);
                                 for j in 0..batch {
                                     expected[j * rows + range.start..j * rows + range.end]
@@ -122,6 +129,20 @@ proptest! {
                                 "kind {} tiles {} bands {} backend {} batch {}: batched walk diverged",
                                 kind, tiles, bands, backend.name(), batch
                             );
+                            // Scalar batched columns are bit-identical to
+                            // the per-vector walk: pin them to the
+                            // independent instrumented oracle too.
+                            if backend == Backend::Scalar {
+                                for j in 0..batch {
+                                    let col = &b[j * cols..(j + 1) * cols];
+                                    prop_assert_eq!(
+                                        &y_tiled[j * rows..(j + 1) * rows],
+                                        &instrumented(&engine, &tiled, col)[..],
+                                        "kind {} tiles {} bands {} batch {} column {}: scalar batched walk diverged",
+                                        kind, tiles, bands, batch, j
+                                    );
+                                }
+                            }
                         }
                     }
                 }
@@ -143,8 +164,8 @@ proptest! {
             let tiled =
                 scheduler.schedule_tiled_with(&matrix, 1, ColumnBands::with_count(rows, 1));
             prop_assert_eq!(
-                tiled.tiles()[0].to_unbanded(),
-                scheduler.schedule(&matrix),
+                tiled.tiles()[0].flat(),
+                &scheduler.schedule(&matrix),
                 "kind {}",
                 kind
             );
