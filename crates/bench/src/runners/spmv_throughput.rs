@@ -19,18 +19,19 @@
 //!   bookkeeping, all-`l` adder dumps,
 //! * `soa-single` — the production [`Gust::execute`] (one contiguous
 //!   structure-of-arrays pass per window, analytic accounting), once per
-//!   available backend — outputs are bit-identical across backends, only
-//!   the wall clock moves,
+//!   available backend with its own `f32` engine kernels (scalar, AVX2;
+//!   AVX-512 runs the AVX2 ones) — outputs are bit-identical across
+//!   backends, only the wall clock moves,
 //! * `soa-batch-seq` — [`Gust::execute_batch`] over exactly one register
-//!   block (the backend's `reg_block()` width), pinned to one
-//!   thread: the pure one-pass batching win, once per available backend,
-//! * `soa-batch-f64` — [`Gust::execute_batch_f64`] over one f64 register
-//!   block (`reg_block_f64()`, 8 lanes everywhere), once per available
-//!   backend: the double-precision walk iterative solvers run at
-//!   production scale, gated against the exact-order f64 CSR oracle,
+//!   block ([`REG_BLOCK`] columns), pinned to one thread: the pure
+//!   one-pass batching win, on the same backends as `soa-single`,
+//! * `soa-batch-f64` — [`Gust::execute_batch_f64`] over one register
+//!   block, once per available backend: the double-precision walk
+//!   iterative solvers run at production scale, gated against the
+//!   exact-order f64 CSR oracle,
 //! * `soa-single-tiled` / `soa-batch-tiled` — the cache-blocked
 //!   [`Gust::execute_tiled`] / [`Gust::execute_batch_tiled`] over a
-//!   [`gust::TiledSchedule`], once per available backend: row tiles
+//!   [`gust::TiledSchedule`], on the same backends as `soa-single`: row tiles
 //!   sized by the (forced, on `llc-tall-out`) row budget, each tile
 //!   independently column-banded, so every gather hits a cache-resident
 //!   band slice and the accumulator carry stays confined to a
@@ -41,7 +42,7 @@
 //!   each tile's nnz/row density,
 //! * `soa-batch-mt` — the batched kernel over four register blocks
 //!   fanned out on the persistent worker pool at host parallelism, on
-//!   the best-available backend — the row a multi-core runner moves,
+//!   the fastest `f32` engine backend — the row a multi-core runner moves,
 //! * `reference-csr` — the [`CsrMatrix::spmv`] baseline kernel, once per
 //!   available backend, for context against the engine models,
 //!
@@ -73,7 +74,7 @@
 
 use crate::legacy;
 use crate::table::TextTable;
-use gust::kernels::{cpu_features, Backend};
+use gust::kernels::{cpu_features, Backend, REG_BLOCK};
 use gust::{Gust, GustConfig, TiledSchedule};
 use gust_sparse::ops::max_relative_error;
 use gust_sparse::{gen, CsrMatrix};
@@ -129,6 +130,13 @@ struct Workload {
     matrix: CsrMatrix,
     cache_budget: Option<usize>,
     row_budget: Option<usize>,
+}
+
+/// Whether `backend` has `f32` engine kernels of its own. Avx512 runs the
+/// `f32` walk on the AVX2 kernels, so an `avx512` row of it would be an
+/// AVX2 run under the wrong label; its `f64` and CSR rows stay.
+fn runs_own_f32_walk(backend: Backend) -> bool {
+    backend != Backend::Avx512
 }
 
 /// The backends worth measuring on this host, scalar first.
@@ -216,19 +224,24 @@ pub fn run(scale: f64) -> ThroughputOutput {
 
     let features = cpu_features();
     let backends = available_backends();
-    let best = *backends.last().expect("scalar is always present");
+    let best_f32 = *backends
+        .iter()
+        .rev()
+        .find(|&&b| runs_own_f32_walk(b))
+        .expect("scalar is always present");
     let auto_threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut out = super::header("spmv_throughput — execution nnz/s", scale);
     out.push_str(&format!(
         "l = {LENGTH}, EC/LB schedule, {reps} reps (median), host parallelism {auto_threads}\n\
-         backends: {} (features: {features}); batch = one register block per backend (mt: {MT_BLOCKS} blocks on {})\n\
+         backends: {} (features: {features}); batch = one register block of {REG_BLOCK} (mt: {MT_BLOCKS} blocks on {})\n\
+         f32 engine rows skip avx512, which runs the avx2 kernels for them\n\
          tiled rows: auto budgets on cache-resident shapes, forced budgets on llc-* (spilling vector = 16x its budget)\n\n",
         backends
             .iter()
-            .map(|b| format!("{} (reg_block {})", b.name(), b.reg_block()))
+            .map(|b| b.name())
             .collect::<Vec<_>>()
             .join(", "),
-        best.name(),
+        best_f32.name(),
     ));
 
     let mut table = TextTable::new([
@@ -250,7 +263,7 @@ pub fn run(scale: f64) -> ThroughputOutput {
     ]);
 
     for workload in &workloads {
-        let measurements = measure_kernels(workload, &backends, best, reps);
+        let measurements = measure_kernels(workload, &backends, best_f32, reps);
         let legacy_rate = measurements[0].work as f64 / measurements[0].wall.as_secs_f64();
         for m in &measurements {
             let wall_s = m.wall.as_secs_f64();
@@ -306,7 +319,7 @@ fn engine(backend: Backend, budget: Option<usize>, row_budget: Option<usize>) ->
 fn measure_kernels(
     workload: &Workload,
     backends: &[Backend],
-    best: Backend,
+    best_f32: Backend,
     reps: usize,
 ) -> Vec<Measurement> {
     let matrix = &workload.matrix;
@@ -319,12 +332,12 @@ fn measure_kernels(
     // The blocked schedules: forced budgets on the LLC shapes, auto
     // budgets (usually a single band / tile) on cache-resident ones.
     // Single-vector rows get single-width tile and band plans and batch
-    // rows register-block-width ones. Each tile's flattened form anchors
-    // the bit-identity gates below.
-    let rb_best = best.reg_block();
-    let blocked = engine(best, workload.cache_budget, workload.row_budget);
+    // rows register-block-width ones. Plans do not depend on the
+    // backend. Each tile's flattened form anchors the bit-identity gates
+    // below.
+    let blocked = engine(Backend::Scalar, workload.cache_budget, workload.row_budget);
     let tiled_single = blocked.schedule_tiled(matrix);
-    let tiled = blocked.schedule_tiled_for_batch(matrix, rb_best);
+    let tiled = blocked.schedule_tiled_for_batch(matrix, REG_BLOCK);
     let budget_used = workload
         .cache_budget
         .unwrap_or_else(gust::config::default_cache_budget);
@@ -358,123 +371,145 @@ fn measure_kernels(
 
     for &backend in backends {
         let gust = engine(backend, workload.cache_budget, workload.row_budget);
-        let rb = backend.reg_block();
-        let panel = crate::workloads::shifted_panel(&x, rb, 0.25);
+        let panel = crate::workloads::shifted_panel(&x, REG_BLOCK, 0.25);
 
-        // Single vector: bit-identical across backends, by contract.
-        let single = gust.execute(&schedule, &x);
-        assert_eq!(
-            single.output,
-            reference.output,
-            "{} single-vector engine diverged from scalar",
-            backend.name()
-        );
-        // Batched: scalar columns bit-identical to the scalar path, AVX2
-        // columns within the FMA-contraction bound.
-        let (batched, _) = gust.execute_batch(&schedule, &panel, rb);
-        for j in 0..rb {
-            let col = &panel[j * matrix.cols()..(j + 1) * matrix.cols()];
-            let expect = scalar.execute(&schedule, col);
-            let got = &batched[j * rows..(j + 1) * rows];
-            if backend == Backend::Scalar {
-                assert_eq!(
-                    got,
-                    expect.output.as_slice(),
-                    "scalar batched column {j} diverged from the scalar path"
-                );
-            } else {
-                let err = max_relative_error(got, &expect.output);
-                assert!(
-                    err < 1e-3,
-                    "{} batched column {j} beyond the FMA bound: {err}",
-                    backend.name()
-                );
+        if runs_own_f32_walk(backend) {
+            // Single vector: bit-identical across backends, by contract.
+            let single = gust.execute(&schedule, &x);
+            assert_eq!(
+                single.output,
+                reference.output,
+                "{} single-vector engine diverged from scalar",
+                backend.name()
+            );
+            // Batched: scalar columns bit-identical to the scalar path,
+            // AVX2 columns within the FMA-contraction bound.
+            let (batched, _) = gust.execute_batch(&schedule, &panel, REG_BLOCK);
+            for j in 0..REG_BLOCK {
+                let col = &panel[j * matrix.cols()..(j + 1) * matrix.cols()];
+                let expect = scalar.execute(&schedule, col);
+                let got = &batched[j * rows..(j + 1) * rows];
+                if backend == Backend::Scalar {
+                    assert_eq!(
+                        got,
+                        expect.output.as_slice(),
+                        "scalar batched column {j} diverged from the scalar path"
+                    );
+                } else {
+                    let err = max_relative_error(got, &expect.output);
+                    assert!(
+                        err < 1e-3,
+                        "{} batched column {j} beyond the FMA bound: {err}",
+                        backend.name()
+                    );
+                }
             }
-        }
-        // Tiled: per-tile bit-identity under every backend — the
-        // blocking contract. The tiled output must equal the unbanded
-        // engine run on every tile's flattened schedule, stitched over
-        // the row tiles. Single and batch rows use differently-sized
-        // plans, so each is gated against its own flattenings.
-        let tiled_run = gust.execute_tiled(&tiled_single, &x);
-        let mut single_expected = vec![0.0f32; rows];
-        for (t, tile) in tiled_single.tiles().iter().enumerate() {
-            single_expected[tiled_single.tile_range(t)]
-                .copy_from_slice(&gust.execute(tile.flat(), &x).output);
-        }
-        assert_eq!(
-            tiled_run.output,
-            single_expected,
-            "{} tiled single-vector walk diverged from its per-tile flattened schedules",
-            backend.name()
-        );
-        let err = max_relative_error(&tiled_run.output, &f64_reference);
-        assert!(err < 1e-3, "{} tiled diverged: {err}", backend.name());
-        let (tiled_y, _) = gust.execute_batch_tiled(&tiled, &panel, rb);
-        let mut tiled_expected = vec![0.0f32; rows * rb];
-        for (t, tile) in tiled.tiles().iter().enumerate() {
-            let (y_flat, _) = gust.execute_batch(tile.flat(), &panel, rb);
-            let range = tiled.tile_range(t);
-            for j in 0..rb {
-                tiled_expected[j * rows + range.start..j * rows + range.end]
-                    .copy_from_slice(&y_flat[j * range.len()..(j + 1) * range.len()]);
+            // Tiled: per-tile bit-identity under every backend — the
+            // blocking contract. The tiled output must equal the unbanded
+            // engine run on every tile's flattened schedule, stitched over
+            // the row tiles. Single and batch rows use differently-sized
+            // plans, so each is gated against its own flattenings.
+            let tiled_run = gust.execute_tiled(&tiled_single, &x);
+            let mut single_expected = vec![0.0f32; rows];
+            for (t, tile) in tiled_single.tiles().iter().enumerate() {
+                single_expected[tiled_single.tile_range(t)]
+                    .copy_from_slice(&gust.execute(tile.flat(), &x).output);
             }
-        }
-        assert_eq!(
-            tiled_y,
-            tiled_expected,
-            "{} tiled batch diverged from its per-tile flattened schedules",
-            backend.name()
-        );
-        // Reference CSR kernel against the f64 oracle.
-        let y_ref = matrix.spmv_with(backend, &x);
-        let err = max_relative_error(&y_ref, &f64_reference);
-        assert!(
-            err < 1e-3,
-            "{} reference CSR diverged: {err}",
-            backend.name()
-        );
+            assert_eq!(
+                tiled_run.output,
+                single_expected,
+                "{} tiled single-vector walk diverged from its per-tile flattened schedules",
+                backend.name()
+            );
+            let err = max_relative_error(&tiled_run.output, &f64_reference);
+            assert!(err < 1e-3, "{} tiled diverged: {err}", backend.name());
+            let (tiled_y, _) = gust.execute_batch_tiled(&tiled, &panel, REG_BLOCK);
+            let mut tiled_expected = vec![0.0f32; rows * REG_BLOCK];
+            for (t, tile) in tiled.tiles().iter().enumerate() {
+                let (y_flat, _) = gust.execute_batch(tile.flat(), &panel, REG_BLOCK);
+                let range = tiled.tile_range(t);
+                for j in 0..REG_BLOCK {
+                    tiled_expected[j * rows + range.start..j * rows + range.end]
+                        .copy_from_slice(&y_flat[j * range.len()..(j + 1) * range.len()]);
+                }
+            }
+            assert_eq!(
+                tiled_y,
+                tiled_expected,
+                "{} tiled batch diverged from its per-tile flattened schedules",
+                backend.name()
+            );
 
-        results.push(Measurement {
-            kernel: "soa-single",
-            backend: backend.name(),
-            elem: "f32",
-            reg_block: 1,
-            batch: 1,
-            banded: 0,
-            cache_budget: 0,
-            row_tiles: 0,
-            row_budget: 0,
-            wall: timed(reps, || {
-                std::hint::black_box(gust.execute(&schedule, &x));
-            }),
-            work: nnz,
-        });
-        results.push(Measurement {
-            kernel: "soa-batch-seq",
-            backend: backend.name(),
-            elem: "f32",
-            reg_block: rb,
-            batch: rb,
-            banded: 0,
-            cache_budget: 0,
-            row_tiles: 0,
-            row_budget: 0,
-            wall: timed(reps, || {
-                std::hint::black_box(gust.execute_batch(&schedule, &panel, rb));
-            }),
-            work: rb as u64 * nnz,
-        });
+            results.push(Measurement {
+                kernel: "soa-single",
+                backend: backend.name(),
+                elem: "f32",
+                reg_block: 1,
+                batch: 1,
+                banded: 0,
+                cache_budget: 0,
+                row_tiles: 0,
+                row_budget: 0,
+                wall: timed(reps, || {
+                    std::hint::black_box(gust.execute(&schedule, &x));
+                }),
+                work: nnz,
+            });
+            results.push(Measurement {
+                kernel: "soa-batch-seq",
+                backend: backend.name(),
+                elem: "f32",
+                reg_block: REG_BLOCK,
+                batch: REG_BLOCK,
+                banded: 0,
+                cache_budget: 0,
+                row_tiles: 0,
+                row_budget: 0,
+                wall: timed(reps, || {
+                    std::hint::black_box(gust.execute_batch(&schedule, &panel, REG_BLOCK));
+                }),
+                work: REG_BLOCK as u64 * nnz,
+            });
+            results.push(Measurement {
+                kernel: "soa-single-tiled",
+                backend: backend.name(),
+                elem: "f32",
+                reg_block: 1,
+                batch: 1,
+                banded: max_tile_bands(&tiled_single),
+                cache_budget: budget_used,
+                row_tiles: tiled_single.tile_count(),
+                row_budget: row_budget_used,
+                wall: timed(reps, || {
+                    std::hint::black_box(gust.execute_tiled(&tiled_single, &x));
+                }),
+                work: nnz,
+            });
+            results.push(Measurement {
+                kernel: "soa-batch-tiled",
+                backend: backend.name(),
+                elem: "f32",
+                reg_block: REG_BLOCK,
+                batch: REG_BLOCK,
+                banded: max_tile_bands(&tiled),
+                cache_budget: budget_used,
+                row_tiles: tiled.tile_count(),
+                row_budget: row_budget_used,
+                wall: timed(reps, || {
+                    std::hint::black_box(gust.execute_batch_tiled(&tiled, &panel, REG_BLOCK));
+                }),
+                work: REG_BLOCK as u64 * nnz,
+            });
+        }
+
         // Double-precision batched walk over one f64 register block:
         // each widened column is gated against the exact-order f64 CSR
         // oracle (re-association in f64 leaves ~k·ε_f64 of slack —
         // invisible at 1e-9).
-        let rb64 = backend.reg_block_f64();
-        let panel64_f32 = crate::workloads::shifted_panel(&x, rb64, 0.25);
-        let panel64: Vec<f64> = panel64_f32.iter().map(|&v| f64::from(v)).collect();
-        let (batched64, _) = gust.execute_batch_f64(&schedule, &panel64, rb64);
-        for j in 0..rb64 {
-            let col = &panel64_f32[j * matrix.cols()..(j + 1) * matrix.cols()];
+        let panel64: Vec<f64> = panel.iter().map(|&v| f64::from(v)).collect();
+        let (batched64, _) = gust.execute_batch_f64(&schedule, &panel64, REG_BLOCK);
+        for j in 0..REG_BLOCK {
+            let col = &panel[j * matrix.cols()..(j + 1) * matrix.cols()];
             let oracle = matrix.spmv_f64(col);
             for (r, (&got, want)) in batched64[j * rows..(j + 1) * rows]
                 .iter()
@@ -493,47 +528,26 @@ fn measure_kernels(
             kernel: "soa-batch-f64",
             backend: backend.name(),
             elem: "f64",
-            reg_block: rb64,
-            batch: rb64,
+            reg_block: REG_BLOCK,
+            batch: REG_BLOCK,
             banded: 0,
             cache_budget: 0,
             row_tiles: 0,
             row_budget: 0,
             wall: timed(reps, || {
-                std::hint::black_box(gust.execute_batch_f64(&schedule, &panel64, rb64));
+                std::hint::black_box(gust.execute_batch_f64(&schedule, &panel64, REG_BLOCK));
             }),
-            work: rb64 as u64 * nnz,
+            work: REG_BLOCK as u64 * nnz,
         });
-        results.push(Measurement {
-            kernel: "soa-single-tiled",
-            backend: backend.name(),
-            elem: "f32",
-            reg_block: 1,
-            batch: 1,
-            banded: max_tile_bands(&tiled_single),
-            cache_budget: budget_used,
-            row_tiles: tiled_single.tile_count(),
-            row_budget: row_budget_used,
-            wall: timed(reps, || {
-                std::hint::black_box(gust.execute_tiled(&tiled_single, &x));
-            }),
-            work: nnz,
-        });
-        results.push(Measurement {
-            kernel: "soa-batch-tiled",
-            backend: backend.name(),
-            elem: "f32",
-            reg_block: rb,
-            batch: rb,
-            banded: max_tile_bands(&tiled),
-            cache_budget: budget_used,
-            row_tiles: tiled.tile_count(),
-            row_budget: row_budget_used,
-            wall: timed(reps, || {
-                std::hint::black_box(gust.execute_batch_tiled(&tiled, &panel, rb));
-            }),
-            work: rb as u64 * nnz,
-        });
+
+        // Reference CSR kernel against the f64 oracle.
+        let y_ref = matrix.spmv_with(backend, &x);
+        let err = max_relative_error(&y_ref, &f64_reference);
+        assert!(
+            err < 1e-3,
+            "{} reference CSR diverged: {err}",
+            backend.name()
+        );
         results.push(Measurement {
             kernel: "reference-csr",
             backend: backend.name(),
@@ -551,10 +565,10 @@ fn measure_kernels(
         });
     }
 
-    // Threaded row: best backend, four register blocks on the pool.
-    let mt = Gust::new(GustConfig::new(LENGTH).with_backend(Some(best)));
-    let rb = best.reg_block();
-    let batch_mt = MT_BLOCKS * rb;
+    // Threaded row: the fastest f32 engine backend, four register blocks
+    // on the pool.
+    let mt = Gust::new(GustConfig::new(LENGTH).with_backend(Some(best_f32)));
+    let batch_mt = MT_BLOCKS * REG_BLOCK;
     let panel_mt = crate::workloads::shifted_panel(&x, batch_mt, 0.25);
     let (batched_mt, _) = mt.execute_batch(&schedule, &panel_mt, batch_mt);
     for j in 0..batch_mt {
@@ -565,9 +579,9 @@ fn measure_kernels(
     }
     results.push(Measurement {
         kernel: "soa-batch-mt",
-        backend: best.name(),
+        backend: best_f32.name(),
         elem: "f32",
-        reg_block: rb,
+        reg_block: REG_BLOCK,
         batch: batch_mt,
         banded: 0,
         cache_budget: 0,
@@ -636,8 +650,11 @@ mod tests {
         assert!(out.json.contains("\"cache_budget\":"));
         assert!(out.json.contains("\"row_tiles\":"));
         assert!(out.json.contains("\"row_budget\":"));
-        // Seven workloads × (legacy + mt + 6 rows per available backend).
-        let rows_per_matrix = 2 + 6 * available_backends().len();
+        // Seven workloads × (legacy + mt + f64 and CSR rows per available
+        // backend + 4 f32 engine rows per backend with its own kernels).
+        let backends = available_backends();
+        let own_f32 = backends.iter().filter(|&&b| runs_own_f32_walk(b)).count();
+        let rows_per_matrix = 2 + 2 * backends.len() + 4 * own_f32;
         assert_eq!(out.json.matches("\"matrix\":").count(), 7 * rows_per_matrix);
         assert!(out.json.contains("\"hub-reuse\""));
         assert!(out.json.contains("\"llc-uniform\""));

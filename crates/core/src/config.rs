@@ -358,9 +358,10 @@ impl GustConfig {
     }
 
     /// The backend the engine will actually run: the configured one when
-    /// it is available on this host, otherwise the process default
-    /// (`GUST_BACKEND` override or best available), which is always
-    /// runnable.
+    /// it is available on this host, [`Backend::Scalar`] when it is
+    /// configured but unavailable, and the process default
+    /// (`GUST_BACKEND` override or best available) when none is
+    /// configured. Never an unrunnable backend.
     #[must_use]
     pub fn effective_backend(&self) -> Backend {
         match self.backend {

@@ -29,10 +29,11 @@
 //!
 //! Every hot loop below dispatches through a runtime-selected
 //! [`Backend`] (see [`crate::kernels`]): a safe scalar implementation
-//! that reproduces the PR 2 arithmetic bit for bit, an AVX2+FMA
-//! implementation gated by `is_x86_feature_detected!`, and an AVX-512
-//! implementation (16-lane f32 register blocks, masked ragged tails)
-//! gated on `avx512f`+`avx512vl` on top of the AVX2 set. Selection is
+//! that reproduces the PR 2 arithmetic bit for bit, and an AVX2+FMA
+//! implementation gated by `is_x86_feature_detected!`, which the AVX-512
+//! backend runs too — only the `f64` panel walk has AVX-512 kernels (8
+//! lanes per register, masked ragged tails), gated on
+//! `avx512f`+`avx512vl` on top of the AVX2 set. Selection is
 //! automatic, overridable with [`GustConfig::with_backend`] or the
 //! `GUST_BACKEND` environment variable. Windows whose columns are reused
 //! (≥ 2× mean reuse,
@@ -47,10 +48,9 @@
 //!
 //! [`Gust::execute_batch`] streams the schedule **once** for a whole panel
 //! of right-hand sides (the §5.3 multi-RHS amortization): the batch is cut
-//! into register blocks of [`Gust::reg_block`] columns (a backend
-//! property; 8 on scalar/AVX2, 16 on AVX-512), each block's operands are
-//! staged/interleaved so one slot's `B`
-//! multiply-accumulates are contiguous, and blocks can fan out across
+//! into register blocks of [`kernels::REG_BLOCK`] columns (8, whatever
+//! the backend), each block's operands are staged/interleaved so one
+//! slot's `B` multiply-accumulates are contiguous, and blocks can fan out across
 //! threads via [`crate::config::GustConfig::with_parallelism`]. Under the
 //! scalar backend, per-column arithmetic order equals the per-vector
 //! scalar path, so batched outputs are bit-identical to `B` independent
@@ -58,18 +58,18 @@
 //! accumulate into an FMA and match within the one-ULP-per-step
 //! contraction bound (see `tests/backend_equivalence.rs`).
 //! [`Gust::execute`] itself is bit-identical across *all* backends: its
-//! SIMD paths vectorize only the multiply-gathers (masked tail lanes
-//! included) and keep the scatter adds in slot order.
+//! SIMD paths vectorize only the multiply-gathers and keep the scatter
+//! adds in slot order.
 //!
 //! The batched walk is **generic over the element type** (the private
 //! [`Element`] trait, monomorphized for f32 and f64):
 //! [`Gust::execute_batch_f64`] and [`Gust::execute_batch_tiled_f64`]
 //! run the identical pipeline in double precision — schedule values
-//! stay f32, widened per slot; f64 register blocks are
-//! [`Gust::reg_block_f64`] (8 lanes everywhere, one 512-bit `pd`
-//! register on AVX-512) — and the f64 scheduling twin
-//! ([`Gust::schedule_tiled_for_batch_f64`]) divides the cache budgets by
-//! the 8-byte element width so band slices stay resident.
+//! stay f32, widened per slot; f64 register blocks are the same
+//! [`kernels::REG_BLOCK`] lanes, one 512-bit `pd` register on AVX-512 —
+//! and the f64 scheduling twin ([`Gust::schedule_tiled_for_batch_f64`])
+//! divides the cache budgets by the 8-byte element width so band slices
+//! stay resident.
 //!
 //! # Cache-blocked execution
 //!
@@ -139,11 +139,10 @@ const STAGE_SOURCE_BYTES: usize = 512 * 1024;
 /// ([`crate::schedule::scheduled::WindowSchedule::has_column_reuse`]),
 /// the source block must exceed [`STAGE_SOURCE_BYTES`], and the stage
 /// must compact it at least 4×. The element width matters: an f64 panel
-/// (or an f32 one at AVX-512's 16-lane register block) reaches the
-/// staging threshold at half the column count, exactly as its footprint
-/// reaches cache capacity at half the columns. Staging never changes
-/// results — the staged values are bit-copies — so this predicate is
-/// purely a performance decision.
+/// reaches the staging threshold at half the column count, exactly as
+/// its footprint reaches cache capacity at half the columns. Staging
+/// never changes results — the staged values are bit-copies — so this
+/// predicate is purely a performance decision.
 fn window_staged(
     window: &crate::schedule::scheduled::WindowSchedule,
     cols: usize,
@@ -176,20 +175,18 @@ impl Gust {
         self.config.effective_backend()
     }
 
-    /// Columns per register block of the batched `f32` kernel — a
-    /// property of the selected [`Backend`] (see [`Backend::reg_block`]:
-    /// 8 on scalar/AVX2, 16 on AVX-512), not a hardcoded constant.
+    /// Columns per register block of the batched `f32` kernel:
+    /// [`kernels::REG_BLOCK`], the same on every backend.
     #[must_use]
     pub fn reg_block(&self) -> usize {
-        self.backend().reg_block()
+        kernels::REG_BLOCK
     }
 
-    /// Columns per register block of the batched `f64` kernel (see
-    /// [`Backend::reg_block_f64`]; 8 on every backend — one 512-bit
-    /// register under AVX-512).
+    /// Columns per register block of the batched `f64` kernel:
+    /// [`kernels::REG_BLOCK`] too — one 512-bit register under AVX-512.
     #[must_use]
     pub fn reg_block_f64(&self) -> usize {
-        self.backend().reg_block_f64()
+        kernels::REG_BLOCK
     }
 
     /// Preprocesses `matrix` (the paper's scheduling step). Delegates to
@@ -459,11 +456,10 @@ impl Gust {
     /// panel walk over the same `f32`-valued schedule, with the operand
     /// panel, every accumulator, and the output in `f64` (the schedule's
     /// matrix values are widened once per slot). The register block is
-    /// [`Gust::reg_block_f64`] — 8 lanes on every backend, one 512-bit
-    /// register under AVX-512 — and the staging heuristic accounts for
-    /// the doubled element width. Under the scalar backend outputs are
-    /// bit-identical to a scalar double-precision reference walk in slot
-    /// order; AVX-512 fuses each accumulate into an FMA within the usual
+    /// [`kernels::REG_BLOCK`] — one 512-bit register under AVX-512 — and
+    /// the staging heuristic accounts for the doubled element width.
+    /// Under the scalar backend outputs are bit-identical to a scalar
+    /// double-precision reference walk in slot order; AVX-512 fuses each accumulate into an FMA within the usual
     /// contraction bound, now at `f64` precision.
     ///
     /// # Panics
@@ -510,7 +506,7 @@ impl Gust {
         let cols = schedule.cols();
 
         let backend = self.backend();
-        let rb = E::reg_block(backend);
+        let rb = kernels::REG_BLOCK;
         let rows = schedule.rows();
         let mut y = vec![E::ZERO; rows * batch];
         let workers = self.config.effective_workers(batch.div_ceil(rb));
@@ -795,7 +791,7 @@ impl Gust {
         let cols = schedule.cols();
 
         let backend = self.backend();
-        let rb = E::reg_block(backend);
+        let rb = kernels::REG_BLOCK;
         let rows = schedule.rows();
         let mut y = vec![E::ZERO; rows * batch];
         let workers = self.config.effective_workers(batch.div_ceil(rb));
@@ -947,9 +943,9 @@ impl Gust {
 /// Element type of a batched panel walk: the precision the operand
 /// panel, accumulators and output are held in. The schedule's matrix
 /// values stay `f32` either way; the two impls (`f32`, `f64`) plug the
-/// matching monomorphized panel kernels, register-block width and
-/// thread-local scratch into the one generic walk body, so the two
-/// precisions cannot drift structurally.
+/// matching monomorphized panel kernels and thread-local scratch into
+/// the one generic walk body, so the two precisions cannot drift
+/// structurally.
 pub(crate) trait Element:
     Copy + Default + Send + Sync + std::fmt::Debug + PartialEq + 'static
 {
@@ -958,9 +954,6 @@ pub(crate) trait Element:
     /// Element width in bytes — what the staging threshold and the
     /// band/tile budget math divide by.
     const BYTES: usize;
-    /// Register-block width of this element type under `backend`
-    /// ([`Backend::reg_block`] / [`Backend::reg_block_f64`]).
-    fn reg_block(backend: Backend) -> usize;
     /// The batched panel walk at this precision
     /// ([`kernels::panel_walk`] / [`kernels::panel_walk_f64`]).
     fn panel_walk(
@@ -992,10 +985,6 @@ pub(crate) trait Element:
 impl Element for f32 {
     const ZERO: Self = 0.0;
     const BYTES: usize = std::mem::size_of::<f32>();
-
-    fn reg_block(backend: Backend) -> usize {
-        backend.reg_block()
-    }
 
     fn panel_walk(
         backend: Backend,
@@ -1033,10 +1022,6 @@ impl Element for f32 {
 impl Element for f64 {
     const ZERO: Self = 0.0;
     const BYTES: usize = std::mem::size_of::<f64>();
-
-    fn reg_block(backend: Backend) -> usize {
-        backend.reg_block_f64()
-    }
 
     fn panel_walk(
         backend: Backend,
@@ -1257,7 +1242,7 @@ fn banded_walk_single(backend: Backend, tile: &BandedSchedule, x: &[f32], y: &mu
 }
 
 /// Executes a flat schedule against one register block of `bb` ≤
-/// [`Gust::reg_block`] right-hand sides starting at panel column `j0`.
+/// [`kernels::REG_BLOCK`] right-hand sides starting at panel column `j0`.
 /// Full blocks and ragged tails run the same backend kernel
 /// ([`kernels::panel_walk`]) — the tail is just a smaller `bb` — and
 /// follow the same per-window staging decisions (`stage_flags`, one per

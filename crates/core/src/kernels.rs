@@ -3,23 +3,24 @@
 //! [`crate::engine::Gust`] runs three inner loops per SpMV: the operand
 //! gather (stage `x[col]` into a window-local buffer), the single-vector
 //! window walk (multiply–crossbar–accumulate per slot), and the batched
-//! panel walk (one slot × a register block of right-hand sides). Each is
-//! implemented here three times — a safe scalar version that reproduces
-//! the PR 2 arithmetic bit for bit, an `std::arch::x86_64` AVX2+FMA
-//! version, and an AVX-512 version at twice the lane width with masked
-//! ragged tails — and dispatched per window through
-//! [`Backend`] (re-exported from [`gust_sparse::kernels`], where detection
-//! and the `GUST_BACKEND` override live).
+//! panel walk (one slot × a register block of [`REG_BLOCK`] right-hand
+//! sides). Each is implemented here twice — a safe scalar version that
+//! reproduces the PR 2 arithmetic bit for bit, and an `std::arch::x86_64`
+//! AVX2+FMA version — and dispatched per window through [`Backend`]
+//! (re-exported from [`gust_sparse::kernels`], where detection and the
+//! `GUST_BACKEND` override live). [`Backend::Avx512`] runs these `f32`
+//! loops on the AVX2 kernels: 16-lane AVX-512 versions lost every
+//! measured engine probe to them.
 //!
 //! The batched panel walk additionally exists in an `f64` variant
 //! ([`panel_walk_f64`] / [`stage_panel_f64`]): the schedule's *matrix*
 //! values stay `f32` (widened per slot), while operand panels and
 //! accumulators are double precision — the element type the engine's
 //! generic batch walk (`gust::engine::Element`) is monomorphized over.
-//! AVX-512 runs it 8 lanes per 512-bit register; scalar and forced-Avx2
-//! walks share the autovectorized fixed-8 scalar body (AVX2 gains too
-//! little over it at 4 lanes per register to justify a third unsafe
-//! path).
+//! AVX-512 runs it 8 lanes per 512-bit register, with masked ragged
+//! tails; scalar and forced-Avx2 walks share the autovectorized fixed-8
+//! scalar body (AVX2 gains too little over it at 4 lanes per register to
+//! justify another unsafe path).
 //!
 //! # Numerical contract
 //!
@@ -29,10 +30,6 @@
 //!   widens the multiplies (IEEE-exact), the scatter adds stay scalar and
 //!   in slot order — which is what keeps `Gust::execute` pinned to the
 //!   instrumented walk and the `hw::GustPipeline` regardless of backend.
-//! * [`window_walk`]'s AVX-512 path keeps the same split (16-wide
-//!   IEEE-exact multiplies, scalar in-order scatter adds) and therefore
-//!   the same bit-identity, masked tails included — a masked multiply
-//!   lane computes the identical product the scalar remainder loop did.
 //! * [`panel_walk`] is bit-identical to the scalar path under
 //!   [`Backend::Scalar`]; under [`Backend::Avx2`] and [`Backend::Avx512`]
 //!   each accumulate is an FMA (one rounding instead of two), so outputs
@@ -65,6 +62,29 @@
 
 pub use gust_sparse::kernels::{best_available, cpu_features, default_backend, Backend};
 
+/// Register-block width of the batched engine walks: how many right-hand
+/// sides one scheduled slot processes per inner-loop step, for `f32` and
+/// `f64` panels alike and under every backend. 8 lanes fill one 256-bit
+/// `f32` register (AVX2) and one 512-bit `f64` register (AVX-512); a
+/// 16-wide `f32` block doubles the interleaved operand panel and loses
+/// on both counts measured — it falls out of L2 at the paper's
+/// 16 384² shape, and the 16-lane AVX-512 `f32` kernels it fed lost every
+/// `perfbench` engine probe to this width on AVX2. Because the width is
+/// one constant, a schedule sized for batched execution is the same plan
+/// whichever backend built it.
+pub const REG_BLOCK: usize = 8;
+
+// The full-block SIMD kernels run `REG_BLOCK / 8` registers per slot.
+const _: () = assert!(REG_BLOCK.is_multiple_of(8));
+
+/// Whether `backend`'s `f32` walk runs the AVX2 kernels: [`Backend::Avx2`]
+/// and [`Backend::Avx512`] both do (AVX-512 availability implies
+/// `avx2+fma`; only the `f64` panel walk has AVX-512 kernels).
+#[cfg(target_arch = "x86_64")]
+fn runs_avx2(backend: Backend) -> bool {
+    matches!(backend, Backend::Avx2 | Backend::Avx512) && Backend::Avx2.is_available()
+}
+
 /// Gathers `dst[i] = src[idx[i]]` — the single-vector operand staging
 /// pass. Exact under every backend.
 ///
@@ -78,15 +98,7 @@ pub(crate) fn gather(backend: Backend, src: &[f32], idx: &[u32], dst: &mut [f32]
     assert_eq!(dst.len(), idx.len(), "gather output length mismatch");
     debug_assert!(idx.iter().all(|&i| (i as usize) < src.len()));
     #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx512 && Backend::Avx512.is_available() {
-        // SAFETY: avx512f+avx512vl+avx2+fma verified; indices validated
-        // at schedule build (`ScheduledMatrix::from_parts`) against
-        // `cols == src.len()`, masked-out tail lanes access no memory.
-        unsafe { avx512::gather_avx512(src, idx, dst) };
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx2 && Backend::Avx2.is_available() {
+    if runs_avx2(backend) {
         // SAFETY: avx2+fma verified; indices validated at schedule build
         // (`ScheduledMatrix::from_parts`) against `cols == src.len()`.
         unsafe { avx2::gather_avx2(src, idx, dst) };
@@ -121,15 +133,7 @@ pub(crate) fn window_walk(
     assert_eq!(values.len(), idx.len(), "slot array length mismatch");
     assert_eq!(values.len(), row_mods.len(), "slot array length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx512 && Backend::Avx512.is_available() {
-        // SAFETY: avx512f+avx512vl+avx2+fma verified; gather indices
-        // validated at schedule build against the operand array the
-        // engine sized to match, masked tail lanes access no memory.
-        unsafe { avx512::window_walk_avx512(values, idx, row_mods, operands, adders) };
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx2 && Backend::Avx2.is_available() {
+    if runs_avx2(backend) {
         // SAFETY: avx2+fma verified; gather indices validated at schedule
         // build against the operand array the engine sized to match.
         unsafe { avx2::window_walk_avx2(values, idx, row_mods, operands, adders) };
@@ -166,24 +170,7 @@ pub(crate) fn panel_walk(
     assert_eq!(values.len(), idx.len(), "slot array length mismatch");
     assert_eq!(values.len(), row_mods.len(), "slot array length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx512 && Backend::Avx512.is_available() {
-        debug_assert!(idx.iter().all(|&c| (c as usize + 1) * bb <= operands.len()));
-        debug_assert!(row_mods.iter().all(|&r| (r as usize + 1) * bb <= acc.len()));
-        // SAFETY: avx512f+avx512vl+avx2+fma verified; block offsets are
-        // the same schedule invariants as the AVX2 arm below. Full
-        // 512-bit register blocks take the monomorphized straight-line
-        // kernel; any other width takes the masked-striding one.
-        unsafe {
-            match bb {
-                16 => avx512::panel_walk_avx512_const::<1>(values, idx, row_mods, operands, acc),
-                32 => avx512::panel_walk_avx512_const::<2>(values, idx, row_mods, operands, acc),
-                _ => avx512::panel_walk_avx512(values, idx, row_mods, operands, acc, bb),
-            }
-        }
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx2 && Backend::Avx2.is_available() {
+    if runs_avx2(backend) {
         debug_assert!(idx.iter().all(|&c| (c as usize + 1) * bb <= operands.len()));
         debug_assert!(row_mods.iter().all(|&r| (r as usize + 1) * bb <= acc.len()));
         // SAFETY: avx2+fma verified. The per-slot block offsets are
@@ -194,18 +181,19 @@ pub(crate) fn panel_walk(
         // blocks take the monomorphized straight-line kernel; any other
         // width takes the runtime-striding one — same arithmetic.
         unsafe {
-            match bb {
-                8 => avx2::panel_walk_avx2_const::<1>(values, idx, row_mods, operands, acc),
-                16 => avx2::panel_walk_avx2_const::<2>(values, idx, row_mods, operands, acc),
-                32 => avx2::panel_walk_avx2_const::<4>(values, idx, row_mods, operands, acc),
-                _ => avx2::panel_walk_avx2(values, idx, row_mods, operands, acc, bb),
+            if bb == REG_BLOCK {
+                avx2::panel_walk_avx2_const::<{ REG_BLOCK / 8 }>(
+                    values, idx, row_mods, operands, acc,
+                );
+            } else {
+                avx2::panel_walk_avx2(values, idx, row_mods, operands, acc, bb);
             }
         }
         return;
     }
     let _ = backend;
-    if bb == Backend::Scalar.reg_block() {
-        panel_walk_scalar_const::<8>(values, idx, row_mods, operands, acc);
+    if bb == REG_BLOCK {
+        panel_walk_scalar_const::<REG_BLOCK>(values, idx, row_mods, operands, acc);
     } else {
         panel_walk_scalar_dyn(values, idx, row_mods, operands, acc, bb);
     }
@@ -244,19 +232,19 @@ pub(crate) fn panel_walk_f64(
         // schedule invariants validated at construction, as in
         // `panel_walk`.
         unsafe {
-            match bb {
-                8 => avx512::panel_walk_f64_avx512_const::<1>(values, idx, row_mods, operands, acc),
-                16 => {
-                    avx512::panel_walk_f64_avx512_const::<2>(values, idx, row_mods, operands, acc);
-                }
-                _ => avx512::panel_walk_f64_avx512(values, idx, row_mods, operands, acc, bb),
+            if bb == REG_BLOCK {
+                avx512::panel_walk_f64_avx512_const::<{ REG_BLOCK / 8 }>(
+                    values, idx, row_mods, operands, acc,
+                );
+            } else {
+                avx512::panel_walk_f64_avx512(values, idx, row_mods, operands, acc, bb);
             }
         }
         return;
     }
     let _ = backend;
-    if bb == Backend::Scalar.reg_block_f64() {
-        panel_walk_f64_scalar_const::<8>(values, idx, row_mods, operands, acc);
+    if bb == REG_BLOCK {
+        panel_walk_f64_scalar_const::<REG_BLOCK>(values, idx, row_mods, operands, acc);
     } else {
         panel_walk_f64_scalar_dyn(values, idx, row_mods, operands, acc, bb);
     }
@@ -331,17 +319,7 @@ pub(crate) fn stage_panel(
         "stage buffer length mismatch"
     );
     #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx512 && Backend::Avx512.is_available() {
-        for j in 0..bb {
-            let src = &b[(j0 + j) * cols..(j0 + j + 1) * cols];
-            // SAFETY: avx512f+avx512vl+avx2+fma verified; gather indices
-            // validated at schedule build against `cols == src.len()`.
-            unsafe { avx512::gather_strided_avx512(src, gather_cols, stage, bb, j) };
-        }
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx2 && Backend::Avx2.is_available() {
+    if runs_avx2(backend) {
         for j in 0..bb {
             let src = &b[(j0 + j) * cols..(j0 + j + 1) * cols];
             // SAFETY: avx2+fma verified; gather indices validated at
@@ -742,100 +720,33 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    //! AVX-512 engine kernels. Every function is
-    //! `#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]` — the
-    //! exact set [`super::Backend::Avx512.is_available`] checks — and
-    //! only called after that check returned `true`; gather indices are
-    //! schedule invariants validated at construction (see the module
+    //! AVX-512 engine kernels for the `f64` panel walk (the `f32` walk
+    //! runs the AVX2 kernels under [`super::Backend::Avx512`]). Every
+    //! function is `#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]`
+    //! — the exact set [`super::Backend::Avx512.is_available`] checks —
+    //! and only called after that check returned `true`; gather indices
+    //! are schedule invariants validated at construction (see the module
     //! docs). Ragged tails use masked loads/gathers/stores: masked-out
     //! lanes never touch memory, so the preconditions match the scalar
     //! remainder loops these masks replace.
 
     use std::arch::x86_64::{
-        __mmask16, __mmask8, _mm256_loadu_si256, _mm256_maskz_loadu_epi32, _mm512_fmadd_pd,
-        _mm512_fmadd_ps, _mm512_i32gather_pd, _mm512_i32gather_ps, _mm512_loadu_epi32,
-        _mm512_loadu_pd, _mm512_loadu_ps, _mm512_mask_i32gather_pd, _mm512_mask_i32gather_ps,
-        _mm512_mask_storeu_pd, _mm512_mask_storeu_ps, _mm512_maskz_loadu_epi32,
-        _mm512_maskz_loadu_pd, _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_pd,
-        _mm512_set1_ps, _mm512_setzero_pd, _mm512_setzero_ps, _mm512_storeu_pd, _mm512_storeu_ps,
+        __mmask8, _mm256_loadu_si256, _mm256_maskz_loadu_epi32, _mm512_fmadd_pd,
+        _mm512_i32gather_pd, _mm512_loadu_pd, _mm512_mask_i32gather_pd, _mm512_mask_storeu_pd,
+        _mm512_maskz_loadu_pd, _mm512_set1_pd, _mm512_setzero_pd, _mm512_storeu_pd,
     };
 
-    /// 16-wide `dst[i] = src[idx[i]]` with a masked tail.
-    ///
-    /// # Safety
-    ///
-    /// Caller verified the avx512 feature set and that every index is
-    /// `< src.len()`; `dst.len() == idx.len()` is asserted by the
-    /// dispatcher. Masked-out tail lanes access no memory.
-    #[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-    pub(super) unsafe fn gather_avx512(src: &[f32], idx: &[u32], dst: &mut [f32]) {
-        let n = idx.len();
-        let full = n / 16 * 16;
-        let mut i = 0usize;
-        while i < full {
-            let iv = _mm512_loadu_epi32(idx.as_ptr().add(i).cast());
-            let g = _mm512_i32gather_ps::<4>(iv, src.as_ptr().cast());
-            _mm512_storeu_ps(dst.as_mut_ptr().add(i), g);
-            i += 16;
-        }
-        let rem = n - full;
-        if rem > 0 {
-            let m: __mmask16 = (1u16 << rem) - 1;
-            let iv = _mm512_maskz_loadu_epi32(m, idx.as_ptr().add(full).cast());
-            let g = _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), m, iv, src.as_ptr().cast());
-            _mm512_mask_storeu_ps(dst.as_mut_ptr().add(full), m, g);
-        }
-    }
-
-    /// Strided gather for the f32 panel stage: `stage[i·bb + j] =
-    /// src[gather[i]]`, one right-hand side `j` at a time — the AVX2
-    /// version at twice the gather width, masked on the tail. Stores stay
-    /// scalar (the stride defeats a vector store).
+    /// Strided gather for the `f64` panel stage: `stage[i·bb + j] =
+    /// src[gather[i]]`, one right-hand side `j` at a time — 8 double
+    /// lanes per 512-bit gather, indices in one 256-bit register, masked
+    /// on the tail. Stores stay scalar (the stride defeats a vector
+    /// store).
     ///
     /// # Safety
     ///
     /// Caller verified the avx512 feature set, every gather index
     /// `< src.len()`, and `stage.len() == gather.len()·bb` with `j < bb`.
-    #[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-    pub(super) unsafe fn gather_strided_avx512(
-        src: &[f32],
-        gather: &[u32],
-        stage: &mut [f32],
-        bb: usize,
-        j: usize,
-    ) {
-        let mut buf = [0.0f32; 16];
-        let n = gather.len();
-        let full = n / 16 * 16;
-        let mut i = 0usize;
-        while i < full {
-            let iv = _mm512_loadu_epi32(gather.as_ptr().add(i).cast());
-            let vals = _mm512_i32gather_ps::<4>(iv, src.as_ptr().cast());
-            _mm512_storeu_ps(buf.as_mut_ptr(), vals);
-            for (k, &v) in buf.iter().enumerate() {
-                stage[(i + k) * bb + j] = v;
-            }
-            i += 16;
-        }
-        let rem = n - full;
-        if rem > 0 {
-            let m: __mmask16 = (1u16 << rem) - 1;
-            let iv = _mm512_maskz_loadu_epi32(m, gather.as_ptr().add(full).cast());
-            let vals =
-                _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), m, iv, src.as_ptr().cast());
-            _mm512_mask_storeu_ps(buf.as_mut_ptr(), m, vals);
-            for (k, &v) in buf[..rem].iter().enumerate() {
-                stage[(full + k) * bb + j] = v;
-            }
-        }
-    }
-
-    /// [`gather_strided_avx512`] for `f64` panels: 8 double lanes per
-    /// 512-bit gather, indices in one 256-bit register.
-    ///
-    /// # Safety
-    ///
-    /// As [`gather_strided_avx512`].
+    /// Masked-out tail lanes access no memory.
     #[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
     pub(super) unsafe fn gather_strided_avx512_pd(
         src: &[f64],
@@ -870,121 +781,16 @@ mod avx512 {
         }
     }
 
-    /// 16-slot single-vector walk: gather + multiply vectorized (masked
-    /// on the tail), scatter adds scalar and in slot order —
-    /// bit-identical to the scalar path, because a masked multiply lane
-    /// computes the identical IEEE product the scalar remainder did.
-    ///
-    /// # Safety
-    ///
-    /// Caller verified the avx512 feature set and that every gather index
-    /// is `< operands.len()`. Scatter adds use bounds-checked indexing.
-    #[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-    pub(super) unsafe fn window_walk_avx512(
-        values: &[f32],
-        idx: &[u32],
-        row_mods: &[u32],
-        operands: &[f32],
-        adders: &mut [f32],
-    ) {
-        let mut buf = [0.0f32; 16];
-        let n = values.len();
-        let mut s = 0usize;
-        while s < n {
-            let rem = (n - s).min(16);
-            let m: __mmask16 = if rem == 16 { !0 } else { (1u16 << rem) - 1 };
-            let iv = _mm512_maskz_loadu_epi32(m, idx.as_ptr().add(s).cast());
-            let xs =
-                _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), m, iv, operands.as_ptr().cast());
-            let vv = _mm512_maskz_loadu_ps(m, values.as_ptr().add(s));
-            let p = _mm512_mul_ps(vv, xs);
-            _mm512_mask_storeu_ps(buf.as_mut_ptr(), m, p);
-            for (k, &rm) in row_mods[s..s + rem].iter().enumerate() {
-                adders[rm as usize] += buf[k];
-            }
-            s += rem;
-        }
-    }
-
-    /// f32 panel walk at a compile-time width of `NREG` 512-bit registers
-    /// (`bb = 16·NREG`): per slot, `NREG` straight-line FMAs.
-    ///
-    /// # Safety
-    ///
-    /// Caller verified the avx512 feature set and that for every slot,
-    /// `(idx[i]+1)·16·NREG ≤ operands.len()` and
-    /// `(row_mods[i]+1)·16·NREG ≤ acc.len()` (schedule invariants,
-    /// debug-asserted by the dispatcher).
-    #[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-    pub(super) unsafe fn panel_walk_avx512_const<const NREG: usize>(
-        values: &[f32],
-        idx: &[u32],
-        row_mods: &[u32],
-        operands: &[f32],
-        acc: &mut [f32],
-    ) {
-        let op = operands.as_ptr();
-        let ac = acc.as_mut_ptr();
-        for ((&v, &c), &r) in values.iter().zip(idx).zip(row_mods) {
-            let vv = _mm512_set1_ps(v);
-            let xp = op.add(c as usize * (NREG * 16));
-            let ap = ac.add(r as usize * (NREG * 16));
-            for k in 0..NREG {
-                let av = _mm512_loadu_ps(ap.add(16 * k));
-                let xv = _mm512_loadu_ps(xp.add(16 * k));
-                _mm512_storeu_ps(ap.add(16 * k), _mm512_fmadd_ps(vv, xv, av));
-            }
-        }
-    }
-
-    /// f32 panel walk at any width `bb`: 16-lane FMA strides plus a
-    /// masked remainder — the masked loads/stores replacing the scalar
-    /// tail loop of the AVX2 path.
-    ///
-    /// # Safety
-    ///
-    /// Caller verified the avx512 feature set. Per-slot blocks are
-    /// obtained with bounds-checked slicing before any raw load, and the
-    /// remainder mask covers exactly the in-bounds lanes.
-    #[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-    pub(super) unsafe fn panel_walk_avx512(
-        values: &[f32],
-        idx: &[u32],
-        row_mods: &[u32],
-        operands: &[f32],
-        acc: &mut [f32],
-        bb: usize,
-    ) {
-        for ((&v, &c), &r) in values.iter().zip(idx).zip(row_mods) {
-            let x = &operands[c as usize * bb..c as usize * bb + bb];
-            let a = &mut acc[r as usize * bb..r as usize * bb + bb];
-            let vv = _mm512_set1_ps(v);
-            let xp = x.as_ptr();
-            let ap = a.as_mut_ptr();
-            let mut j = 0usize;
-            while j + 16 <= bb {
-                let av = _mm512_loadu_ps(ap.add(j));
-                let xv = _mm512_loadu_ps(xp.add(j));
-                _mm512_storeu_ps(ap.add(j), _mm512_fmadd_ps(vv, xv, av));
-                j += 16;
-            }
-            let rem = bb - j;
-            if rem > 0 {
-                let m: __mmask16 = (1u16 << rem) - 1;
-                let av = _mm512_maskz_loadu_ps(m, ap.add(j));
-                let xv = _mm512_maskz_loadu_ps(m, xp.add(j));
-                _mm512_mask_storeu_ps(ap.add(j), m, _mm512_fmadd_ps(vv, xv, av));
-            }
-        }
-    }
-
     /// f64 panel walk at a compile-time width of `NREG` 512-bit `pd`
     /// registers (`bb = 8·NREG`): the slot value is widened once, then
     /// `NREG` straight-line double-precision FMAs per slot.
     ///
     /// # Safety
     ///
-    /// As [`panel_walk_avx512_const`] with 8-lane blocks.
+    /// Caller verified the avx512 feature set and that for every slot,
+    /// `(idx[i]+1)·8·NREG ≤ operands.len()` and
+    /// `(row_mods[i]+1)·8·NREG ≤ acc.len()` (schedule invariants,
+    /// debug-asserted by the dispatcher).
     #[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
     pub(super) unsafe fn panel_walk_f64_avx512_const<const NREG: usize>(
         values: &[f32],
@@ -1012,7 +818,9 @@ mod avx512 {
     ///
     /// # Safety
     ///
-    /// As [`panel_walk_avx512`].
+    /// Caller verified the avx512 feature set. Per-slot blocks are
+    /// obtained with bounds-checked slicing before any raw load, and the
+    /// remainder mask covers exactly the in-bounds lanes.
     #[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
     pub(super) unsafe fn panel_walk_f64_avx512(
         values: &[f32],

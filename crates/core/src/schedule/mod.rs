@@ -47,6 +47,7 @@ pub mod windows;
 pub mod workspace;
 
 use crate::config::{ColoringAlgorithm, GustConfig, SchedulingPolicy};
+use crate::kernels::REG_BLOCK;
 use crate::parallel::Pool;
 use banded::{BandedSchedule, BandedWindow, ColumnBands};
 use gust_sparse::CsrMatrix;
@@ -175,21 +176,23 @@ impl Scheduler {
 
     /// As [`Scheduler::schedule_tiled`], sized for batched execution of
     /// `batch` right-hand sides (both budgets divide by the effective
-    /// width `min(batch, reg_block)` — accumulator panels and operand
-    /// slices scale with the register block alike).
+    /// width `min(batch, REG_BLOCK)` — accumulator panels and operand
+    /// slices scale with the register block alike). The plan does not
+    /// depend on the configured backend: every backend walks
+    /// [`REG_BLOCK`]-wide blocks.
     ///
     /// # Panics
     ///
     /// Panics if `batch` is zero.
     #[must_use]
     pub fn schedule_tiled_for_batch(&self, matrix: &CsrMatrix, batch: usize) -> TiledSchedule {
-        let width = batch.min(self.config.effective_backend().reg_block());
+        let width = batch.min(REG_BLOCK);
         self.schedule_tiled_for_width(matrix, batch, width, std::mem::size_of::<f32>())
     }
 
     /// As [`Scheduler::schedule_tiled_for_batch`], sized for **f64**
     /// batched execution ([`crate::Gust::execute_batch_tiled_f64`]):
-    /// effective width `min(batch, reg_block_f64)`, both budgets divided
+    /// effective width `min(batch, REG_BLOCK)`, both budgets divided
     /// by 8-byte elements.
     ///
     /// # Panics
@@ -197,7 +200,7 @@ impl Scheduler {
     /// Panics if `batch` is zero.
     #[must_use]
     pub fn schedule_tiled_for_batch_f64(&self, matrix: &CsrMatrix, batch: usize) -> TiledSchedule {
-        let width = batch.min(self.config.effective_backend().reg_block_f64());
+        let width = batch.min(REG_BLOCK);
         self.schedule_tiled_for_width(matrix, batch, width, std::mem::size_of::<f64>())
     }
 

@@ -57,6 +57,7 @@
 
 use crate::engine::Gust;
 use crate::error::GustError;
+use crate::kernels::REG_BLOCK;
 use crate::schedule::scheduled::ScheduledMatrix;
 use crate::schedule::serialize;
 use crate::schedule::tiled::TiledSchedule;
@@ -696,10 +697,9 @@ impl ScheduleRegistry {
             ScheduleKind::Flat => PreparedSchedule::Flat(self.engine.schedule(matrix)),
             // Served panels aggregate requests, so tiles and bands are
             // sized for a full register block.
-            ScheduleKind::Tiled => PreparedSchedule::Tiled(
-                self.engine
-                    .schedule_tiled_for_batch(matrix, self.engine.reg_block()),
-            ),
+            ScheduleKind::Tiled => {
+                PreparedSchedule::Tiled(self.engine.schedule_tiled_for_batch(matrix, REG_BLOCK))
+            }
         }
     }
 }

@@ -5,7 +5,9 @@
 //! and friends) — dispatches through a [`Backend`]: a safe scalar
 //! implementation that reproduces the seed arithmetic bit for bit, plus
 //! `std::arch::x86_64` AVX2+FMA and AVX-512 implementations selected at
-//! runtime with `is_x86_feature_detected!`. The selection can be forced
+//! runtime with `is_x86_feature_detected!` (the engine's `f32` walks have
+//! no AVX-512 version and run their AVX2 kernels under
+//! [`Backend::Avx512`]). The selection can be forced
 //! with the `GUST_BACKEND` environment variable (`scalar`, `avx2`,
 //! `avx512`, or `auto`) so CI legs and benchmarks can pin a backend
 //! regardless of host.
@@ -69,11 +71,13 @@ pub enum Backend {
     /// x86-64 hosts whose CPU reports `avx2` and `fma`.
     Avx2,
     /// 512-bit AVX-512 gathers + FMA with masked tails
-    /// (`std::arch::x86_64`). Only available on x86-64 hosts whose CPU
-    /// reports exactly the subfeature set the kernels use: `avx512f`
-    /// (512-bit registers, masked loads/gathers) and `avx512vl` (the
-    /// 256-bit masked ops in the f64 paths), plus the `avx2`+`fma`
-    /// baseline.
+    /// (`std::arch::x86_64`) for the CSR/CSC kernels here and the engine's
+    /// `f64` panel walk; the engine's `f32` walks run the AVX2 kernels
+    /// under this backend (their AVX-512 versions lost every measured
+    /// probe). Only available on x86-64 hosts whose CPU reports exactly
+    /// the subfeature set the kernels use: `avx512f` (512-bit registers,
+    /// masked loads/gathers) and `avx512vl` (the 256-bit masked ops in
+    /// the f64 paths), plus the `avx2`+`fma` baseline.
     Avx512,
 }
 
@@ -122,43 +126,6 @@ impl Backend {
             }
             #[cfg(not(target_arch = "x86_64"))]
             Self::Avx2 | Self::Avx512 => false,
-        }
-    }
-
-    /// Register-block width of the batched `f32` engine kernels under this
-    /// backend: how many right-hand sides one scheduled slot processes per
-    /// inner-loop step — a backend property, not a hardcoded engine
-    /// constant. 8 `f32` lanes fill one 256-bit register on the scalar and
-    /// AVX2 backends: the scalar path autovectorizes a fixed-8 array FMA,
-    /// the AVX2 path issues one explicit `vfmadd` per slot. Measurements
-    /// at the paper's 16 384² / 1.25 M-nnz shape showed that doubling the
-    /// AVX2 width to 16 doubles the interleaved operand panel to ~1 MB
-    /// and falls out of L2 — costing ~1.5× more wall clock than the
-    /// single-register block despite halving slot overhead — so wider
-    /// blocks are reserved for backends with the registers to fill them:
-    /// AVX-512 runs 16 lanes (one 512-bit `vfmadd` per slot, the same
-    /// panel footprint *per register* as AVX2), and the band/tile budget
-    /// math sizes operand bands from the effective element width so the
-    /// 2× panel footprint narrows bands instead of falling out of L2
-    /// (the PR 3 cliff re-measured under AVX-512 — see `BENCH_spmv.json`).
-    #[must_use]
-    pub fn reg_block(self) -> usize {
-        match self {
-            Self::Scalar | Self::Avx2 => 8,
-            Self::Avx512 => 16,
-        }
-    }
-
-    /// Register-block width of the batched `f64` engine kernels: the f64
-    /// twin of [`Backend::reg_block`]. 8 lanes everywhere — one 512-bit
-    /// `vfmadd...pd` register on AVX-512, a fixed-8 autovectorized array
-    /// FMA on the scalar path (which is also what a forced-Avx2 f64 walk
-    /// runs: AVX2 has no explicit f64 panel kernel, and 8 f64 lanes are
-    /// two 256-bit registers the autovectorizer already handles well).
-    #[must_use]
-    pub fn reg_block_f64(self) -> usize {
-        match self {
-            Self::Scalar | Self::Avx2 | Self::Avx512 => 8,
         }
     }
 }
@@ -786,12 +753,6 @@ mod tests {
     #[test]
     fn scalar_is_always_available() {
         assert!(Backend::Scalar.is_available());
-        assert_eq!(Backend::Scalar.reg_block(), 8);
-        assert_eq!(Backend::Avx2.reg_block(), 8);
-        assert_eq!(Backend::Avx512.reg_block(), 16);
-        for b in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
-            assert_eq!(b.reg_block_f64(), 8);
-        }
     }
 
     #[test]

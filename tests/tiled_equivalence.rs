@@ -227,3 +227,40 @@ fn auto_tiled_schedules_execute_correctly_under_forced_budgets() {
         assert!(max_err < 1e-3, "column {j}: {max_err}");
     }
 }
+
+/// A batched plan does not depend on the backend that built it: every
+/// backend walks `REG_BLOCK`-wide register blocks, so under forced
+/// budgets (which the register block divides) the scalar, AVX2 and
+/// AVX-512 engines build byte-identical `GUTL` schedules.
+#[test]
+fn batched_plans_are_identical_across_backends() {
+    use gust::schedule::serialize::write_tiled_schedule;
+    let matrix = generate(1, 200, 150, 2400, 31);
+    let plan = |backend: Backend| {
+        let engine = Gust::new(
+            GustConfig::new(8)
+                .with_backend(Some(backend))
+                .with_row_budget(Some(1024))
+                .with_cache_budget(Some(1024)),
+        );
+        assert_eq!(engine.reg_block(), 8, "{}", backend.name());
+        assert_eq!(engine.reg_block_f64(), 8, "{}", backend.name());
+        let tiled = engine.schedule_tiled_for_batch(&matrix, 16);
+        let mut bytes = Vec::new();
+        write_tiled_schedule(&tiled, &mut bytes).expect("write to vec");
+        (tiled, bytes)
+    };
+    let (tiled, scalar) = plan(Backend::Scalar);
+    assert!(
+        tiled.tile_count() > 1 && tiled.tiles().iter().any(|t| t.bands().count() > 1),
+        "forced budgets must tile and band the plan"
+    );
+    for backend in backends() {
+        let (_, bytes) = plan(backend);
+        assert!(
+            bytes == scalar,
+            "{} plan differs from scalar",
+            backend.name()
+        );
+    }
+}
