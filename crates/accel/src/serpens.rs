@@ -9,7 +9,9 @@
 //! additional spacing that the Serpens scheduler cannot always hide; this
 //! model folds that into a single calibrated `dependency_factor`
 //! (default 1.8, set so the published Table 4 cycle counts are reproduced
-//! within ~10% on the paper's own matrices — see EXPERIMENTS.md).
+//! within ~10% on the paper's own matrices — the `table4` runner prints the
+//! comparison: `cargo bench -p gust_bench --bench table4`, or the `table4`
+//! section of `repro_all`).
 //!
 //! Unlike the §2 baselines, Serpens runs at its own 223 MHz synthesis
 //! clock and has a real preprocessing step (building the padded format),

@@ -1,5 +1,7 @@
 //! Runs every paper-artifact runner in sequence and prints one combined
-//! report — convenient for regenerating EXPERIMENTS.md's numbers.
+//! report: the paper's tables and figures in one run. Each section is also
+//! a bench target of its own (e.g. `cargo bench -p gust_bench --bench
+//! table4` for the Tables 3–4 comparison against Serpens).
 //!
 //! ```sh
 //! cargo run --release -p gust_bench --bin repro_all            # default scale
@@ -25,14 +27,6 @@ fn main() {
         ("bound", runners::bound::run(scale)),
         ("ablation", runners::ablation::run(scale)),
         ("scaling", runners::scaling::run(scale)),
-        (
-            "schedule_throughput",
-            runners::schedule_throughput::run(scale),
-        ),
-        (
-            "spmv_throughput",
-            runners::spmv_throughput::run(scale).report,
-        ),
     ];
 
     for (name, body) in &sections {

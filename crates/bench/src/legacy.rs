@@ -1,17 +1,17 @@
-//! The seed implementation's performance baselines, preserved verbatim:
-//! the `Vec<Vec<_>>` scheduling pipeline (for `schedule_throughput`) and
-//! the array-of-structs slot-at-a-time execution engine plus the scalar
-//! reference SpMV (for `spmv_throughput` and the micro benches).
+//! The seed implementation, preserved verbatim as a reference oracle: the
+//! `Vec<Vec<_>>` scheduling pipeline, the array-of-structs slot-at-a-time
+//! execution engine and the scalar reference SpMV. This module's tests pin
+//! the production scheduler, engine and CSR kernels against them, and the
+//! `micro` bench times the production engine and CSR kernels against them
+//! on identical inputs.
 //!
 //! The production scheduler in `gust::schedule` now colors windows into
 //! reusable flat buffers, and the production engine streams a
 //! structure-of-arrays layout; this module keeps the original shapes — one
 //! `Vec<Vec<WindowEdge>>` per window, `HashMap`-based lane assignment, an
 //! array-of-structs `ScheduledSlot` walk with per-cycle counter
-//! bookkeeping, a scalar accumulation chain per CSR row — so every future
-//! PR can measure the current pipeline against the seed one on identical
-//! inputs. It intentionally trades speed for fidelity to the seed code; do
-//! not "optimize" it.
+//! bookkeeping, a scalar accumulation chain per CSR row. It intentionally
+//! trades speed for fidelity to the seed code; do not "optimize" it.
 
 // Fidelity over lints: this file mirrors the seed implementation verbatim.
 #![allow(clippy::needless_range_loop)]
@@ -58,7 +58,7 @@ impl LegacyWindow {
 ///
 /// Panics on [`SchedulingPolicy::Naive`] and
 /// [`ColoringAlgorithm::Konig`] — the baseline covers the greedy
-/// edge-coloring paths the throughput benchmark sweeps.
+/// edge-coloring paths (`Verbatim` and `Grouped`).
 #[must_use]
 pub fn legacy_schedule_windows(matrix: &CsrMatrix, config: &GustConfig) -> Vec<WindowSchedule> {
     assert!(
@@ -316,8 +316,8 @@ pub fn legacy_slot_windows(schedule: &ScheduledMatrix) -> Vec<LegacySlotWindow> 
 /// window. Returns the output vector and the measured busy unit-cycles.
 ///
 /// Output is bit-identical to `gust::Gust::execute` — the baseline only
-/// differs in data layout and bookkeeping, which is exactly what
-/// `spmv_throughput` measures.
+/// differs in data layout and bookkeeping, which is exactly what the
+/// `micro` bench's engine group measures.
 ///
 /// # Panics
 ///
@@ -439,13 +439,16 @@ mod tests {
         for (name, coo) in [
             ("uniform", gen::uniform(200, 200, 3000, 3)),
             ("power-law", gen::power_law(200, 200, 2500, 1.9, 4)),
+            ("rmat", gen::rmat(1024, 1024, 20_000, 13)),
         ] {
             let m = CsrMatrix::from(&coo);
-            for algo in [ColoringAlgorithm::Verbatim, ColoringAlgorithm::Grouped] {
-                let config = GustConfig::new(16).with_coloring(algo);
-                let flat = Gust::new(config.clone()).schedule(&m);
-                let legacy = legacy_schedule_windows(&m, &config);
-                assert_eq!(legacy.as_slice(), flat.windows(), "{name} {algo:?}");
+            for l in [16, 256] {
+                for algo in [ColoringAlgorithm::Verbatim, ColoringAlgorithm::Grouped] {
+                    let config = GustConfig::new(l).with_coloring(algo);
+                    let flat = Gust::new(config.clone()).schedule(&m);
+                    let legacy = legacy_schedule_windows(&m, &config);
+                    assert_eq!(legacy.as_slice(), flat.windows(), "{name} l={l} {algo:?}");
+                }
             }
         }
     }

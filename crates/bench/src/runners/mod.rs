@@ -8,9 +8,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod scaling;
-pub mod schedule_throughput;
-pub mod serve_load;
-pub mod spmv_throughput;
 pub mod table1;
 pub mod table2;
 pub mod table4;

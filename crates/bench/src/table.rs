@@ -84,68 +84,6 @@ impl TextTable {
     }
 }
 
-impl TextTable {
-    /// Renders the table as a JSON array of objects, one per row, keyed by
-    /// the header names. Cells that parse as finite numbers are emitted as
-    /// JSON numbers; everything else as strings. This is the
-    /// machine-readable twin of [`TextTable::render`], used by the
-    /// `schedule_throughput` runner so successive PRs can diff performance
-    /// trajectories.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n  {");
-            for (j, (key, cell)) in self.header.iter().zip(row).enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&json_string(key));
-                out.push_str(": ");
-                match cell.parse::<f64>() {
-                    Ok(v) if v.is_finite() => out.push_str(&format_json_number(v)),
-                    _ => out.push_str(&json_string(cell)),
-                }
-            }
-            out.push('}');
-        }
-        out.push_str("\n]");
-        out
-    }
-}
-
-/// Escapes a string for JSON output.
-#[must_use]
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats a finite float as a JSON number (integers without a fraction).
-fn format_json_number(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{v:.0}")
-    } else {
-        format!("{v}")
-    }
-}
-
 /// Formats a float in short engineering style (3 significant digits).
 #[must_use]
 pub fn sig3(v: f64) -> String {
@@ -183,25 +121,6 @@ mod tests {
     fn rejects_mismatched_rows() {
         let mut t = TextTable::new(["a", "b"]);
         t.push_row(["only-one"]);
-    }
-
-    #[test]
-    fn json_rendering_types_cells() {
-        let mut t = TextTable::new(["name", "count", "note"]);
-        t.push_row(["alpha", "12", "plain"]);
-        t.push_row(["beta", "3.5", "has \"quotes\""]);
-        let json = t.to_json();
-        assert!(json.contains("\"name\": \"alpha\""));
-        assert!(json.contains("\"count\": 12"));
-        assert!(json.contains("\"count\": 3.5"));
-        assert!(json.contains("\\\"quotes\\\""));
-        assert!(json.starts_with('[') && json.ends_with(']'));
-    }
-
-    #[test]
-    fn json_string_escapes_controls() {
-        assert_eq!(json_string("a\nb"), "\"a\\nb\"");
-        assert_eq!(json_string("t\tq\"s\\"), "\"t\\tq\\\"s\\\\\"");
     }
 
     #[test]

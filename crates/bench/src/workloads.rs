@@ -50,137 +50,6 @@ pub fn shifted_panel(x: &[f32], batch: usize, shift: f32) -> Vec<f32> {
     panel
 }
 
-/// A hub-concentrated wide matrix: `rows × cols` with all non-zeros
-/// drawn from `hubs` distinct columns spread evenly across the (much
-/// wider) column range. This is the shape where the engine's
-/// window-local operand staging pays: the input vector is far larger
-/// than on-chip cache, but each window touches only the hub columns, so
-/// gathering them once into a dense stage turns the inner loop's
-/// scattered reads into cache-resident ones. Deterministic in `seed`;
-/// within each row, hub choices step by a stride coprime to `hubs`, so a
-/// row never repeats a column.
-///
-/// # Panics
-///
-/// Panics if `hubs` is zero, exceeds `cols`, or `nnz / rows > hubs`.
-#[must_use]
-pub fn hub_matrix(rows: usize, cols: usize, nnz: usize, hubs: usize, seed: u64) -> CsrMatrix {
-    assert!(hubs > 0 && hubs <= cols, "hubs must be in 1..=cols");
-    let per_row = nnz.div_ceil(rows);
-    assert!(per_row <= hubs, "rows would repeat a hub column");
-    let spread = cols / hubs;
-    // A stride coprime to `hubs` visits every hub before repeating, so
-    // `per_row ≤ hubs` entries stay distinct. Offsetting the start per
-    // row by the seed keeps different seeds producing different patterns.
-    fn gcd(a: usize, b: usize) -> usize {
-        if b == 0 {
-            a
-        } else {
-            gcd(b, a % b)
-        }
-    }
-    let stride = [7usize, 11, 13, 17, 19, 23, 29, 1]
-        .into_iter()
-        .find(|&s| gcd(s, hubs) == 1)
-        .expect("1 is coprime to everything");
-    let mut coo = gust_sparse::CooMatrix::new(rows, cols);
-    let mut placed = 0usize;
-    'outer: for r in 0..rows {
-        let start = (r as u64)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(seed) as usize
-            % hubs;
-        for k in 0..per_row {
-            if placed == nnz {
-                break 'outer;
-            }
-            let hub = (start + k * stride) % hubs;
-            let col = hub * spread;
-            let value = ((placed % 17) as f32) / 8.0 - 1.0;
-            coo.push(r, col, value).expect("hub column in bounds");
-            placed += 1;
-        }
-    }
-    CsrMatrix::from(&coo)
-}
-
-/// An LLC-exceeding workload for the cache-blocked (tiled) schedules: the matrix, plus the budgets its blocked rows should
-/// force.
-pub struct LlcWorkload {
-    /// Workload label (`llc-uniform`, `llc-power-law`, `llc-tall-out`).
-    pub name: &'static str,
-    /// The matrix. Full scale: 2²⁰ rows × 2²² columns (operand-heavy
-    /// shapes) or 2²² rows × 2¹⁸ columns (`llc-tall-out`).
-    pub matrix: CsrMatrix,
-    /// Cache budget (bytes) forced for the tiled rows' column bands:
-    /// sized so the operand vector is a large multiple of the budget at
-    /// any scale.
-    pub cache_budget: usize,
-    /// Row budget (bytes) forced for the tiled rows: `Some` on shapes
-    /// whose *output* vector exceeds the LLC (`llc-tall-out`), `None`
-    /// where tiling should run under the auto budget (usually one tile).
-    pub row_budget: Option<usize>,
-}
-
-/// The LLC-exceeding workloads of the cache-blocking acceptance runs.
-///
-/// `llc-uniform` / `llc-power-law` (`scale = 1`: 2²⁰ rows × 2²² columns,
-/// 24 nnz/row) exceed the LLC on the **operand** side: the input vector
-/// is 16 MiB — far past any per-core cache — while the forced budget of
-/// 1 MiB keeps each band's operand slice L2-resident. Uniform columns
-/// are the banding worst case (no reuse inside a band beyond density);
-/// power-law columns are the representative case (shuffled hubs
-/// concentrate reuse in every band).
-///
-/// `llc-tall-out` (`scale = 1`: 2²² rows × 2¹⁸ columns, 6 nnz/row)
-/// exceeds the LLC on the **output** side: the 16 MiB output vector —
-/// and with it a band sweep's carried accumulator panel, which
-/// is `reg_block×` larger still — thrashes under column bands alone.
-/// Its forced row budget (output = 16× budget) makes the 2D tiled
-/// schedules confine each band sweep to a cache-resident row tile.
-#[must_use]
-pub fn llc_workloads(scale: f64) -> Vec<LlcWorkload> {
-    let rows = (((1usize << 20) as f64 * scale) as usize).max(4096);
-    let cols = rows * 4;
-    let nnz = rows * 24;
-    // x = cols × 4 bytes = 16 × budget.
-    let cache_budget = (cols * std::mem::size_of::<f32>() / 16).max(4096);
-    // The tall shape inverts the aspect ratio hard: 4× the rows of the
-    // wide shapes but 16× fewer columns than rows, sparser rows so nnz
-    // stays comparable. The skew is the point — a row-tile walk re-reads
-    // the (small) operand side once per tile while a column-band walk
-    // re-streams the (huge) accumulator side once per band, so the
-    // output-dominated regime is where 2D tiling has to win.
-    let tall_rows = (((1usize << 22) as f64 * scale) as usize).max(16384);
-    let tall_cols = (tall_rows / 16).max(1024);
-    let tall_nnz = tall_rows * 6;
-    // y = tall_rows × 4 bytes = 16 × row budget; the operand vector is
-    // 1 MiB at full scale, and the ¼-sized cache budget still forces
-    // several bands per tile.
-    let tall_row_budget = (tall_rows * std::mem::size_of::<f32>() / 16).max(4096);
-    let tall_cache_budget = (tall_cols * std::mem::size_of::<f32>() / 4).max(4096);
-    vec![
-        LlcWorkload {
-            name: "llc-uniform",
-            matrix: CsrMatrix::from(&gen::uniform(rows, cols, nnz, 51)),
-            cache_budget,
-            row_budget: None,
-        },
-        LlcWorkload {
-            name: "llc-power-law",
-            matrix: CsrMatrix::from(&gen::power_law(rows, cols, nnz, 1.9, 52)),
-            cache_budget,
-            row_budget: None,
-        },
-        LlcWorkload {
-            name: "llc-tall-out",
-            matrix: CsrMatrix::from(&gen::uniform(tall_rows, tall_cols, tall_nnz, 53)),
-            cache_budget: tall_cache_budget,
-            row_budget: Some(tall_row_budget),
-        },
-    ]
-}
-
 /// The Fig. 7–9 suite at the given scale: `(entry, matrix)` pairs in the
 /// paper's density order.
 #[must_use]
@@ -307,47 +176,5 @@ mod tests {
     fn env_scale_default_applies() {
         std::env::remove_var("GUST_SCALE");
         assert_eq!(env_scale(0.3), 0.3);
-    }
-
-    #[test]
-    fn hub_matrix_concentrates_columns() {
-        let m = hub_matrix(100, 10_000, 2_000, 64, 9);
-        assert_eq!(m.rows(), 100);
-        assert_eq!(m.cols(), 10_000);
-        assert_eq!(m.nnz(), 2_000);
-        // All columns land on at most `hubs` distinct values.
-        let mut cols: Vec<u32> = m.iter().map(|(_, c, _)| c as u32).collect();
-        cols.sort_unstable();
-        cols.dedup();
-        assert!(cols.len() <= 64, "{} distinct columns", cols.len());
-        // Deterministic in the seed.
-        assert_eq!(m, hub_matrix(100, 10_000, 2_000, 64, 9));
-        assert_ne!(m, hub_matrix(100, 10_000, 2_000, 64, 10));
-    }
-
-    #[test]
-    #[should_panic(expected = "repeat a hub")]
-    fn hub_matrix_rejects_overfull_rows() {
-        let _ = hub_matrix(10, 1_000, 500, 16, 1);
-    }
-
-    #[test]
-    fn llc_workloads_force_the_right_budgets() {
-        let ws = llc_workloads(0.01);
-        assert_eq!(ws.len(), 3);
-        for w in &ws[..2] {
-            // Operand vector a large multiple of the forced cache budget
-            // on the wide (operand-heavy) shapes.
-            assert!(w.matrix.cols() * 4 >= 4 * w.cache_budget, "{}", w.name);
-        }
-        let tall = &ws[2];
-        assert_eq!(tall.name, "llc-tall-out");
-        assert!(
-            tall.matrix.rows() > tall.matrix.cols(),
-            "output-heavy shape"
-        );
-        let row_budget = tall.row_budget.expect("tall shape forces a row budget");
-        assert_eq!(row_budget, (tall.matrix.rows() * 4 / 16).max(4096));
-        assert!(ws[0].row_budget.is_none() && ws[1].row_budget.is_none());
     }
 }
