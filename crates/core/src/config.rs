@@ -1,11 +1,9 @@
-//! GUST configuration: length, clock, scheduling policy, kernel backend,
-//! worker parallelism and the cache and row budgets that size tiled
-//! schedules' column bands and row tiles.
+//! GUST configuration: length, clock, scheduling policy, kernel backend
+//! and worker parallelism.
 //!
 //! # Environment handling
 //!
-//! The runtime env resolvers (`GUST_PARALLELISM`, `GUST_CACHE_BUDGET`,
-//! `GUST_ROW_BUDGET`, and `GUST_BACKEND` over in
+//! The runtime env resolvers (`GUST_PARALLELISM` here, `GUST_BACKEND` in
 //! [`gust_sparse::kernels::default_backend`]) **warn and default** on a
 //! malformed value: a long-lived process must not be taken down at its
 //! first SpMV by a typo in its environment. Callers that instead want a
@@ -130,8 +128,6 @@ pub struct GustConfig {
     coloring: ColoringAlgorithm,
     parallelism: Option<usize>,
     backend: Option<Backend>,
-    cache_budget: Option<usize>,
-    row_budget: Option<usize>,
 }
 
 impl GustConfig {
@@ -155,8 +151,6 @@ impl GustConfig {
             coloring: ColoringAlgorithm::default(),
             parallelism: None,
             backend: None,
-            cache_budget: None,
-            row_budget: None,
         }
     }
 
@@ -170,9 +164,8 @@ impl GustConfig {
     /// (CI legs, benchmark harnesses) rather than degrade it.
     ///
     /// Checked variables: `GUST_PARALLELISM` (positive integer),
-    /// `GUST_BACKEND` (`scalar`/`avx2`/`auto`), `GUST_CACHE_BUDGET` and
-    /// `GUST_ROW_BUDGET` (non-zero byte sizes, `k`/`m`/`g` suffixes
-    /// allowed). Unset (or empty) variables stay on automatic selection.
+    /// `GUST_BACKEND` (`scalar`/`avx2`/`auto`). Unset (or empty) variables
+    /// stay on automatic selection.
     ///
     /// # Errors
     ///
@@ -190,8 +183,6 @@ impl GustConfig {
         let mut config = Self::new(length);
         config.parallelism = checked_env_parallelism()?;
         config.backend = checked_env_backend()?;
-        config.cache_budget = checked_env_byte_budget("GUST_CACHE_BUDGET")?;
-        config.row_budget = checked_env_byte_budget("GUST_ROW_BUDGET")?;
         Ok(config)
     }
 
@@ -242,59 +233,6 @@ impl GustConfig {
     #[must_use]
     pub fn with_backend(mut self, backend: Option<Backend>) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Sets the cache budget in bytes that the column bands of tiled
-    /// schedules target (see [`crate::schedule::banded`]): bands are sized
-    /// so one band's operand slice at the walk's **effective batch
-    /// width** — `band_cols × width × 4` bytes, where the width is 1 for
-    /// single-vector schedules and the register block for batched ones
-    /// (see [`crate::schedule::banded::ColumnBands::for_tile`]) — fits
-    /// the budget, so every gather in a band walk hits a cache-resident
-    /// slice of the input vector.
-    ///
-    /// `None` (default) selects at runtime: the `GUST_CACHE_BUDGET`
-    /// environment variable if set (plain bytes, or with a `k`/`m`/`g`
-    /// suffix), otherwise the host's detected last-level cache size
-    /// (32 MiB when detection fails).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cache_budget` is `Some(0)`.
-    #[must_use]
-    pub fn with_cache_budget(mut self, cache_budget: Option<usize>) -> Self {
-        assert!(
-            cache_budget != Some(0),
-            "cache budget must be at least 1 byte (or None for auto)"
-        );
-        self.cache_budget = cache_budget;
-        self
-    }
-
-    /// Sets the row budget in bytes that 2D tiled schedules target (see
-    /// [`crate::schedule::tiled::TiledSchedule`]): row tiles are sized so
-    /// one tile's output slice — `tile_rows × batch × 4` bytes at the
-    /// effective batch width — fits the budget, so the `y[row]`
-    /// accumulations of a tile walk stay cache-resident even when the
-    /// whole output vector does not.
-    ///
-    /// `None` (default) selects at runtime: the `GUST_ROW_BUDGET`
-    /// environment variable if set (plain bytes, or with a `k`/`m`/`g`
-    /// suffix), otherwise the host's detected last-level cache size
-    /// (32 MiB when detection fails) — the same resolution rules as
-    /// [`GustConfig::with_cache_budget`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row_budget` is `Some(0)`.
-    #[must_use]
-    pub fn with_row_budget(mut self, row_budget: Option<usize>) -> Self {
-        assert!(
-            row_budget != Some(0),
-            "row budget must be at least 1 byte (or None for auto)"
-        );
-        self.row_budget = row_budget;
         self
     }
 
@@ -371,36 +309,6 @@ impl GustConfig {
         }
     }
 
-    /// Configured cache budget in bytes (see
-    /// [`GustConfig::with_cache_budget`]); `None` means runtime selection.
-    #[must_use]
-    pub fn cache_budget(&self) -> Option<usize> {
-        self.cache_budget
-    }
-
-    /// The cache budget band partitioning will actually use: the
-    /// configured one, else the `GUST_CACHE_BUDGET` environment variable,
-    /// else the detected last-level cache size (32 MiB fallback).
-    #[must_use]
-    pub fn effective_cache_budget(&self) -> usize {
-        self.cache_budget.unwrap_or_else(default_cache_budget)
-    }
-
-    /// Configured row budget in bytes (see
-    /// [`GustConfig::with_row_budget`]); `None` means runtime selection.
-    #[must_use]
-    pub fn row_budget(&self) -> Option<usize> {
-        self.row_budget
-    }
-
-    /// The row budget tile partitioning will actually use: the configured
-    /// one, else the `GUST_ROW_BUDGET` environment variable, else the
-    /// detected last-level cache size (32 MiB fallback).
-    #[must_use]
-    pub fn effective_row_budget(&self) -> usize {
-        self.row_budget.unwrap_or_else(default_row_budget)
-    }
-
     /// Worker threads to use for `items` independent work units (schedule
     /// windows, batched-execution register blocks): the configured
     /// [`GustConfig::with_parallelism`] count, else the `GUST_PARALLELISM`
@@ -455,21 +363,6 @@ fn checked_env_backend() -> Result<Option<Backend>, ConfigError> {
     }
 }
 
-/// Validated byte-budget variable (`GUST_CACHE_BUDGET` /
-/// `GUST_ROW_BUDGET`): `Ok(None)` when unset/empty.
-fn checked_env_byte_budget(var: &str) -> Result<Option<usize>, ConfigError> {
-    match std::env::var(var) {
-        Ok(raw) if !raw.is_empty() => parse_byte_size(&raw).map(Some).ok_or_else(|| {
-            ConfigError::new(
-                var,
-                &raw,
-                "must be a non-zero byte size (e.g. 262144, 256k, 4m)",
-            )
-        }),
-        _ => Ok(None),
-    }
-}
-
 /// The `GUST_PARALLELISM` environment override, parsed once per process.
 /// `0` or a non-number warns (once) and falls back to automatic
 /// parallelism — validate with [`GustConfig::from_env_checked`] when a
@@ -483,85 +376,6 @@ fn env_parallelism() -> Option<usize> {
             None
         }
     })
-}
-
-/// The process-wide default cache budget: `GUST_CACHE_BUDGET` (plain
-/// bytes or `k`/`m`/`g` suffixed) if set, otherwise the host's detected
-/// last-level cache size, otherwise 32 MiB. Read once and cached.
-#[must_use]
-pub fn default_cache_budget() -> usize {
-    static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| env_byte_budget("GUST_CACHE_BUDGET"))
-}
-
-/// The process-wide default row budget for 2D tiled schedules:
-/// `GUST_ROW_BUDGET` (plain bytes or `k`/`m`/`g` suffixed) if set,
-/// otherwise the host's detected last-level cache size, otherwise
-/// 32 MiB. Read once and cached.
-#[must_use]
-pub fn default_row_budget() -> usize {
-    static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| env_byte_budget("GUST_ROW_BUDGET"))
-}
-
-/// Resolves one byte-budget environment variable: the parsed value when
-/// set, the detected LLC size otherwise, 32 MiB as the last resort. A
-/// malformed or overflowing value warns and takes the detected default —
-/// validate with [`GustConfig::from_env_checked`] when a misspelled CI
-/// leg should fail loudly instead.
-fn env_byte_budget(var: &str) -> usize {
-    let configured = match checked_env_byte_budget(var) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("warning: {e}; using the detected cache size");
-            None
-        }
-    };
-    configured.unwrap_or_else(|| detect_llc_bytes().unwrap_or(32 * 1024 * 1024))
-}
-
-/// Parses `"262144"`, `"256k"`, `"4M"`, `"1g"` into bytes. `None` on
-/// malformed input, a zero size, or a product that overflows `usize`
-/// (`checked_mul`: `99999999999g` must hit the caller's panic path, not
-/// wrap to a tiny budget in release builds).
-fn parse_byte_size(raw: &str) -> Option<usize> {
-    let raw = raw.trim();
-    let (digits, multiplier) = match raw.chars().last()? {
-        'k' | 'K' => (&raw[..raw.len() - 1], 1024usize),
-        'm' | 'M' => (&raw[..raw.len() - 1], 1024 * 1024),
-        'g' | 'G' => (&raw[..raw.len() - 1], 1024 * 1024 * 1024),
-        _ => (raw, 1),
-    };
-    let n: usize = digits.trim().parse().ok()?;
-    n.checked_mul(multiplier).filter(|&b| b > 0)
-}
-
-/// Detects the host's last-level data/unified cache size from Linux
-/// sysfs (`/sys/devices/system/cpu/cpu0/cache/index*/size`). `None` off
-/// Linux or when the hierarchy is unreadable.
-fn detect_llc_bytes() -> Option<usize> {
-    let dir = std::fs::read_dir("/sys/devices/system/cpu/cpu0/cache").ok()?;
-    let mut best: Option<(u32, usize)> = None;
-    for entry in dir.flatten() {
-        let path = entry.path();
-        let read = |name: &str| std::fs::read_to_string(path.join(name)).ok();
-        let Some(kind) = read("type") else { continue };
-        if !matches!(kind.trim(), "Data" | "Unified") {
-            continue;
-        }
-        // A malformed entry skips itself, not the whole scan: the real
-        // LLC may still be readable in a later index.
-        let Some(level) = read("level").and_then(|s| s.trim().parse::<u32>().ok()) else {
-            continue;
-        };
-        let Some(size) = read("size").and_then(|s| parse_byte_size(s.trim())) else {
-            continue;
-        };
-        if best.is_none_or(|(l, _)| level > l) {
-            best = Some((level, size));
-        }
-    }
-    best.map(|(_, size)| size)
 }
 
 #[cfg(test)]
@@ -653,69 +467,6 @@ mod tests {
     #[should_panic(expected = "length must be non-zero")]
     fn zero_length_panics() {
         let _ = GustConfig::new(0);
-    }
-
-    #[test]
-    fn cache_budget_defaults_to_auto_and_pins() {
-        let auto = GustConfig::new(8);
-        assert_eq!(auto.cache_budget(), None);
-        // Auto-detection always lands on something positive.
-        assert!(auto.effective_cache_budget() > 0);
-        let pinned = GustConfig::new(8).with_cache_budget(Some(1 << 20));
-        assert_eq!(pinned.cache_budget(), Some(1 << 20));
-        assert_eq!(pinned.effective_cache_budget(), 1 << 20);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1 byte")]
-    fn zero_cache_budget_panics() {
-        let _ = GustConfig::new(8).with_cache_budget(Some(0));
-    }
-
-    #[test]
-    fn byte_sizes_parse_with_suffixes() {
-        assert_eq!(parse_byte_size("262144"), Some(262_144));
-        assert_eq!(parse_byte_size("256k"), Some(256 * 1024));
-        assert_eq!(parse_byte_size("4M"), Some(4 * 1024 * 1024));
-        assert_eq!(parse_byte_size("1g"), Some(1 << 30));
-        assert_eq!(parse_byte_size("266240K"), Some(266_240 * 1024));
-        assert_eq!(parse_byte_size("0"), None);
-        assert_eq!(parse_byte_size("lots"), None);
-    }
-
-    #[test]
-    fn byte_sizes_reject_overflowing_suffix_products() {
-        // A suffix product past usize::MAX must be rejected (checked_mul),
-        // not wrap to a tiny budget in release builds — the env resolver
-        // then panics with its "must be bytes" message instead of
-        // silently running a different budget than the variable claims.
-        assert_eq!(parse_byte_size("99999999999g"), None);
-        assert_eq!(parse_byte_size(&format!("{}k", usize::MAX)), None);
-        // The largest representable products still parse.
-        assert_eq!(
-            parse_byte_size(&format!("{}", usize::MAX)),
-            Some(usize::MAX)
-        );
-        assert_eq!(
-            parse_byte_size(&format!("{}k", usize::MAX >> 10)),
-            Some((usize::MAX >> 10) << 10)
-        );
-    }
-
-    #[test]
-    fn row_budget_defaults_to_auto_and_pins() {
-        let auto = GustConfig::new(8);
-        assert_eq!(auto.row_budget(), None);
-        assert!(auto.effective_row_budget() > 0);
-        let pinned = GustConfig::new(8).with_row_budget(Some(1 << 16));
-        assert_eq!(pinned.row_budget(), Some(1 << 16));
-        assert_eq!(pinned.effective_row_budget(), 1 << 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1 byte")]
-    fn zero_row_budget_panics() {
-        let _ = GustConfig::new(8).with_row_budget(Some(0));
     }
 
     #[test]

@@ -63,34 +63,16 @@
 //!
 //! The batched walk is **generic over the element type** (the private
 //! [`Element`] trait, monomorphized for f32 and f64):
-//! [`Gust::execute_batch_f64`] and [`Gust::execute_batch_tiled_f64`]
-//! run the identical pipeline in double precision — schedule values
-//! stay f32, widened per slot; f64 register blocks are the same
-//! [`kernels::REG_BLOCK`] lanes, one 512-bit `pd` register on AVX-512 —
-//! and the f64 scheduling twin ([`Gust::schedule_tiled_for_batch_f64`])
-//! divides the cache budgets by the 8-byte element width so band slices
-//! stay resident.
-//!
-//! # Cache-blocked execution
-//!
-//! [`Gust::execute_tiled`] / [`Gust::execute_batch_tiled`] walk a
-//! [`TiledSchedule`] row tile by row tile so the `y[row]` side stays
-//! resident, and within a tile band by band with accumulator carry so
-//! the `x[col]` gathers stay inside a budget-sized column slice. A tile
-//! contains its flat schedule ([`BandedSchedule::flat`]), and a
-//! single-band tile is walked by the very per-window loops of
-//! [`Gust::execute`] / [`Gust::execute_batch`] on its slice of the
-//! output. Each tile's output is bit-identical per backend to the flat
-//! engine on [`BandedSchedule::flat`] — see [`crate::schedule::banded`]
-//! and [`crate::schedule::tiled`].
+//! [`Gust::execute_batch_f64`] runs the identical pipeline in double
+//! precision — schedule values stay f32, widened per slot; f64 register
+//! blocks are the same [`kernels::REG_BLOCK`] lanes, one 512-bit `pd`
+//! register on AVX-512.
 
 use crate::config::{GustConfig, SchedulingPolicy};
 use crate::error::GustError;
 use crate::kernels::{self, Backend};
 use crate::parallel::Pool;
-use crate::schedule::banded::BandedSchedule;
 use crate::schedule::scheduled::{log2_ceil, ScheduledMatrix};
-use crate::schedule::tiled::TiledSchedule;
 use crate::schedule::Scheduler;
 use crate::verify::{AuditReport, VerifiedSchedule, Violation};
 use gust_sim::{ExecutionReport, MemoryTraffic, UnitCounter};
@@ -529,7 +511,6 @@ impl Gust {
                     j0,
                     bb,
                     &stage_flags,
-                    0,
                     rows,
                     y_block,
                     scratch,
@@ -540,77 +521,16 @@ impl Gust {
         Ok((y, self.analytic_report(schedule, batch as u64)))
     }
 
-    /// Preprocesses `matrix` into a 2D row×column [`TiledSchedule`]
-    /// sized for single-vector execution ([`Gust::execute_tiled`]): rows
-    /// are partitioned by [`GustConfig::effective_row_budget`] and each
-    /// tile is independently column-banded. Delegates to
-    /// [`Scheduler::schedule_tiled`].
-    #[must_use]
-    pub fn schedule_tiled(&self, matrix: &gust_sparse::CsrMatrix) -> TiledSchedule {
-        Scheduler::new(self.config.clone()).schedule_tiled(matrix)
-    }
-
-    /// As [`Gust::schedule_tiled`], sized for batched execution of
-    /// `batch` right-hand sides. Delegates to
-    /// [`Scheduler::schedule_tiled_for_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero. Use
-    /// [`Gust::try_schedule_tiled_for_batch`] to get a [`GustError`]
-    /// instead.
-    #[must_use]
-    pub fn schedule_tiled_for_batch(
-        &self,
-        matrix: &gust_sparse::CsrMatrix,
-        batch: usize,
-    ) -> TiledSchedule {
-        Scheduler::new(self.config.clone()).schedule_tiled_for_batch(matrix, batch)
-    }
-
-    /// Fallible [`Gust::schedule_tiled_for_batch`].
-    ///
-    /// # Errors
-    ///
-    /// [`GustError::EmptyBatch`] when `batch` is zero.
-    pub fn try_schedule_tiled_for_batch(
-        &self,
-        matrix: &gust_sparse::CsrMatrix,
-        batch: usize,
-    ) -> Result<TiledSchedule, GustError> {
-        if batch == 0 {
-            return Err(GustError::EmptyBatch);
-        }
-        Ok(self.schedule_tiled_for_batch(matrix, batch))
-    }
-
-    /// As [`Gust::schedule_tiled_for_batch`], sized for **double
-    /// precision** batched execution ([`Gust::execute_batch_tiled_f64`]):
-    /// row-tile and band budgets divide by 8-byte elements. Delegates to
-    /// [`Scheduler::schedule_tiled_for_batch_f64`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    #[must_use]
-    pub fn schedule_tiled_for_batch_f64(
-        &self,
-        matrix: &gust_sparse::CsrMatrix,
-        batch: usize,
-    ) -> TiledSchedule {
-        Scheduler::new(self.config.clone()).schedule_tiled_for_batch_f64(matrix, batch)
-    }
-
     /// Audits a schedule of unknown provenance against the full safety
     /// contract the unsafe kernels rely on (see [`crate::verify`]) and,
     /// additionally, against this engine's configured accelerator
     /// length, issuing a [`VerifiedSchedule`] witness on success.
     ///
-    /// Schedules built by this engine's own `schedule*` methods satisfy
+    /// Schedules built by this engine's own [`Gust::schedule`] satisfy
     /// the contract by construction; `admit` is the checkpoint for
     /// everything else — hand-assembled schedules, schedules built by a
     /// different engine, or deserialized ones obtained outside the
-    /// auditing `read_*_file_verified` readers.
+    /// auditing `read_schedule_file_verified` reader.
     ///
     /// # Errors
     ///
@@ -620,27 +540,7 @@ impl Gust {
         &self,
         schedule: ScheduledMatrix,
     ) -> Result<VerifiedSchedule<ScheduledMatrix>, Box<AuditReport>> {
-        self.admit_any(schedule.length(), schedule)
-    }
-
-    /// As [`Gust::admit`], for tiled schedules.
-    ///
-    /// # Errors
-    ///
-    /// As [`Gust::admit`].
-    pub fn admit_tiled(
-        &self,
-        schedule: TiledSchedule,
-    ) -> Result<VerifiedSchedule<TiledSchedule>, Box<AuditReport>> {
-        self.admit_any(schedule.length(), schedule)
-    }
-
-    /// Shared admission check: engine-length fit, then the full audit.
-    fn admit_any<S: crate::verify::Auditable>(
-        &self,
-        length: usize,
-        schedule: S,
-    ) -> Result<VerifiedSchedule<S>, Box<AuditReport>> {
+        let length = schedule.length();
         if length != self.config.length() {
             return Err(Box::new(AuditReport::from_violations(vec![
                 Violation::Shape {
@@ -654,238 +554,13 @@ impl Gust {
         VerifiedSchedule::verify(schedule)
     }
 
-    /// Runs one SpMV over a 2D row×column [`TiledSchedule`]: row tiles
-    /// are walked outermost, each tile sweeping its column bands back to
-    /// back (bands outer, windows inner) with every window's adders
-    /// **carrying** their partial sums across bands, confined to the
-    /// tile's slice of `y` — so the `x[col]` gathers *and* the `y[row]`
-    /// accumulations stay cache-resident even when both vectors exceed
-    /// the last-level cache.
-    ///
-    /// Per adder the product order is the merged window's slot order
-    /// whether walked band by band or flat, so each tile's output slice
-    /// is **bit-identical** to `self.execute(tile.flat(), x)` under every
-    /// backend (see [`crate::schedule::banded`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != schedule.cols()` or the schedule's length
-    /// does not match this engine's configuration. Use
-    /// [`Gust::try_execute_tiled`] to get a [`GustError`] instead.
-    #[must_use]
-    pub fn execute_tiled(&self, schedule: &TiledSchedule, x: &[f32]) -> GustRun {
-        self.try_execute_tiled(schedule, x)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Gust::execute_tiled`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Gust::try_execute`].
-    pub fn try_execute_tiled(
-        &self,
-        schedule: &TiledSchedule,
-        x: &[f32],
-    ) -> Result<GustRun, GustError> {
-        self.check_single(schedule.length(), schedule.cols(), x.len())?;
-
-        let backend = self.backend();
-        let mut y = vec![0.0f32; schedule.rows()];
-        for (t, tile) in schedule.tiles().iter().enumerate() {
-            banded_walk_single(backend, tile, x, &mut y[schedule.tile_range(t)]);
-        }
-        Ok(GustRun {
-            output: y,
-            report: self.tiled_report(schedule, 1),
-        })
-    }
-
-    /// Batched SpMV over a 2D row×column [`TiledSchedule`] — the
-    /// composition of the §5.3 one-pass multi-vector walk with 2D cache
-    /// blocking. Each register block of right-hand sides (a pool task,
-    /// see [`crate::parallel::Pool`]) walks the row tiles outermost, and
-    /// within a tile sweeps the bands in order, interleaving one band's
-    /// operand slice and walking every window's slots of that band, with
-    /// the tile's accumulator panel carried across the sweep. Both the
-    /// per-band operand slice and the per-tile accumulator panel are
-    /// sized by their budgets to stay cache-resident.
-    ///
-    /// Per tile, outputs are bit-identical to
-    /// `self.execute_batch(tile.flat(), b, batch)` for the same backend,
-    /// for every worker count.
-    ///
-    /// # Panics
-    ///
-    /// As [`Gust::execute_batch`]. Use
-    /// [`Gust::try_execute_batch_tiled`] to get a [`GustError`] instead.
-    #[must_use]
-    pub fn execute_batch_tiled(
-        &self,
-        schedule: &TiledSchedule,
-        b: &[f32],
-        batch: usize,
-    ) -> (Vec<f32>, ExecutionReport) {
-        self.try_execute_batch_tiled(schedule, b, batch)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Gust::execute_batch_tiled`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Gust::try_execute_batch`].
-    pub fn try_execute_batch_tiled(
-        &self,
-        schedule: &TiledSchedule,
-        b: &[f32],
-        batch: usize,
-    ) -> Result<(Vec<f32>, ExecutionReport), GustError> {
-        self.try_execute_batch_tiled_generic(schedule, b, batch)
-    }
-
-    /// [`Gust::execute_batch_tiled`] in double precision — the 2D-tiled
-    /// counterpart of [`Gust::execute_batch_f64`]. Schedules should come
-    /// from [`Gust::schedule_tiled_for_batch_f64`], whose tile and band
-    /// budgets account for the doubled operand width.
-    ///
-    /// # Panics
-    ///
-    /// As [`Gust::execute_batch`]. Use
-    /// [`Gust::try_execute_batch_tiled_f64`] to get a [`GustError`]
-    /// instead.
-    #[must_use]
-    pub fn execute_batch_tiled_f64(
-        &self,
-        schedule: &TiledSchedule,
-        b: &[f64],
-        batch: usize,
-    ) -> (Vec<f64>, ExecutionReport) {
-        self.try_execute_batch_tiled_f64(schedule, b, batch)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Gust::execute_batch_tiled_f64`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Gust::try_execute_batch`].
-    pub fn try_execute_batch_tiled_f64(
-        &self,
-        schedule: &TiledSchedule,
-        b: &[f64],
-        batch: usize,
-    ) -> Result<(Vec<f64>, ExecutionReport), GustError> {
-        self.try_execute_batch_tiled_generic(schedule, b, batch)
-    }
-
-    /// The shared element-generic body of the tiled batch walks (see
-    /// [`Gust::try_execute_batch_generic`]).
-    fn try_execute_batch_tiled_generic<E: Element>(
-        &self,
-        schedule: &TiledSchedule,
-        b: &[E],
-        batch: usize,
-    ) -> Result<(Vec<E>, ExecutionReport), GustError> {
-        self.check_batch(schedule.length(), schedule.cols(), b.len(), batch)?;
-        let cols = schedule.cols();
-
-        let backend = self.backend();
-        let rb = kernels::REG_BLOCK;
-        let rows = schedule.rows();
-        let mut y = vec![E::ZERO; rows * batch];
-        let workers = self.config.effective_workers(batch.div_ceil(rb));
-        // Per-tile staging decisions: a single-band tile is walked by the
-        // flat panel walk of [`Gust::execute_batch`], with its staging
-        // heuristics. The whole-panel interleave those unstaged windows
-        // read depends only on the register block, not the tile, so it
-        // is hoisted out of the tile loop — one transpose per block
-        // shared by every tile, exactly the amortization the untiled
-        // walk gets (multi-band tiles use a separate band-slice buffer
-        // and cannot clobber it).
-        let mut needs_panel = false;
-        let tile_flags: Vec<Vec<bool>> = schedule
-            .tiles()
-            .iter()
-            .map(|tile| {
-                if tile.bands().count() > 1 {
-                    return Vec::new();
-                }
-                let (flags, reads_panel) = panel_stage_flags::<E>(tile.flat(), rb.min(batch));
-                needs_panel |= reads_panel;
-                flags
-            })
-            .collect();
-
-        run_blocks(
-            workers,
-            &mut y,
-            rows,
-            rb,
-            batch,
-            |j0, bb, y_block, scratch| {
-                if needs_panel {
-                    scratch.interleave(b, cols, j0, bb);
-                }
-                for (t, tile) in schedule.tiles().iter().enumerate() {
-                    run_block_banded(
-                        backend,
-                        tile,
-                        b,
-                        j0,
-                        bb,
-                        &tile_flags[t],
-                        schedule.tile_range(t).start,
-                        rows,
-                        y_block,
-                        scratch,
-                    );
-                }
-            },
-        );
-
-        Ok((y, self.tiled_report(schedule, batch as u64)))
-    }
-
     /// The accounting of `batch` SpMVs over `schedule`, derived from the
     /// schedule alone: every slot is one multiply plus one accumulate, so
     /// per-color busy counts are the slot counts the scheduler already
     /// recorded — no counters need to watch the hot loop.
     fn analytic_report(&self, schedule: &ScheduledMatrix, batch: u64) -> ExecutionReport {
-        self.report_from_counts(
-            schedule.total_colors(),
-            schedule.total_stalls(),
-            schedule.nnz() as u64,
-            schedule.rows() as u64,
-            schedule.cols() as u64,
-            batch,
-        )
-    }
-
-    /// The tiled counterpart of [`Gust::analytic_report`]: identical
-    /// derivation over the tile × window × band color total (bands and
-    /// tiles trade modeled cycles for host locality).
-    fn tiled_report(&self, schedule: &TiledSchedule, batch: u64) -> ExecutionReport {
-        self.report_from_counts(
-            schedule.total_colors(),
-            schedule.total_stalls(),
-            schedule.nnz() as u64,
-            schedule.rows() as u64,
-            schedule.cols() as u64,
-            batch,
-        )
-    }
-
-    /// Shared analytic accounting over the schedule's aggregate counts.
-    fn report_from_counts(
-        &self,
-        streaming_cycles: u64,
-        stalls: u64,
-        nnz: u64,
-        rows: u64,
-        cols: u64,
-        batch: u64,
-    ) -> ExecutionReport {
+        let streaming_cycles = schedule.total_colors();
+        let nnz = schedule.nnz() as u64;
         let l = self.config.length();
         // Three pipeline levels add 2 cycles of fill; an empty schedule
         // (no non-zeros anywhere) never starts the pipeline at all.
@@ -900,11 +575,16 @@ impl Gust {
         report.cycles = batch * cycles;
         report.nnz_processed = batch * nnz;
         report.busy_unit_cycles = batch * 2 * nnz; // one multiply + one add per slot
-        report.stall_cycles = batch * stalls;
+        report.stall_cycles = batch * schedule.total_stalls();
         report.multiplies = batch * nnz;
         report.additions = batch * nnz; // one accumulate per product
         report.frequency_hz = self.config.frequency_hz();
-        let per_vector = self.traffic(streaming_cycles, nnz, rows, cols);
+        let per_vector = self.traffic(
+            streaming_cycles,
+            nnz,
+            schedule.rows() as u64,
+            schedule.cols() as u64,
+        );
         report.traffic = MemoryTraffic {
             off_chip_reads: batch * per_vector.off_chip_reads,
             off_chip_writes: batch * per_vector.off_chip_writes,
@@ -951,8 +631,7 @@ pub(crate) trait Element:
 {
     /// Additive identity (accumulator/buffer fill value).
     const ZERO: Self;
-    /// Element width in bytes — what the staging threshold and the
-    /// band/tile budget math divide by.
+    /// Element width in bytes — what the staging threshold divides by.
     const BYTES: usize;
     /// The batched panel walk at this precision
     /// ([`kernels::panel_walk`] / [`kernels::panel_walk_f64`]).
@@ -1066,13 +745,8 @@ impl Element for f64 {
 #[derive(Debug, Default)]
 pub(crate) struct BlockScratch<E> {
     /// `xb[col * bb + j]` = panel value of column `col`, RHS `j0 + j`
-    /// (only filled when some window skips staging). The tiled walk
-    /// fills it once per register block and shares it across tiles.
+    /// (only filled when some window skips staging).
     xb: Vec<E>,
-    /// Per-band operand slice of the multi-band tile walks (kept separate
-    /// from `xb` so a multi-band tile cannot clobber the shared
-    /// whole-panel interleave of its sibling tiles).
-    band_xb: Vec<E>,
     /// `stage[i * bb + j]` = panel value of the window's i-th distinct
     /// column, RHS `j0 + j` (staged windows).
     stage: Vec<E>,
@@ -1092,12 +766,7 @@ impl<E: Element> BlockScratch<E> {
     /// Called after each pool task; contents never carry meaning between
     /// tasks, only capacity.
     fn trim(&mut self) {
-        for buf in [
-            &mut self.xb,
-            &mut self.band_xb,
-            &mut self.stage,
-            &mut self.acc,
-        ] {
+        for buf in [&mut self.xb, &mut self.stage, &mut self.acc] {
             if buf.capacity() > Self::MAX_RETAINED {
                 buf.clear();
                 buf.shrink_to(Self::MAX_RETAINED);
@@ -1137,9 +806,7 @@ fn panel_stage_flags<E: Element>(schedule: &ScheduledMatrix, bb: usize) -> (Vec<
 }
 
 /// The single-vector walk of a flat schedule: streams `schedule` against
-/// `x`, writing the permuted outputs into `y` (`schedule.rows()` long —
-/// all of the output for [`Gust::execute`], one tile's slice of it for a
-/// single-band tile of [`Gust::execute_tiled`]).
+/// `x`, writing the permuted outputs into `y` (`schedule.rows()` long).
 fn flat_walk_single(backend: Backend, schedule: &ScheduledMatrix, x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(y.len(), schedule.rows());
     let l = schedule.length();
@@ -1189,58 +856,6 @@ fn flat_walk_single(backend: Backend, schedule: &ScheduledMatrix, x: &[f32], y: 
     }
 }
 
-/// The single-vector band sweep of one tile of a [`TiledSchedule`]:
-/// walks `tile` against `x`, writing the permuted outputs into `y`
-/// (the tile's slice of the full output). Bands outer, windows inner,
-/// every window's adders carrying partial sums across bands; per adder
-/// the product order is the merged window's slot order, which keeps the
-/// output bit-identical to [`flat_walk_single`] on
-/// [`BandedSchedule::flat`] (see [`crate::schedule::banded`]).
-fn banded_walk_single(backend: Backend, tile: &BandedSchedule, x: &[f32], y: &mut [f32]) {
-    let flat = tile.flat();
-    // Single band (cache-resident shapes under the auto budget): banding
-    // is vacuous, so the tile is its flat schedule — one hot adder bank
-    // reused across windows, per-window staging, dump as each window
-    // finishes.
-    if tile.bands().count() == 1 {
-        flat_walk_single(backend, flat, x, y);
-        return;
-    }
-
-    let l = flat.length();
-    let window_count = flat.windows().len();
-    debug_assert_eq!(y.len(), flat.rows());
-    let row_perm = flat.row_perm();
-    // One adder bank per window, all carried across the band sweep.
-    let mut adders = vec![0.0f32; window_count * l];
-    for b in 0..tile.bands().count() {
-        let range = tile.bands().range(b);
-        let xs = &x[range.start as usize..range.end as usize];
-        for (w, (window, banded)) in flat.windows().iter().zip(tile.windows()).enumerate() {
-            let slots = banded.band_slots(b);
-            if slots.is_empty() {
-                continue;
-            }
-            kernels::window_walk(
-                backend,
-                &window.values()[slots.clone()],
-                &banded.local_cols()[slots.clone()],
-                &window.row_mods()[slots],
-                xs,
-                &mut adders[w * l..(w + 1) * l],
-            );
-        }
-    }
-
-    for w in 0..window_count {
-        let active = flat.window_rows(w);
-        let base = w * l;
-        for (i, &acc) in adders[base..base + active].iter().enumerate() {
-            y[row_perm[base + i] as usize] = acc;
-        }
-    }
-}
-
 /// Executes a flat schedule against one register block of `bb` ≤
 /// [`kernels::REG_BLOCK`] right-hand sides starting at panel column `j0`.
 /// Full blocks and ragged tails run the same backend kernel
@@ -1250,10 +865,9 @@ fn banded_walk_single(backend: Backend, tile: &BandedSchedule, x: &[f32], y: &mu
 ///
 /// Unstaged windows read `scratch.xb`, which the caller has already
 /// filled with this block's interleaved whole panel
-/// ([`BlockScratch::interleave`]) whenever such a window exists. `row0`
-/// rebases the row permutation into the column-major `rows_total × bb`
-/// output block: 0 for [`Gust::execute_batch`], the tile's first row
-/// for a single-band tile of [`Gust::execute_batch_tiled`].
+/// ([`BlockScratch::interleave`]) whenever such a window exists. The
+/// row permutation addresses the column-major `rows_total × bb` output
+/// block.
 #[allow(clippy::too_many_arguments)]
 fn run_block<E: Element>(
     backend: Backend,
@@ -1262,7 +876,6 @@ fn run_block<E: Element>(
     j0: usize,
     bb: usize,
     stage_flags: &[bool],
-    row0: usize,
     rows_total: usize,
     y_block: &mut [E],
     scratch: &mut BlockScratch<E>,
@@ -1310,104 +923,6 @@ fn run_block<E: Element>(
         kernels::scatter_panel(
             &scratch.acc[..active * bb],
             &row_perm[base..base + active],
-            row0,
-            rows_total,
-            bb,
-            y_block,
-        );
-    }
-}
-
-/// Executes one tile of a [`TiledSchedule`] against one register block
-/// of `bb` right-hand sides starting at panel column `j0` — the banded
-/// counterpart of [`run_block`]. Bands are swept in order: each band's
-/// operand slice is interleaved once (cache-budget-sized, so the
-/// following walks gather from a resident block) and every window's
-/// slots of that band accumulate into that window's bank of the carried
-/// accumulator panel. Per (window, adder, right-hand side) the
-/// accumulation order equals the merged window's slot order, which keeps
-/// the output bit-identical to [`run_block`] on
-/// [`BandedSchedule::flat`].
-///
-/// `row0` rebases the tile-local row permutation into the
-/// `rows_total`-row output block. A single-band tile is handed to
-/// [`run_block`] with its `stage_flags`.
-#[allow(clippy::too_many_arguments)]
-fn run_block_banded<E: Element>(
-    backend: Backend,
-    tile: &BandedSchedule,
-    b: &[E],
-    j0: usize,
-    bb: usize,
-    stage_flags: &[bool],
-    row0: usize,
-    rows_total: usize,
-    y_block: &mut [E],
-    scratch: &mut BlockScratch<E>,
-) {
-    let flat = tile.flat();
-    // Single band (cache-resident shapes under the auto budget): the
-    // carry is vacuous, so the tile is its flat schedule.
-    if tile.bands().count() == 1 {
-        run_block(
-            backend,
-            flat,
-            b,
-            j0,
-            bb,
-            stage_flags,
-            row0,
-            rows_total,
-            y_block,
-            scratch,
-        );
-        return;
-    }
-
-    let cols = flat.cols();
-    let l = flat.length();
-    let window_count = flat.windows().len();
-    let row_perm = flat.row_perm();
-    // One accumulator bank per window, all carried across the band
-    // sweep. The fill is mandatory: banks persist from the previous
-    // block in the thread-local scratch.
-    scratch.acc.resize(window_count * l * bb, E::ZERO);
-    scratch.acc.fill(E::ZERO);
-
-    for band in 0..tile.bands().count() {
-        let range = tile.bands().range(band);
-        let (col0, width) = (range.start as usize, range.len());
-        if width == 0 {
-            continue;
-        }
-        scratch.band_xb.resize(width * bb, E::ZERO);
-        kernels::interleave_panel_band(b, cols, col0, width, j0, bb, &mut scratch.band_xb);
-        for (w, (window, banded)) in flat.windows().iter().zip(tile.windows()).enumerate() {
-            let slots = banded.band_slots(band);
-            if slots.is_empty() {
-                continue;
-            }
-            E::panel_walk(
-                backend,
-                &window.values()[slots.clone()],
-                &banded.local_cols()[slots.clone()],
-                &window.row_mods()[slots],
-                &scratch.band_xb,
-                &mut scratch.acc[w * l * bb..(w + 1) * l * bb],
-                bb,
-            );
-        }
-    }
-
-    // Dump every window's active lanes through the row permutation into
-    // each output column.
-    for w in 0..window_count {
-        let active = flat.window_rows(w);
-        let base = w * l;
-        kernels::scatter_panel(
-            &scratch.acc[base * bb..(base + active) * bb],
-            &row_perm[base..base + active],
-            row0,
             rows_total,
             bb,
             y_block,
@@ -1756,216 +1271,5 @@ mod tests {
         assert_eq!(gust.execute(&s, &[1.0; 5]).output, Vec::<f32>::new());
         let (y, _) = gust.execute_batch(&s, &[1.0; 40], 8);
         assert_eq!(y, Vec::<f32>::new());
-        let tiled = gust.schedule_tiled(&m);
-        assert_eq!(tiled.tile_count(), 1);
-        assert_eq!(
-            gust.execute_tiled(&tiled, &[1.0; 5]).output,
-            Vec::<f32>::new()
-        );
-        let (y, _) = gust.execute_batch_tiled(&tiled, &[1.0; 40], 8);
-        assert_eq!(y, Vec::<f32>::new());
-    }
-
-    #[test]
-    fn banded_execution_is_bit_identical_to_the_unbanded_walk() {
-        use crate::schedule::{banded::ColumnBands, Scheduler};
-        let m = CsrMatrix::from(&gen::power_law(60, 60, 500, 1.8, 17));
-        let x = random_x(60, 3);
-        let gust = Gust::new(GustConfig::new(8));
-        for bands in [1usize, 2, 7] {
-            let banded = Scheduler::new(gust.config().clone()).schedule_tiled_with(
-                &m,
-                1,
-                ColumnBands::with_count(60, bands),
-            );
-            let flat = banded.tiles()[0].flat();
-            let from_banded = gust.execute_tiled(&banded, &x);
-            let from_flat = gust.execute(flat, &x);
-            assert_eq!(
-                from_banded.output, from_flat.output,
-                "{bands} bands: banded walk must be bit-identical"
-            );
-            assert_eq!(from_banded.report, from_flat.report);
-            // And correct against the reference kernel.
-            assert_vectors_close(&from_banded.output, &reference_spmv(&m, &x), 1e-4);
-        }
-    }
-
-    #[test]
-    fn single_band_schedule_equals_the_flat_schedule() {
-        let m = CsrMatrix::from(&gen::uniform(40, 40, 300, 9));
-        // Budgets covering both vectors → one tile of one band → the
-        // tiled scheduler must reproduce the flat schedule exactly,
-        // coloring and all.
-        let gust = Gust::new(
-            GustConfig::new(8)
-                .with_cache_budget(Some(1 << 30))
-                .with_row_budget(Some(1 << 30)),
-        );
-        let tiled = gust.schedule_tiled(&m);
-        assert_eq!(tiled.tile_count(), 1);
-        assert_eq!(tiled.tiles()[0].bands().count(), 1);
-        assert_eq!(tiled.tiles()[0].flat(), &gust.schedule(&m));
-    }
-
-    #[test]
-    fn banded_batch_matches_unbanded_batch_bit_for_bit() {
-        use crate::schedule::{banded::ColumnBands, Scheduler};
-        let m = CsrMatrix::from(&gen::uniform(48, 64, 400, 23));
-        let gust = Gust::new(GustConfig::new(8).with_parallelism(Some(1)));
-        let banded = Scheduler::new(gust.config().clone()).schedule_tiled_with(
-            &m,
-            1,
-            ColumnBands::with_count(64, 5),
-        );
-        let flat = banded.tiles()[0].flat();
-        for batch in [1usize, 8, 17] {
-            let panel = random_panel(64, batch, 7);
-            let (y_banded, r_banded) = gust.execute_batch_tiled(&banded, &panel, batch);
-            let (y_flat, r_flat) = gust.execute_batch(flat, &panel, batch);
-            assert_eq!(y_banded, y_flat, "batch {batch}");
-            assert_eq!(r_banded, r_flat);
-        }
-    }
-
-    #[test]
-    fn banded_batch_is_identical_across_worker_counts() {
-        use crate::schedule::{banded::ColumnBands, Scheduler};
-        let m = CsrMatrix::from(&gen::power_law(64, 64, 600, 1.9, 29));
-        let batch = 19usize; // 3 blocks: 8 + 8 + 3
-        let panel = random_panel(64, batch, 11);
-        let sequential = Gust::new(GustConfig::new(8).with_parallelism(Some(1)));
-        let threaded = Gust::new(GustConfig::new(8).with_parallelism(Some(4)));
-        let schedule = Scheduler::new(sequential.config().clone()).schedule_tiled_with(
-            &m,
-            1,
-            ColumnBands::with_count(64, 3),
-        );
-        let (seq, seq_report) = sequential.execute_batch_tiled(&schedule, &panel, batch);
-        let (par, par_report) = threaded.execute_batch_tiled(&schedule, &panel, batch);
-        assert_eq!(seq, par, "pool fan-out must not change a single bit");
-        assert_eq!(seq_report, par_report);
-    }
-
-    #[test]
-    fn single_tile_schedule_is_the_banded_schedule() {
-        use crate::schedule::{banded::ColumnBands, Scheduler};
-        let m = CsrMatrix::from(&gen::power_law(60, 60, 500, 1.8, 41));
-        let x = random_x(60, 13);
-        let gust = Gust::new(GustConfig::new(8));
-        let scheduler = Scheduler::new(gust.config().clone());
-        let bands = ColumnBands::with_count(60, 3);
-        let tiled = scheduler.schedule_tiled_with(&m, 1, bands.clone());
-        let banded = scheduler.schedule_banded_with(&m, bands);
-        assert_eq!(tiled.tile_count(), 1);
-        assert_eq!(
-            &tiled.tiles()[0],
-            &banded,
-            "one tile IS the banded schedule"
-        );
-        let flat = banded.flat();
-        let from_tiled = gust.execute_tiled(&tiled, &x);
-        assert_eq!(from_tiled.output, gust.execute(flat, &x).output);
-        let panel = random_panel(60, 17, 5);
-        assert_eq!(
-            gust.execute_batch_tiled(&tiled, &panel, 17).0,
-            gust.execute_batch(flat, &panel, 17).0
-        );
-        // The auto path under all-covering budgets also degenerates to
-        // one tile of one band — the flat schedule.
-        let generous = Gust::new(
-            GustConfig::new(8)
-                .with_cache_budget(Some(1 << 30))
-                .with_row_budget(Some(1 << 30)),
-        );
-        let auto = generous.schedule_tiled(&m);
-        assert_eq!(auto.tile_count(), 1);
-        assert_eq!(auto.tiles()[0].bands().count(), 1);
-        assert_eq!(auto.tiles()[0].flat(), &generous.schedule(&m));
-    }
-
-    #[test]
-    fn tiled_execution_is_bit_identical_to_per_tile_unbanded_walks() {
-        use crate::schedule::{banded::ColumnBands, Scheduler};
-        let m = CsrMatrix::from(&gen::uniform(50, 64, 450, 27));
-        let x = random_x(64, 19);
-        let gust = Gust::new(GustConfig::new(8).with_parallelism(Some(1)));
-        for tiles in [1usize, 3] {
-            let tiled = Scheduler::new(gust.config().clone()).schedule_tiled_with(
-                &m,
-                tiles,
-                ColumnBands::with_count(64, 5),
-            );
-            let run = gust.execute_tiled(&tiled, &x);
-            for (t, tile) in tiled.tiles().iter().enumerate() {
-                let flat = gust.execute(tile.flat(), &x);
-                assert_eq!(
-                    &run.output[tiled.tile_range(t)],
-                    flat.output.as_slice(),
-                    "{tiles} tiles: tile {t} diverged from its flattened schedule"
-                );
-            }
-            assert_vectors_close(&run.output, &reference_spmv(&m, &x), 1e-4);
-        }
-    }
-
-    #[test]
-    fn tiled_batch_is_identical_across_worker_counts() {
-        use crate::schedule::{banded::ColumnBands, Scheduler};
-        let m = CsrMatrix::from(&gen::power_law(64, 64, 600, 1.9, 37));
-        let batch = 19usize; // 3 blocks: 8 + 8 + 3
-        let panel = random_panel(64, batch, 23);
-        let sequential = Gust::new(GustConfig::new(8).with_parallelism(Some(1)));
-        let threaded = Gust::new(GustConfig::new(8).with_parallelism(Some(4)));
-        let schedule = Scheduler::new(sequential.config().clone()).schedule_tiled_with(
-            &m,
-            3,
-            ColumnBands::with_count(64, 2),
-        );
-        let (seq, seq_report) = sequential.execute_batch_tiled(&schedule, &panel, batch);
-        let (par, par_report) = threaded.execute_batch_tiled(&schedule, &panel, batch);
-        assert_eq!(seq, par, "pool fan-out must not change a single bit");
-        assert_eq!(seq_report, par_report);
-    }
-
-    #[test]
-    fn auto_tiled_schedule_respects_the_row_budget() {
-        // 64 rows at l = 4 under a 64-byte single-vector row budget:
-        // 64 B / 4 B = 16 rows per tile (already a multiple of l), so
-        // the 64-row matrix splits into 4 tiles.
-        let m = CsrMatrix::from(&gen::uniform(64, 32, 300, 15));
-        let gust = Gust::new(
-            GustConfig::new(4)
-                .with_row_budget(Some(64))
-                .with_cache_budget(Some(1 << 20)),
-        );
-        let tiled = gust.schedule_tiled(&m);
-        assert_eq!(tiled.tile_count(), 4);
-        for t in 0..4 {
-            assert_eq!(tiled.tile_range(t).len(), 16);
-        }
-        let x = random_x(32, 3);
-        assert_vectors_close(
-            &gust.execute_tiled(&tiled, &x).output,
-            &reference_spmv(&m, &x),
-            1e-4,
-        );
-    }
-
-    #[test]
-    fn banded_cycles_are_at_least_unbanded_cycles() {
-        use crate::schedule::{banded::ColumnBands, Scheduler};
-        let m = CsrMatrix::from(&gen::uniform(64, 64, 700, 31));
-        let gust = Gust::new(GustConfig::new(8));
-        let flat = gust.schedule(&m);
-        let banded = Scheduler::new(gust.config().clone()).schedule_tiled_with(
-            &m,
-            1,
-            ColumnBands::with_count(64, 4),
-        );
-        // Banding trades modeled cycles for host locality; it can never
-        // reduce the color total below the flat schedule's.
-        assert!(banded.total_colors() >= flat.total_colors());
-        assert_eq!(banded.nnz(), flat.nnz());
     }
 }

@@ -261,33 +261,9 @@ pub(crate) fn panel_walk_f64(
 ///
 /// Panics if `xb.len() != cols·bb` or the panel slice is too short.
 pub(crate) fn interleave_panel<T: Copy>(b: &[T], cols: usize, j0: usize, bb: usize, xb: &mut [T]) {
-    interleave_panel_band(b, cols, 0, cols, j0, bb, xb);
-}
-
-/// Interleaves one register block of a **column band** of the panel:
-/// `xb[i·bb + j] = b[(j0+j)·cols + col0 + i]` for `i < width` — the
-/// tiled engine's per-band operand slice, sized by the cache budget so
-/// the following band walk gathers from a cache-resident block. Reads
-/// are sequential per right-hand side, so the transpose streams at
-/// memory bandwidth. Exact under every backend (a copy).
-///
-/// # Panics
-///
-/// Panics if `xb.len() != width·bb` or the band falls outside a panel
-/// column.
-pub(crate) fn interleave_panel_band<T: Copy>(
-    b: &[T],
-    cols: usize,
-    col0: usize,
-    width: usize,
-    j0: usize,
-    bb: usize,
-    xb: &mut [T],
-) {
-    assert_eq!(xb.len(), width * bb, "interleave buffer length mismatch");
-    assert!(col0 + width <= cols, "band outside the panel columns");
+    assert_eq!(xb.len(), cols * bb, "interleave buffer length mismatch");
     for j in 0..bb {
-        let src = &b[(j0 + j) * cols + col0..(j0 + j) * cols + col0 + width];
+        let src = &b[(j0 + j) * cols..(j0 + j + 1) * cols];
         for (i, &v) in src.iter().enumerate() {
             xb[i * bb + j] = v;
         }
@@ -382,14 +358,10 @@ pub(crate) fn stage_panel_f64(
 
 /// Dumps one window's active accumulator rows into the column-major
 /// output block through the row permutation:
-/// `y_block[j·rows_total + row0 + row_perm[i]] = acc[i·bb + j]` for every
-/// active local row `i` and right-hand side `j < bb`.
-///
-/// `row_perm` is the window's slice of the schedule's permutation
-/// (tile-local for 2D tiled schedules — `row0` rebases it to the global
-/// output rows; 0 for untiled walks). A copy, exact under every backend;
-/// one body serves the flat and tiled batch walks so the dump
-/// cannot drift between them.
+/// `y_block[j·rows_total + row_perm[i]] = acc[i·bb + j]` for every
+/// active local row `i` and right-hand side `j < bb`, where `row_perm`
+/// is the window's slice of the schedule's permutation. A copy, exact
+/// under every backend.
 ///
 /// # Panics
 ///
@@ -398,7 +370,6 @@ pub(crate) fn stage_panel_f64(
 pub(crate) fn scatter_panel<T: Copy>(
     acc: &[T],
     row_perm: &[u32],
-    row0: usize,
     rows_total: usize,
     bb: usize,
     y_block: &mut [T],
@@ -409,7 +380,7 @@ pub(crate) fn scatter_panel<T: Copy>(
         "accumulator block length mismatch"
     );
     for (acc_row, &perm) in acc.chunks_exact(bb).zip(row_perm) {
-        let orig = row0 + perm as usize;
+        let orig = perm as usize;
         for (j, &v) in acc_row.iter().enumerate() {
             y_block[j * rows_total + orig] = v;
         }
@@ -993,29 +964,13 @@ mod tests {
     }
 
     #[test]
-    fn band_interleave_matches_whole_panel_slice() {
-        let cols = 20;
-        let bb = 3;
-        let b: Vec<f32> = (0..cols * (bb + 1)).map(|i| i as f32 * 0.5).collect();
-        let mut whole = vec![0.0f32; cols * bb];
-        interleave_panel(&b, cols, 1, bb, &mut whole);
-        // Two bands [0, 7) and [7, 20): each band buffer equals the
-        // corresponding rows of the whole-panel interleave.
-        for (col0, width) in [(0usize, 7usize), (7, 13)] {
-            let mut band = vec![0.0f32; width * bb];
-            interleave_panel_band(&b, cols, col0, width, 1, bb, &mut band);
-            assert_eq!(band, whole[col0 * bb..(col0 + width) * bb]);
-        }
-    }
-
-    #[test]
     fn scatter_panel_places_rows_through_the_permutation() {
         let bb = 3;
         let rows_total = 10;
         let acc: Vec<f32> = (0..2 * bb).map(|i| i as f32).collect();
-        let row_perm = [4u32, 1];
+        let row_perm = [7u32, 4];
         let mut y = vec![-1.0f32; rows_total * bb];
-        scatter_panel(&acc, &row_perm, 3, rows_total, bb, &mut y);
+        scatter_panel(&acc, &row_perm, rows_total, bb, &mut y);
         for j in 0..bb {
             assert_eq!(y[j * rows_total + 7], acc[j], "local row 0 → row 7");
             assert_eq!(y[j * rows_total + 4], acc[bb + j], "local row 1 → row 4");

@@ -73,9 +73,7 @@ pub use parallel::Pool;
 // Re-exported so engine-level callers can drive fault injection (and
 // tests can scope it) without depending on `gust_sparse` directly.
 pub use gust_sparse::faults;
-pub use schedule::banded::{BandedSchedule, ColumnBands};
 pub use schedule::scheduled::{ScheduledMatrix, ScheduledSlot, WindowSchedule};
-pub use schedule::tiled::TiledSchedule;
 pub use serve::{ScheduleRegistry, ServeConfig, SpmvServer};
 pub use verify::{AuditReport, Auditable, VerifiedSchedule, Violation};
 
@@ -89,12 +87,9 @@ pub mod prelude {
     pub use crate::kernels::Backend;
     pub use crate::parallel::{ParallelGust, Pool};
     pub use crate::pipeline::EndToEnd;
-    pub use crate::schedule::banded::{BandedSchedule, ColumnBands};
     pub use crate::schedule::scheduled::{ScheduledMatrix, ScheduledSlot, WindowSchedule};
-    pub use crate::schedule::tiled::TiledSchedule;
     pub use crate::serve::{
-        MatrixKey, Response, ScheduleKind, ScheduleRegistry, ServeConfig, ServeStats, SpmvServer,
-        Ticket,
+        MatrixKey, Response, ScheduleRegistry, ServeConfig, ServeStats, SpmvServer, Ticket,
     };
     pub use crate::verify::{AuditReport, Auditable, VerifiedSchedule, Violation};
 }

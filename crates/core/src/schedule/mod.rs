@@ -24,36 +24,21 @@
 //!   are spawned once per process, not once per call). Each window's
 //!   result lands in its own slot, making the output bit-identical to
 //!   the sequential result; see [`crate::GustConfig::with_parallelism`].
-//!
-//! [`Scheduler::schedule_tiled`] additionally composes the coloring with
-//! 2D cache blocking (see [`tiled`]): rows split into budget-sized
-//! tiles so the output side stays cache-resident, and each tile's
-//! sub-matrix is cut into column bands (see [`banded`]) whose window ×
-//! band sub-graphs are colored independently, so the execution engine
-//! can walk one cache-resident operand slice at a time — with the band
-//! count chosen per tile by the density-aware
-//! [`banded::ColumnBands::for_tile`] (batch width 1 for single-vector
-//! walks, the register block for batched ones).
 
-pub mod banded;
 pub mod edge_coloring;
 pub mod konig;
 pub mod naive;
 pub mod scheduled;
 pub mod serialize;
 pub mod stats;
-pub mod tiled;
 pub mod windows;
 pub mod workspace;
 
 use crate::config::{ColoringAlgorithm, GustConfig, SchedulingPolicy};
-use crate::kernels::REG_BLOCK;
 use crate::parallel::Pool;
-use banded::{BandedSchedule, BandedWindow, ColumnBands};
 use gust_sparse::CsrMatrix;
 use scheduled::{ScheduledMatrix, WindowSchedule};
 use std::sync::{Mutex, OnceLock};
-use tiled::TiledSchedule;
 use windows::WindowPlan;
 use workspace::ColoringWorkspace;
 
@@ -115,177 +100,6 @@ impl Scheduler {
         )
     }
 
-    /// Schedules `matrix` as one column-banded body with an explicit band
-    /// partition: every window × band sub-graph is colored independently,
-    /// and the band-major merged windows form the body's flat schedule.
-    /// This is the body of every row tile ([`Scheduler::schedule_tiled`]);
-    /// with one band its flat schedule is the exact schedule
-    /// [`Scheduler::schedule`] produces, coloring and all.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bands` does not cover exactly `matrix.cols()` columns.
-    #[must_use]
-    pub(crate) fn schedule_banded_with(
-        &self,
-        matrix: &CsrMatrix,
-        bands: ColumnBands,
-    ) -> BandedSchedule {
-        assert_eq!(
-            bands.cols(),
-            matrix.cols(),
-            "band partition must cover the matrix columns"
-        );
-        let l = self.config.length();
-        let lb = self.config.policy() == SchedulingPolicy::EdgeColoringLb;
-        let plan = WindowPlan::new(matrix, l, lb);
-        let window_count = plan.window_count();
-        let threads = self.config.effective_workers(window_count);
-
-        let (windows, banded_windows) = self
-            .schedule_windows(window_count, threads, |ws, w| {
-                self.schedule_one_window_banded(matrix, &plan, &bands, w, ws)
-            })
-            .into_iter()
-            .unzip();
-        let flat = ScheduledMatrix::from_parts(
-            l,
-            matrix.rows(),
-            matrix.cols(),
-            plan.row_perm().to_vec(),
-            windows,
-        );
-        BandedSchedule::from_parts(flat, bands, banded_windows)
-    }
-
-    /// Schedules `matrix` with 2D row×column tiles (see [`tiled`]) sized
-    /// for **single-vector** execution: rows are partitioned by
-    /// [`GustConfig::effective_row_budget`] (tile output slices stay
-    /// cache-resident, tiles aligned to the accelerator length), and each
-    /// tile's sub-matrix is scheduled as an independent column-banded
-    /// body with its own density-aware [`ColumnBands::for_tile`] band
-    /// count. Executes via
-    /// [`crate::Gust::execute_tiled`] /
-    /// [`crate::Gust::execute_batch_tiled`]. With budgets covering both
-    /// vectors this degenerates to one tile of one band — the exact
-    /// [`Scheduler::schedule`] output.
-    #[must_use]
-    pub fn schedule_tiled(&self, matrix: &CsrMatrix) -> TiledSchedule {
-        self.schedule_tiled_for_batch(matrix, 1)
-    }
-
-    /// As [`Scheduler::schedule_tiled`], sized for batched execution of
-    /// `batch` right-hand sides (both budgets divide by the effective
-    /// width `min(batch, REG_BLOCK)` — accumulator panels and operand
-    /// slices scale with the register block alike). The plan does not
-    /// depend on the configured backend: every backend walks
-    /// [`REG_BLOCK`]-wide blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    #[must_use]
-    pub fn schedule_tiled_for_batch(&self, matrix: &CsrMatrix, batch: usize) -> TiledSchedule {
-        let width = batch.min(REG_BLOCK);
-        self.schedule_tiled_for_width(matrix, batch, width, std::mem::size_of::<f32>())
-    }
-
-    /// As [`Scheduler::schedule_tiled_for_batch`], sized for **f64**
-    /// batched execution ([`crate::Gust::execute_batch_tiled_f64`]):
-    /// effective width `min(batch, REG_BLOCK)`, both budgets divided
-    /// by 8-byte elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    #[must_use]
-    pub fn schedule_tiled_for_batch_f64(&self, matrix: &CsrMatrix, batch: usize) -> TiledSchedule {
-        let width = batch.min(REG_BLOCK);
-        self.schedule_tiled_for_width(matrix, batch, width, std::mem::size_of::<f64>())
-    }
-
-    fn schedule_tiled_for_width(
-        &self,
-        matrix: &CsrMatrix,
-        batch: usize,
-        width: usize,
-        elem_bytes: usize,
-    ) -> TiledSchedule {
-        assert!(batch > 0, "batch must contain at least one vector");
-        let cache_budget = self.config.effective_cache_budget();
-        let row_starts = tiled::row_tile_starts_for_budget(
-            matrix.rows(),
-            self.config.length(),
-            width,
-            elem_bytes,
-            self.config.effective_row_budget(),
-        );
-        let tiles = row_starts
-            .windows(2)
-            .map(|w| {
-                let sub = matrix.row_slice(w[0] as usize..w[1] as usize);
-                // Band count from the *tile's* structure: row density
-                // and per-column gather count are tile-local (a
-                // hyper-sparse tile gains nothing from bands — see
-                // [`ColumnBands::for_tile`]).
-                let bands = ColumnBands::for_tile(
-                    sub.rows(),
-                    sub.cols(),
-                    sub.nnz(),
-                    width,
-                    elem_bytes,
-                    cache_budget,
-                );
-                self.schedule_banded_with(&sub, bands)
-            })
-            .collect();
-        TiledSchedule::from_parts(
-            self.config.length(),
-            matrix.rows(),
-            matrix.cols(),
-            row_starts,
-            tiles,
-        )
-    }
-
-    /// As [`Scheduler::schedule_tiled`], with an explicit row-tile count
-    /// and a shared band partition (tests and tuning sweeps): rows split
-    /// into `row_tiles` near-equal tiles, every tile banded by `bands`.
-    /// One tile is the purely column-banded schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row_tiles` is zero or exceeds `max(rows, 1)`, or if
-    /// `bands` does not cover exactly `matrix.cols()` columns.
-    #[must_use]
-    pub fn schedule_tiled_with(
-        &self,
-        matrix: &CsrMatrix,
-        row_tiles: usize,
-        bands: ColumnBands,
-    ) -> TiledSchedule {
-        assert_eq!(
-            bands.cols(),
-            matrix.cols(),
-            "band partition must cover the matrix columns"
-        );
-        let row_starts = tiled::row_tile_starts(matrix.rows(), row_tiles);
-        let tiles = row_starts
-            .windows(2)
-            .map(|w| {
-                let sub = matrix.row_slice(w[0] as usize..w[1] as usize);
-                self.schedule_banded_with(&sub, bands.clone())
-            })
-            .collect();
-        TiledSchedule::from_parts(
-            self.config.length(),
-            matrix.rows(),
-            matrix.cols(),
-            row_starts,
-            tiles,
-        )
-    }
-
     /// Runs `one(workspace, w)` for every window, sequentially or fanned
     /// out over the persistent worker [`Pool`]. Window results land in
     /// per-window slots, so the output is bit-identical for every thread
@@ -296,17 +110,18 @@ impl Scheduler {
     /// arena across its windows) and everything is dropped when the call
     /// returns — a persistent pool worker never pins the tens of MiB a
     /// wide matrix's lane tables can grow to.
-    fn schedule_windows<T: Send + Sync>(
+    fn schedule_windows(
         &self,
         window_count: usize,
         threads: usize,
-        one: impl Fn(&mut ColoringWorkspace, usize) -> T + Sync,
-    ) -> Vec<T> {
+        one: impl Fn(&mut ColoringWorkspace, usize) -> WindowSchedule + Sync,
+    ) -> Vec<WindowSchedule> {
         if threads <= 1 {
             let mut ws = ColoringWorkspace::new();
             return (0..window_count).map(|w| one(&mut ws, w)).collect();
         }
-        let slots: Vec<OnceLock<T>> = (0..window_count).map(|_| OnceLock::new()).collect();
+        let slots: Vec<OnceLock<WindowSchedule>> =
+            (0..window_count).map(|_| OnceLock::new()).collect();
         let workspaces: Mutex<Vec<ColoringWorkspace>> = Mutex::new(Vec::new());
         Pool::global().run(threads, window_count, |w| {
             let mut ws = workspaces
@@ -337,33 +152,6 @@ impl Scheduler {
         let bound = ws.scratch.vizing_bound(&ws.window, l) as u32;
         let (colors, stalls) = self.color_or_arbitrate(&ws.window, l, &mut ws.scratch);
         ws.scratch.assemble(&ws.window, colors, bound, stalls)
-    }
-
-    /// The per-window pipeline of a banded tile body: materialize the
-    /// full window once, then per band carve the sub-window
-    /// ([`windows::Window::fill_band_from`]), color/arbitrate it
-    /// independently, assemble a [`WindowSchedule`] per band, and merge
-    /// band-major into one window plus its [`BandedWindow`] metadata.
-    fn schedule_one_window_banded(
-        &self,
-        matrix: &CsrMatrix,
-        plan: &WindowPlan,
-        bands: &ColumnBands,
-        w: usize,
-        ws: &mut ColoringWorkspace,
-    ) -> (WindowSchedule, BandedWindow) {
-        let l = self.config.length();
-        plan.fill_window(matrix, w, &mut ws.window, &mut ws.lanes);
-        let mut per_band = Vec::with_capacity(bands.count());
-        for b in 0..bands.count() {
-            // Carve band `b` into the workspace's band window, preserving
-            // row structure and lane assignment.
-            ws.band_window.fill_band_from(&ws.window, bands.range(b));
-            let bound = ws.scratch.vizing_bound(&ws.band_window, l) as u32;
-            let (colors, stalls) = self.color_or_arbitrate(&ws.band_window, l, &mut ws.scratch);
-            per_band.push(ws.scratch.assemble(&ws.band_window, colors, bound, stalls));
-        }
-        BandedWindow::from_bands(w, &per_band, bands.starts())
     }
 
     /// Colors (or naively arbitrates) `window` under the configured

@@ -2,10 +2,10 @@
 //! Buffer Filler consumes from off-chip memory (§3.3 "Streaming the
 //! Inputs").
 //!
-//! Every container shares one corruption-safe envelope (little-endian):
+//! The `GUST` container is one corruption-safe envelope (little-endian):
 //!
 //! ```text
-//! magic | version u32 | payload_len u64 | payload | crc32 u32
+//! "GUST" | version u32 | payload_len u64 | payload | crc32 u32
 //! ```
 //!
 //! The trailer CRC32 covers exactly the payload, so a truncated copy or
@@ -13,7 +13,7 @@
 //! any structural parsing happens; the structural validation below then
 //! only ever sees payloads whose bytes are intact.
 //!
-//! The flat (`"GUST"`) payload:
+//! The payload:
 //!
 //! ```text
 //! length u32 | rows u64 | cols u64
@@ -29,19 +29,13 @@
 //! emptiness *is* the utilization loss), so the byte length of a serialized
 //! schedule matches [`ScheduledMatrix::dense_stream_bytes`] up to the
 //! per-cell bookkeeping this container format adds.
-//!
-//! The tiled (`"GUTL"`) payload wraps the same per-window cell grid in
-//! row-tile boundaries and, per tile, a column-band partition plus
-//! per-window band offsets (see [`write_tiled_schedule`]).
 
 // Production loaders must surface failures as typed errors, never
 // `unwrap` panics: this module is part of the fault-tolerant loading
 // path (see the README's Robustness section).
 #![deny(clippy::unwrap_used)]
 
-use super::banded::{BandedSchedule, BandedWindow, ColumnBands};
 use super::scheduled::{ScheduledMatrix, WindowSchedule};
-use super::tiled::{self, TiledSchedule};
 use crate::verify::{self, AuditReport, VerifiedSchedule};
 use gust_sparse::checksum::crc32;
 use gust_sparse::faults;
@@ -49,10 +43,6 @@ use std::io::{self, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"GUST";
-/// Tiled-schedule container magic: row-tile boundaries wrapping one
-/// banded-schedule body (band partition + per-window cell grids + band
-/// offsets) per tile.
-const TILED_MAGIC: &[u8; 4] = b"GUTL";
 /// Container version. v2 wrapped the v1 body in the length-prefixed,
 /// CRC32-trailed envelope above; v1 streams are rejected (rebuild the
 /// schedule once to migrate).
@@ -78,17 +68,6 @@ pub enum ReadScheduleError {
     Audit(Box<AuditReport>),
 }
 
-impl ReadScheduleError {
-    /// Wraps audit violations with the tile index they were found in
-    /// (window indices inside a tile are tile-local).
-    fn in_tile(self, tile: usize) -> Self {
-        match self {
-            Self::Audit(report) => Self::Audit(Box::new(report.in_tile(tile))),
-            other => other,
-        }
-    }
-}
-
 impl std::fmt::Display for ReadScheduleError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -109,9 +88,9 @@ impl From<io::Error> for ReadScheduleError {
 }
 
 /// Writes the container envelope around an already-serialized payload.
-fn write_container<W: Write>(magic: &[u8; 4], payload: &[u8], writer: &mut W) -> io::Result<()> {
+fn write_container<W: Write>(payload: &[u8], writer: &mut W) -> io::Result<()> {
     faults::check_io(faults::sites::SCHEDULE_WRITE)?;
-    writer.write_all(magic)?;
+    writer.write_all(MAGIC)?;
     writer.write_all(&VERSION.to_le_bytes())?;
     writer.write_all(&(payload.len() as u64).to_le_bytes())?;
     writer.write_all(payload)?;
@@ -120,13 +99,8 @@ fn write_container<W: Write>(magic: &[u8; 4], payload: &[u8], writer: &mut W) ->
 }
 
 /// Reads and verifies the container envelope, returning the intact
-/// payload bytes. `magic_label` names the container in the bad-magic
-/// message.
-fn read_container<R: Read>(
-    magic: &[u8; 4],
-    magic_label: &str,
-    mut reader: R,
-) -> Result<Vec<u8>, ReadScheduleError> {
+/// payload bytes.
+fn read_container<R: Read>(mut reader: R) -> Result<Vec<u8>, ReadScheduleError> {
     faults::check_io(faults::sites::SCHEDULE_READ)?;
     let eof_corrupt = |what: &str, e: io::Error| -> ReadScheduleError {
         if e.kind() == io::ErrorKind::UnexpectedEof {
@@ -139,8 +113,8 @@ fn read_container<R: Read>(
     reader
         .read_exact(&mut got)
         .map_err(|e| eof_corrupt("container magic", e))?;
-    if &got != magic {
-        return Err(ReadScheduleError::Format(magic_label.to_string()));
+    if &got != MAGIC {
+        return Err(ReadScheduleError::Format("bad magic".into()));
     }
     let mut word = [0u8; 4];
     reader
@@ -198,32 +172,17 @@ pub fn write_schedule<W: Write>(schedule: &ScheduledMatrix, mut writer: W) -> io
     payload.write_all(&(schedule.length() as u32).to_le_bytes())?;
     payload.write_all(&(schedule.rows() as u64).to_le_bytes())?;
     payload.write_all(&(schedule.cols() as u64).to_le_bytes())?;
-    write_flat_body(schedule, &mut payload, |_, _| Ok(()))?;
-    write_container(MAGIC, &payload, &mut writer)
-}
-
-/// Writes a flat schedule's body — row permutation, window count, then
-/// each window's cell grid followed by whatever `after_window(w, writer)`
-/// appends (a tile body's band offsets). The flat container's payload
-/// past its shape header, and the tail of every tile body.
-fn write_flat_body<W: Write>(
-    schedule: &ScheduledMatrix,
-    writer: &mut W,
-    mut after_window: impl FnMut(usize, &mut W) -> io::Result<()>,
-) -> io::Result<()> {
     for &orig in schedule.row_perm() {
-        writer.write_all(&orig.to_le_bytes())?;
+        payload.write_all(&orig.to_le_bytes())?;
     }
-    writer.write_all(&(schedule.windows().len() as u64).to_le_bytes())?;
-    for (w, window) in schedule.windows().iter().enumerate() {
-        write_window(window, schedule.length(), writer)?;
-        after_window(w, writer)?;
+    payload.write_all(&(schedule.windows().len() as u64).to_le_bytes())?;
+    for window in schedule.windows() {
+        write_window(window, schedule.length(), &mut payload)?;
     }
-    Ok(())
+    write_container(&payload, &mut writer)
 }
 
-/// Writes one window's header and dense per-color cell grid (the shared
-/// payload of the flat container and of every tile body).
+/// Writes one window's header and dense per-color cell grid.
 fn write_window<W: Write>(window: &WindowSchedule, l: usize, writer: &mut W) -> io::Result<()> {
     writer.write_all(&window.colors().to_le_bytes())?;
     writer.write_all(&window.vizing_bound().to_le_bytes())?;
@@ -255,51 +214,6 @@ fn write_window<W: Write>(window: &WindowSchedule, l: usize, writer: &mut W) -> 
     Ok(())
 }
 
-/// Writes one row tile's body in the `GUTL` container: band count, band
-/// boundaries, then the tile's flat body ([`write_flat_body`]) with each
-/// window's band slot offsets after its cell grid.
-fn write_banded_body<W: Write>(tile: &BandedSchedule, writer: &mut W) -> io::Result<()> {
-    writer.write_all(&(tile.bands().count() as u64).to_le_bytes())?;
-    for &start in tile.bands().starts() {
-        writer.write_all(&start.to_le_bytes())?;
-    }
-    write_flat_body(tile.flat(), writer, |w, writer| {
-        for &ptr in tile.windows()[w].band_slot_ptr() {
-            writer.write_all(&ptr.to_le_bytes())?;
-        }
-        Ok(())
-    })
-}
-
-/// Writes `schedule` — a 2D row×column tiled schedule — to `writer`.
-///
-/// Payload layout (inside the checksummed envelope, [`TILED_MAGIC`]):
-///
-/// ```text
-/// length u32 | rows u64 | cols u64
-/// | tile count u64 | row_starts: (tiles + 1) × u32
-/// | per tile: band count u64, band_starts, row_perm (tile rows × u32),
-///   window count u64, windows (cell grid + band offsets)
-/// ```
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_tiled_schedule<W: Write>(schedule: &TiledSchedule, mut writer: W) -> io::Result<()> {
-    let mut payload = Vec::new();
-    payload.write_all(&(schedule.length() as u32).to_le_bytes())?;
-    payload.write_all(&(schedule.rows() as u64).to_le_bytes())?;
-    payload.write_all(&(schedule.cols() as u64).to_le_bytes())?;
-    payload.write_all(&(schedule.tile_count() as u64).to_le_bytes())?;
-    for &start in schedule.row_starts() {
-        payload.write_all(&start.to_le_bytes())?;
-    }
-    for tile in schedule.tiles() {
-        write_banded_body(tile, &mut payload)?;
-    }
-    write_container(TILED_MAGIC, &payload, &mut writer)
-}
-
 /// Reads a schedule previously written with [`write_schedule`].
 ///
 /// # Errors
@@ -309,7 +223,7 @@ pub fn write_tiled_schedule<W: Write>(schedule: &TiledSchedule, mut writer: W) -
 /// bit-damaged stream (checksum mismatch), [`ReadScheduleError::Io`] on
 /// reader failure.
 pub fn read_schedule<R: Read>(reader: R) -> Result<ScheduledMatrix, ReadScheduleError> {
-    let payload = read_container(MAGIC, "bad magic", reader)?;
+    let payload = read_container(reader)?;
     let mut reader = payload.as_slice();
     let length = read_u32(&mut reader)? as usize;
     if length == 0 {
@@ -317,29 +231,8 @@ pub fn read_schedule<R: Read>(reader: R) -> Result<ScheduledMatrix, ReadSchedule
     }
     let rows = read_u64(&mut reader)? as usize;
     let cols = read_u64(&mut reader)? as usize;
-    let schedule = read_flat_body(&mut reader, length, rows, cols, |_, _, _| Ok(()))?;
-    if !reader.is_empty() {
-        return Err(ReadScheduleError::Format(format!(
-            "{} trailing payload bytes",
-            reader.len()
-        )));
-    }
-    Ok(schedule)
-}
-
-/// Reads the flat body of a `rows × cols` schedule at accelerator length
-/// `length` (see [`write_flat_body`]), calling `after_window(reader, w,
-/// window)` after each audited window (a tile body reads its band
-/// offsets there), and builds it through [`ScheduledMatrix::from_parts`].
-fn read_flat_body<R: Read>(
-    reader: &mut R,
-    length: usize,
-    rows: usize,
-    cols: usize,
-    mut after_window: impl FnMut(&mut R, usize, &WindowSchedule) -> Result<(), ReadScheduleError>,
-) -> Result<ScheduledMatrix, ReadScheduleError> {
-    let row_perm = read_row_perm(reader, rows)?;
-    let window_count = read_u64(reader)? as usize;
+    let row_perm = read_row_perm(&mut reader, rows)?;
+    let window_count = read_u64(&mut reader)? as usize;
     if window_count != rows.div_ceil(length) {
         return Err(ReadScheduleError::Format(format!(
             "window count {window_count} inconsistent with {rows} rows at length {length}"
@@ -349,9 +242,20 @@ fn read_flat_body<R: Read>(
     let mut scratch = verify::Scratch::new(length);
     for w in 0..window_count {
         let window_rows = (rows - (w * length).min(rows)).min(length);
-        let window = read_window(reader, length, cols, w, window_rows, &mut scratch)?;
-        after_window(reader, w, &window)?;
-        windows.push(window);
+        windows.push(read_window(
+            &mut reader,
+            length,
+            cols,
+            w,
+            window_rows,
+            &mut scratch,
+        )?);
+    }
+    if !reader.is_empty() {
+        return Err(ReadScheduleError::Format(format!(
+            "{} trailing payload bytes",
+            reader.len()
+        )));
     }
     Ok(ScheduledMatrix::from_parts(
         length, rows, cols, row_perm, windows,
@@ -455,125 +359,6 @@ fn read_window<R: Read>(
     ))
 }
 
-/// Reads the banded payload that follows the shape header (see
-/// [`write_banded_body`]), validating the band partition and every
-/// window's band offsets — one row tile's body in the `GUTL` container.
-fn read_banded_body<R: Read>(
-    reader: &mut R,
-    length: usize,
-    rows: usize,
-    cols: usize,
-) -> Result<BandedSchedule, ReadScheduleError> {
-    // Band boundaries are u32, so a stream claiming more columns than
-    // u32 can address is corrupt by construction — reject it before the
-    // `cols as u32` comparison below could truncate.
-    if u32::try_from(cols).is_err() {
-        return Err(ReadScheduleError::Format(format!(
-            "column count {cols} exceeds the u32 band-boundary range"
-        )));
-    }
-    let band_count = read_u64(reader)? as usize;
-    if band_count == 0 {
-        return Err(ReadScheduleError::Format("zero bands".into()));
-    }
-    // Bands partition u32 column indices, so a count past the column
-    // range is corrupt by construction — reject before trusting it for
-    // an allocation (a truncated stream then errors on the next read).
-    if band_count > cols.max(1) {
-        return Err(ReadScheduleError::Format(format!(
-            "band count {band_count} exceeds {cols} columns"
-        )));
-    }
-    let mut band_starts = Vec::with_capacity(band_count + 1);
-    for _ in 0..=band_count {
-        band_starts.push(read_u32(reader)?);
-    }
-    if band_starts[0] != 0
-        || band_starts.last().copied() != Some(cols as u32)
-        || band_starts.windows(2).any(|w| w[0] > w[1])
-    {
-        return Err(ReadScheduleError::Format(format!(
-            "band boundaries must ascend from 0 to {cols}"
-        )));
-    }
-    let bands = ColumnBands::from_starts(band_starts);
-    let mut banded = Vec::new();
-    let flat = read_flat_body(reader, length, rows, cols, |reader, w, window| {
-        let mut band_slot_ptr = Vec::with_capacity(bands.count() + 1);
-        for _ in 0..=bands.count() {
-            band_slot_ptr.push(read_u32(reader)?);
-        }
-        let layout = BandedWindow::from_merged(w, window, band_slot_ptr, bands.starts())
-            .map_err(|report| ReadScheduleError::Audit(Box::new(report)))?;
-        banded.push(layout);
-        Ok(())
-    })?;
-    Ok(BandedSchedule::from_parts(flat, bands, banded))
-}
-
-/// Reads a tiled schedule previously written with
-/// [`write_tiled_schedule`].
-///
-/// # Errors
-///
-/// [`ReadScheduleError::Format`] on a bad magic/version, an inconsistent
-/// row-tile partition, or any per-tile banded-body violation;
-/// [`ReadScheduleError::Corrupt`] on a truncated or bit-damaged stream;
-/// [`ReadScheduleError::Io`] on reader failure.
-pub fn read_tiled_schedule<R: Read>(reader: R) -> Result<TiledSchedule, ReadScheduleError> {
-    let payload = read_container(TILED_MAGIC, "bad tiled magic", reader)?;
-    let mut reader = payload.as_slice();
-    let length = read_u32(&mut reader)? as usize;
-    if length == 0 {
-        return Err(ReadScheduleError::Format("zero length".into()));
-    }
-    let rows = read_u64(&mut reader)? as usize;
-    let cols = read_u64(&mut reader)? as usize;
-    // Row-tile boundaries are u32; a row count past that range is
-    // corrupt by construction.
-    if u32::try_from(rows).is_err() {
-        return Err(ReadScheduleError::Format(format!(
-            "row count {rows} exceeds the u32 tile-boundary range"
-        )));
-    }
-    let tile_count = read_u64(&mut reader)? as usize;
-    if tile_count == 0 {
-        return Err(ReadScheduleError::Format("zero tiles".into()));
-    }
-    // Tiles partition the rows, so a count past the row range is corrupt
-    // by construction — reject before trusting it for an allocation.
-    if tile_count > rows.max(1) {
-        return Err(ReadScheduleError::Format(format!(
-            "tile count {tile_count} exceeds {rows} rows"
-        )));
-    }
-    let mut row_starts = Vec::with_capacity(tile_count + 1);
-    for _ in 0..=tile_count {
-        row_starts.push(read_u32(&mut reader)?);
-    }
-    if !tiled::row_starts_are_valid(&row_starts, rows) {
-        return Err(ReadScheduleError::Format(format!(
-            "row-tile boundaries must ascend from 0 to {rows}"
-        )));
-    }
-    let mut tiles = Vec::with_capacity(tile_count);
-    for t in 0..tile_count {
-        let tile_rows = (row_starts[t + 1] - row_starts[t]) as usize;
-        tiles.push(
-            read_banded_body(&mut reader, length, tile_rows, cols).map_err(|e| e.in_tile(t))?,
-        );
-    }
-    if !reader.is_empty() {
-        return Err(ReadScheduleError::Format(format!(
-            "{} trailing payload bytes",
-            reader.len()
-        )));
-    }
-    Ok(TiledSchedule::from_parts(
-        length, rows, cols, row_starts, tiles,
-    ))
-}
-
 /// Reads a flat schedule from `path`.
 ///
 /// # Errors
@@ -626,30 +411,6 @@ pub fn write_schedule_file(schedule: &ScheduledMatrix, path: impl AsRef<Path>) -
     write_file_atomic(path.as_ref(), |w| write_schedule(schedule, w))
 }
 
-/// Reads a tiled schedule from `path` (see [`read_schedule_file`]).
-///
-/// # Errors
-///
-/// As [`read_tiled_schedule`].
-pub fn read_tiled_schedule_file(
-    path: impl AsRef<Path>,
-) -> Result<TiledSchedule, ReadScheduleError> {
-    read_tiled_schedule(io::BufReader::new(std::fs::File::open(path)?))
-}
-
-/// Writes a tiled schedule to `path` (atomically — see
-/// [`write_schedule_file`]).
-///
-/// # Errors
-///
-/// Propagates I/O errors; on error `path` is untouched.
-pub fn write_tiled_schedule_file(
-    schedule: &TiledSchedule,
-    path: impl AsRef<Path>,
-) -> io::Result<()> {
-    write_file_atomic(path.as_ref(), |w| write_tiled_schedule(schedule, w))
-}
-
 /// Reads a flat schedule from `path` and wraps it as a
 /// [`VerifiedSchedule`] witness.
 ///
@@ -670,17 +431,6 @@ pub fn read_schedule_file_verified(
     read_schedule_file(path).map(VerifiedSchedule::witness)
 }
 
-/// As [`read_schedule_file_verified`], for tiled schedules.
-///
-/// # Errors
-///
-/// As [`read_tiled_schedule_file`].
-pub fn read_tiled_schedule_file_verified(
-    path: impl AsRef<Path>,
-) -> Result<VerifiedSchedule<TiledSchedule>, ReadScheduleError> {
-    read_tiled_schedule_file(path).map(VerifiedSchedule::witness)
-}
-
 /// Moves a damaged or forged schedule cache out of the way (renamed to
 /// `<path>.corrupt`, or removed when the rename fails) and warns on
 /// stderr — the quarantine step shared by [`read_schedule_cached`] and
@@ -699,20 +449,20 @@ pub(crate) fn quarantine_corrupt_cache(path: &Path, err: &ReadScheduleError) {
     }
 }
 
-/// The load-or-rebuild policy behind [`read_schedule_cached`]:
-/// serve `path` when it holds an intact container; quarantine it (rename
-/// to `<path>.corrupt`) when it is damaged; in every failure case fall
-/// back to `build` and best-effort rewrite the file. Scheduling again is
-/// always correct — the cache only ever saves time, never changes
-/// results — so no cache problem is allowed to surface as an error.
-fn cached_schedule<T>(
-    path: &Path,
-    read: impl FnOnce(&Path) -> Result<T, ReadScheduleError>,
-    write: impl FnOnce(&T, &Path) -> io::Result<()>,
-    build: impl FnOnce() -> T,
-) -> T {
+/// Loads a flat schedule from `path`, rebuilding it with `build` when
+/// the file is missing, outdated, or damaged. A damaged file is
+/// quarantined as `<path>.corrupt` first; the rebuilt schedule is
+/// written back (best-effort) so the next load is cheap again.
+///
+/// Scheduling again is always correct — the cache only ever saves time,
+/// never changes results — so no cache problem surfaces as an error.
+pub fn read_schedule_cached(
+    path: impl AsRef<Path>,
+    build: impl FnOnce() -> ScheduledMatrix,
+) -> ScheduledMatrix {
+    let path = path.as_ref();
     if path.exists() {
-        match read(path) {
+        match read_schedule_file(path) {
             Ok(schedule) => return schedule,
             // Damaged bytes and checksum-valid-but-forged contents take
             // the same quarantine path: keep the evidence, never execute.
@@ -725,24 +475,8 @@ fn cached_schedule<T>(
         }
     }
     let schedule = build();
-    let _ = write(&schedule, path);
+    let _ = write_schedule_file(&schedule, path);
     schedule
-}
-
-/// Loads a flat schedule from `path`, rebuilding it with `build` when
-/// the file is missing, outdated, or damaged. A damaged file is
-/// quarantined as `<path>.corrupt` first; the rebuilt schedule is
-/// written back (best-effort) so the next load is cheap again.
-pub fn read_schedule_cached(
-    path: impl AsRef<Path>,
-    build: impl FnOnce() -> ScheduledMatrix,
-) -> ScheduledMatrix {
-    cached_schedule(
-        path.as_ref(),
-        |p| read_schedule_file(p),
-        |s, p| write_schedule_file(s, p),
-        build,
-    )
 }
 
 fn read_array<R: Read, const N: usize>(reader: &mut R) -> io::Result<[u8; N]> {
@@ -895,228 +629,39 @@ mod tests {
     fn empty_matrix_schedule_round_trips() {
         let coo = CooMatrix::from_triplets(6, 6, vec![(0, 0, 1.0)]).unwrap();
         let m = CsrMatrix::from(&coo);
-        let schedule = Gust::new(GustConfig::new(4)).schedule(&m);
+        let gust = Gust::new(GustConfig::new(4));
+        let schedule = gust.schedule(&m);
         assert_eq!(round_trip(&schedule), schedule);
-    }
-
-    /// One tile body as the `GUTL` writer encodes it (no envelope, so
-    /// the body reader's structural parsing is what the tests exercise).
-    fn body_bytes(schedule: &BandedSchedule) -> Vec<u8> {
-        let mut body = Vec::new();
-        write_banded_body(schedule, &mut body).expect("write to vec");
-        body
-    }
-
-    #[test]
-    fn banded_schedules_round_trip_exactly() {
-        use crate::schedule::{banded::ColumnBands, Scheduler};
-        let m = CsrMatrix::from(&gen::power_law(60, 70, 500, 1.9, 21));
-        for bands in [1usize, 2, 7] {
-            let schedule = Scheduler::new(GustConfig::new(8))
-                .schedule_banded_with(&m, ColumnBands::with_count(70, bands));
-            let body = body_bytes(&schedule);
-            let back = read_banded_body(&mut body.as_slice(), 8, 60, 70).expect("read own output");
-            assert_eq!(back, schedule, "{bands} bands");
-        }
-    }
-
-    #[test]
-    fn banded_reader_rejects_out_of_band_columns() {
-        use crate::schedule::{banded::ColumnBands, Scheduler};
-        let m = CsrMatrix::from(&gen::uniform(16, 16, 80, 3));
-        let schedule = Scheduler::new(GustConfig::new(4)).schedule_tiled_with(
-            &m,
-            1,
-            ColumnBands::with_count(16, 2),
-        );
-        let mut buf = Vec::new();
-        write_tiled_schedule(&schedule, &mut buf).expect("write");
-        // Payload: length 4 + rows 8 + cols 8 + tile count 8 + 2 × u32
-        // row boundaries, then the tile body: band count 8 + 3 × u32
-        // band boundaries + 16 × u32 row_perm + window count 8 = 128
-        // bytes past the envelope, then the first window (colors 4 +
-        // vizing 4 + stalls 8), then the first cell.
-        let first_cell = ENVELOPE + 128 + 16;
-        let occupied = buf[first_cell..]
-            .iter()
-            .position(|&b| b == 1)
-            .expect("an occupied cell")
-            + first_cell;
-        // Corrupt the cell's column to sit in the wrong band's range: the
-        // flat validation (col < cols) passes, the band check must not.
-        let col_at = occupied + 1 + 4 + 4;
-        let col = u32::from_le_bytes(buf[col_at..col_at + 4].try_into().unwrap());
-        let wrong = if col < 8 { col + 8 } else { col - 8 };
-        buf[col_at..col_at + 4].copy_from_slice(&wrong.to_le_bytes());
-        fix_crc(&mut buf);
-        let err = read_tiled_schedule(buf.as_slice()).unwrap_err();
-        assert!(
-            err.to_string().contains("outside"),
-            "unexpected error: {err}"
-        );
-    }
-
-    #[test]
-    fn tiled_schedules_round_trip_exactly() {
-        use crate::schedule::{banded::ColumnBands, Scheduler};
-        let m = CsrMatrix::from(&gen::power_law(60, 70, 500, 1.9, 33));
-        for (tiles, bands) in [(1usize, 1usize), (1, 3), (3, 2), (5, 7)] {
-            let schedule = Scheduler::new(GustConfig::new(8)).schedule_tiled_with(
-                &m,
-                tiles,
-                ColumnBands::with_count(70, bands),
-            );
-            let mut buf = Vec::new();
-            write_tiled_schedule(&schedule, &mut buf).expect("write to vec");
-            let back = read_tiled_schedule(buf.as_slice()).expect("read own output");
-            assert_eq!(back, schedule, "{tiles} tiles × {bands} bands");
-            // And the round-tripped schedule executes identically.
-            let gust = Gust::new(GustConfig::new(8));
-            let x: Vec<f32> = (0..70).map(|i| (i % 5) as f32 - 2.0).collect();
-            assert_eq!(
-                gust.execute_tiled(&back, &x),
-                gust.execute_tiled(&schedule, &x)
-            );
-        }
-    }
-
-    #[test]
-    fn tiled_reader_rejects_other_containers_and_truncation() {
-        let m = CsrMatrix::from(&gen::uniform(12, 12, 50, 5));
-        let gust = Gust::new(GustConfig::new(4));
-        // A flat stream is not a tiled stream and vice versa.
-        let mut flat_buf = Vec::new();
-        write_schedule(&gust.schedule(&m), &mut flat_buf).expect("write");
-        assert!(read_tiled_schedule(flat_buf.as_slice()).is_err());
-
-        let tiled = gust.schedule_tiled(&m);
-        let mut buf = Vec::new();
-        write_tiled_schedule(&tiled, &mut buf).expect("write");
-        assert!(read_schedule(buf.as_slice()).is_err());
-        for cut in [3usize, 20, buf.len() / 2, buf.len() - 1] {
-            assert!(
-                read_tiled_schedule(&buf[..cut]).is_err(),
-                "truncation at {cut} must fail"
-            );
-        }
-    }
-
-    #[test]
-    fn tiled_reader_rejects_bad_row_boundaries() {
-        use crate::schedule::{banded::ColumnBands, Scheduler};
-        let m = CsrMatrix::from(&gen::uniform(16, 16, 80, 3));
-        let schedule = Scheduler::new(GustConfig::new(4)).schedule_tiled_with(
-            &m,
-            2,
-            ColumnBands::with_count(16, 2),
-        );
-        let mut buf = Vec::new();
-        write_tiled_schedule(&schedule, &mut buf).expect("write");
-        // Payload: length 4 + rows 8 + cols 8 + tile count 8 = 28 bytes
-        // past the envelope, then 3 × u32 row boundaries.
-        let starts_at = ENVELOPE + 28;
-        buf[starts_at + 4..starts_at + 8].copy_from_slice(&99u32.to_le_bytes());
-        fix_crc(&mut buf);
-        let err = read_tiled_schedule(buf.as_slice()).unwrap_err();
-        assert!(
-            err.to_string().contains("ascend"),
-            "unexpected error: {err}"
-        );
-    }
-
-    #[test]
-    fn tiled_reader_rejects_empty_interior_tiles() {
-        use crate::schedule::{banded::ColumnBands, Scheduler};
-        // A checksum-valid stream whose tile bodies are each well formed
-        // but whose first tile is empty: boundaries [0, 0, 16]. Only a
-        // 0-row matrix may carry an empty tile, and then only one.
-        let scheduler = Scheduler::new(GustConfig::new(4));
-        let empty = CsrMatrix::try_new(0, 16, vec![0], vec![], vec![]).unwrap();
-        let full = CsrMatrix::from(&gen::uniform(16, 16, 80, 3));
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&4u32.to_le_bytes());
-        payload.extend_from_slice(&16u64.to_le_bytes());
-        payload.extend_from_slice(&16u64.to_le_bytes());
-        payload.extend_from_slice(&2u64.to_le_bytes());
-        for start in [0u32, 0, 16] {
-            payload.extend_from_slice(&start.to_le_bytes());
-        }
-        for tile in [&empty, &full] {
-            let body = scheduler.schedule_banded_with(tile, ColumnBands::with_count(16, 2));
-            payload.extend_from_slice(&body_bytes(&body));
-        }
-        let mut buf = Vec::new();
-        write_container(TILED_MAGIC, &payload, &mut buf).expect("write");
-        let err = read_tiled_schedule(buf.as_slice()).unwrap_err();
-        assert!(
-            err.to_string().contains("ascend"),
-            "unexpected error: {err}"
-        );
-    }
-
-    #[test]
-    fn zero_row_tiled_schedule_is_admitted_and_round_trips() {
-        let m = CsrMatrix::try_new(0, 16, vec![0], vec![], vec![]).expect("0×16 is valid");
-        let gust = Gust::new(GustConfig::new(4));
-        let schedule = gust.schedule_tiled(&m);
-        assert_eq!(schedule.row_starts(), &[0, 0]);
+        // A 0-row matrix has no windows at all; it must pass admission
+        // and round-trip too.
+        let empty = CsrMatrix::try_new(0, 16, vec![0], vec![], vec![]).expect("0×16 is valid");
+        let schedule = gust.schedule(&empty);
         let admitted = gust
-            .admit_tiled(schedule.clone())
-            .expect("the single empty tile of a 0-row matrix is legal");
-        let mut buf = Vec::new();
-        write_tiled_schedule(&admitted, &mut buf).expect("write");
-        assert_eq!(read_tiled_schedule(buf.as_slice()).unwrap(), schedule);
-    }
-
-    #[test]
-    fn banded_round_trip_handles_truncation() {
-        use crate::schedule::{banded::ColumnBands, Scheduler};
-        let m = CsrMatrix::from(&gen::uniform(12, 12, 50, 5));
-        let schedule = Scheduler::new(GustConfig::new(4))
-            .schedule_banded_with(&m, ColumnBands::with_count(12, 3));
-        let body = body_bytes(&schedule);
-        for cut in [3usize, 20, body.len() / 2, body.len() - 1] {
-            assert!(
-                read_banded_body(&mut &body[..cut], 4, 12, 12).is_err(),
-                "truncation at {cut} must fail"
-            );
-        }
+            .admit(schedule.clone())
+            .expect("a 0-row schedule is legal");
+        assert_eq!(round_trip(&admitted), schedule);
     }
 
     #[test]
     fn every_single_byte_corruption_is_detected_in_all_containers() {
         let m = CsrMatrix::from(&gen::uniform(8, 8, 30, 3));
         let gust = Gust::new(GustConfig::new(4));
-        let mut streams: Vec<(&str, Vec<u8>)> = Vec::new();
-        let mut buf = Vec::new();
-        write_schedule(&gust.schedule(&m), &mut buf).expect("write flat");
-        streams.push(("flat", buf));
-        let mut buf = Vec::new();
-        write_tiled_schedule(&gust.schedule_tiled(&m), &mut buf).expect("write tiled");
-        streams.push(("tiled", buf));
-
-        for (kind, clean) in streams {
-            let read_any = |bytes: &[u8]| -> Result<(), ReadScheduleError> {
-                match kind {
-                    "flat" => read_schedule(bytes).map(drop),
-                    _ => read_tiled_schedule(bytes).map(drop),
-                }
-            };
-            read_any(&clean).expect("clean stream must load");
-            for byte in 0..clean.len() {
-                let mut damaged = clean.clone();
-                damaged[byte] ^= 0x10;
-                let err = read_any(&damaged)
-                    .expect_err(&format!("{kind}: byte {byte} corruption must not load"));
-                // Past magic + version, damage must be classified as
-                // Corrupt (the checksum or length prefix catches it
-                // before structural parsing runs).
-                if byte >= 8 {
-                    assert!(
-                        matches!(err, ReadScheduleError::Corrupt(_)),
-                        "{kind}: byte {byte} expected Corrupt, got {err:?}"
-                    );
-                }
+        let mut clean = Vec::new();
+        write_schedule(&gust.schedule(&m), &mut clean).expect("write flat");
+        read_schedule(clean.as_slice()).expect("clean stream must load");
+        for byte in 0..clean.len() {
+            let mut damaged = clean.clone();
+            damaged[byte] ^= 0x10;
+            let err = read_schedule(damaged.as_slice())
+                .expect_err(&format!("flat: byte {byte} corruption must not load"));
+            // Past magic + version, damage must be classified as
+            // Corrupt (the checksum or length prefix catches it
+            // before structural parsing runs).
+            if byte >= 8 {
+                assert!(
+                    matches!(err, ReadScheduleError::Corrupt(_)),
+                    "flat: byte {byte} expected Corrupt, got {err:?}"
+                );
             }
         }
     }
@@ -1174,7 +719,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_loader_round_trips_flat_and_tiled() {
+    fn cached_loader_hits_without_rebuilding() {
         let dir = std::env::temp_dir().join(format!(
             "gust-sched-cache2-{}-{:?}",
             std::process::id(),
@@ -1189,16 +734,6 @@ mod tests {
         assert_eq!(
             read_schedule_cached(&flat_path, || panic!("hit must not rebuild")),
             flat
-        );
-
-        // The load-or-rebuild policy is container-generic.
-        let tiled_path = dir.join("m.gutl");
-        let read = |p: &Path| read_tiled_schedule_file(p);
-        let write = |s: &TiledSchedule, p: &Path| write_tiled_schedule_file(s, p);
-        let tiled = cached_schedule(&tiled_path, read, write, || gust.schedule_tiled(&m));
-        assert_eq!(
-            cached_schedule(&tiled_path, read, write, || panic!("hit must not rebuild")),
-            tiled
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

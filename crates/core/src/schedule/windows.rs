@@ -113,28 +113,6 @@ impl Window {
         row_max.max(lane_max)
     }
 
-    /// Refills `self` with the subset of `src`'s edges whose columns fall
-    /// in `cols` (a column band), keeping `src`'s row structure: same row
-    /// count, same within-row edge order, same lane assignment. Because
-    /// each row's edges are stored in ascending column order, the band's
-    /// edges are one contiguous run per row, located by binary search.
-    ///
-    /// This is the banded scheduler's partitioner
-    /// ([`crate::schedule::banded`]): each band sub-window is colored
-    /// independently, so its gathers only ever touch the band's slice of
-    /// the input vector.
-    pub(crate) fn fill_band_from(&mut self, src: &Window, cols: std::ops::Range<u32>) {
-        self.clear(src.index);
-        for row in src.iter_rows() {
-            let lo = row.partition_point(|e| e.col < cols.start);
-            let hi = lo + row[lo..].partition_point(|e| e.col < cols.end);
-            for &edge in &row[lo..hi] {
-                self.push_edge(edge);
-            }
-            self.finish_row();
-        }
-    }
-
     fn clear(&mut self, index: usize) {
         self.index = index;
         self.edges.clear();
@@ -607,45 +585,6 @@ mod tests {
                 assert_eq!(reused, plan.window(&m, w), "lb {lb} window {w}");
             }
         }
-    }
-
-    #[test]
-    fn band_fill_partitions_edges_without_reordering() {
-        let m = matrix_6x9();
-        for lb in [false, true] {
-            let plan = WindowPlan::new(&m, 3, lb);
-            for w in 0..plan.window_count() {
-                let full = plan.window(&m, w);
-                let mut band = Window::new();
-                // Bands [0, 4) and [4, 9): every edge lands in exactly one,
-                // in its original within-row position with its lane intact.
-                let mut rebuilt: Vec<Vec<WindowEdge>> = vec![Vec::new(); full.rows()];
-                for cols in [0..4u32, 4..9u32] {
-                    band.fill_band_from(&full, cols.clone());
-                    assert_eq!(band.rows(), full.rows());
-                    for (i, row) in band.iter_rows().enumerate() {
-                        assert!(row.iter().all(|e| cols.contains(&e.col)));
-                        rebuilt[i].extend_from_slice(row);
-                    }
-                }
-                for (i, mut row) in rebuilt.into_iter().enumerate() {
-                    row.sort_by_key(|e| e.col);
-                    let mut expected = full.row_edges(i).to_vec();
-                    expected.sort_by_key(|e| e.col);
-                    assert_eq!(row, expected, "lb {lb} window {w} row {i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn full_range_band_fill_equals_the_window() {
-        let m = matrix_6x9();
-        let plan = WindowPlan::new(&m, 4, true);
-        let full = plan.window(&m, 0);
-        let mut band = Window::new();
-        band.fill_band_from(&full, 0..9);
-        assert_eq!(band, full);
     }
 
     #[test]

@@ -274,9 +274,6 @@ impl ColorScratch {
 pub struct ColoringWorkspace {
     /// The reusable flat window buffer.
     pub window: Window,
-    /// A second window buffer holding one column band of `window` during
-    /// banded scheduling (see [`crate::schedule::banded`]).
-    pub band_window: Window,
     /// Load-balancer segment/lane scratch.
     pub lanes: LaneScratch,
     /// Coloring and assembly scratch.

@@ -7,7 +7,7 @@
 //!
 //! * [`ScheduleRegistry`] — a content-addressed, in-RAM memo of
 //!   prepared schedules keyed by a hash of the CSR structure, backed by
-//!   the existing on-disk schedule cache (GUST/GUTL containers).
+//!   the existing on-disk schedule cache (`GUST` containers).
 //!   A corrupt cache file is quarantined on disk
 //!   ([`gust_sparse::io::quarantine_corrupt`]) and mirrored in RAM as a
 //!   poisoned-entry eviction; builds are retried with jittered
@@ -57,10 +57,8 @@
 
 use crate::engine::Gust;
 use crate::error::GustError;
-use crate::kernels::REG_BLOCK;
 use crate::schedule::scheduled::ScheduledMatrix;
 use crate::schedule::serialize;
-use crate::schedule::tiled::TiledSchedule;
 use crate::verify::{AuditReport, Auditable, VerifiedSchedule};
 use gust_sparse::{faults, CsrMatrix};
 use std::collections::{BTreeMap, VecDeque};
@@ -166,59 +164,33 @@ fn splitmix64_mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Which prepared-schedule family the registry builds and caches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScheduleKind {
-    /// The flat `M_sch`/`Row_sch`/`Col_sch` schedule (GUST container).
-    Flat,
-    /// The 2D row×column tiled schedule (GUTL container).
-    Tiled,
-}
-
-/// A memoized, ready-to-execute schedule of any family.
+/// A memoized, ready-to-execute schedule: the flat [`ScheduledMatrix`],
+/// to which it derefs.
+///
+/// One variant is left. The enum stays (non-exhaustive, so matching
+/// `PreparedSchedule::Flat(s)` in another crate is still refutable) until
+/// the benchmark package moves to naming [`ScheduledMatrix`] directly;
+/// then it goes.
 #[derive(Debug)]
+#[non_exhaustive]
 pub enum PreparedSchedule {
     /// A flat schedule, executed via [`Gust::try_execute_batch`].
     Flat(ScheduledMatrix),
-    /// A tiled schedule, executed via [`Gust::try_execute_batch_tiled`].
-    Tiled(TiledSchedule),
 }
 
-impl PreparedSchedule {
-    /// Accelerator length the schedule was built for.
-    #[must_use]
-    pub fn length(&self) -> usize {
-        match self {
-            Self::Flat(s) => s.length(),
-            Self::Tiled(s) => s.length(),
-        }
-    }
+impl std::ops::Deref for PreparedSchedule {
+    type Target = ScheduledMatrix;
 
-    /// Row count of the scheduled matrix.
-    #[must_use]
-    pub fn rows(&self) -> usize {
+    fn deref(&self) -> &ScheduledMatrix {
         match self {
-            Self::Flat(s) => s.rows(),
-            Self::Tiled(s) => s.rows(),
-        }
-    }
-
-    /// Column count of the scheduled matrix.
-    #[must_use]
-    pub fn cols(&self) -> usize {
-        match self {
-            Self::Flat(s) => s.cols(),
-            Self::Tiled(s) => s.cols(),
+            Self::Flat(s) => s,
         }
     }
 }
 
 impl Auditable for PreparedSchedule {
     fn audit(&self) -> AuditReport {
-        match self {
-            Self::Flat(s) => s.audit(),
-            Self::Tiled(s) => s.audit(),
-        }
+        (**self).audit()
     }
 }
 
@@ -353,7 +325,6 @@ struct RegistryInner {
 /// per-matrix circuit breaker (see the [module docs](self)).
 pub struct ScheduleRegistry {
     engine: Gust,
-    kind: ScheduleKind,
     cache_dir: Option<PathBuf>,
     retry: RetryPolicy,
     breaker: BreakerPolicy,
@@ -365,7 +336,6 @@ pub struct ScheduleRegistry {
 impl std::fmt::Debug for ScheduleRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScheduleRegistry")
-            .field("kind", &self.kind)
             .field("cache_dir", &self.cache_dir)
             .field("retry", &self.retry)
             .field("breaker", &self.breaker)
@@ -380,7 +350,6 @@ impl ScheduleRegistry {
     pub fn new(engine: Gust) -> Self {
         Self {
             engine,
-            kind: ScheduleKind::Flat,
             cache_dir: None,
             retry: RetryPolicy::default(),
             breaker: BreakerPolicy::default(),
@@ -392,16 +361,8 @@ impl ScheduleRegistry {
         }
     }
 
-    /// Selects which schedule family to build (default:
-    /// [`ScheduleKind::Flat`]).
-    #[must_use]
-    pub fn with_kind(mut self, kind: ScheduleKind) -> Self {
-        self.kind = kind;
-        self
-    }
-
     /// Backs the memo with an on-disk cache directory. Containers are
-    /// named `<key>.{gust,gutl}` by content hash; corrupt files
+    /// named `<key>.gust` by content hash; corrupt files
     /// are quarantined as `<name>.corrupt` and rebuilt.
     #[must_use]
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
@@ -515,13 +476,9 @@ impl ScheduleRegistry {
 
     /// The cache path for `key` under the configured directory.
     fn cache_path(&self, key: MatrixKey) -> Option<PathBuf> {
-        let ext = match self.kind {
-            ScheduleKind::Flat => "gust",
-            ScheduleKind::Tiled => "gutl",
-        };
         self.cache_dir
             .as_ref()
-            .map(|d| d.join(format!("{:016x}.{ext}", key.0)))
+            .map(|d| d.join(format!("{:016x}.gust", key.0)))
     }
 
     /// Resolves `key` to an executable path: in-RAM memo, else disk
@@ -584,12 +541,7 @@ impl ScheduleRegistry {
                         let _ = std::fs::create_dir_all(dir);
                     }
                     // Best-effort write-back; serving never depends on it.
-                    let _ = match &schedule {
-                        PreparedSchedule::Flat(s) => serialize::write_schedule_file(s, &path),
-                        PreparedSchedule::Tiled(s) => {
-                            serialize::write_tiled_schedule_file(s, &path)
-                        }
-                    };
+                    let _ = serialize::write_schedule_file(&schedule, &path);
                 }
                 // Construction-trusted: the scheduler's output satisfies
                 // the contract by construction (and is exercised by the
@@ -629,16 +581,12 @@ impl ScheduleRegistry {
         if !path.exists() {
             return None;
         }
-        // The `_verified` readers audit every container unconditionally,
+        // The `_verified` reader audits every container unconditionally,
         // so re-wrapping the witness around the `PreparedSchedule`
         // variant is sound: the inner schedule is exactly the audited
         // one, moved unmodified.
-        let loaded = match self.kind {
-            ScheduleKind::Flat => serialize::read_schedule_file_verified(&path)
-                .map(|v| VerifiedSchedule::witness(PreparedSchedule::Flat(v.into_inner()))),
-            ScheduleKind::Tiled => serialize::read_tiled_schedule_file_verified(&path)
-                .map(|v| VerifiedSchedule::witness(PreparedSchedule::Tiled(v.into_inner()))),
-        };
+        let loaded = serialize::read_schedule_file_verified(&path)
+            .map(|v| VerifiedSchedule::witness(PreparedSchedule::Flat(v.into_inner())));
         match loaded {
             Ok(schedule) => {
                 let fits = schedule.length() == self.engine.config().length()
@@ -691,16 +639,9 @@ impl ScheduleRegistry {
         None
     }
 
-    /// One uninstrumented build of the configured schedule kind.
+    /// One uninstrumented schedule build.
     fn build_once(&self, matrix: &CsrMatrix) -> PreparedSchedule {
-        match self.kind {
-            ScheduleKind::Flat => PreparedSchedule::Flat(self.engine.schedule(matrix)),
-            // Served panels aggregate requests, so tiles and bands are
-            // sized for a full register block.
-            ScheduleKind::Tiled => {
-                PreparedSchedule::Tiled(self.engine.schedule_tiled_for_batch(matrix, REG_BLOCK))
-            }
-        }
+        PreparedSchedule::Flat(self.engine.schedule(matrix))
     }
 }
 
@@ -1398,19 +1339,16 @@ fn execute_panel<T: Copy>(
     }
 }
 
-/// Runs one `f32` panel through the schedule of whatever family it is.
+/// Runs one `f32` panel through the schedule.
 fn dispatch_f32(
     engine: &Gust,
     schedule: &PreparedSchedule,
     panel: &[f32],
     batch: usize,
 ) -> Result<Vec<f32>, GustError> {
-    match schedule {
-        PreparedSchedule::Flat(s) => engine.try_execute_batch(s, panel, batch).map(|(y, _)| y),
-        PreparedSchedule::Tiled(s) => engine
-            .try_execute_batch_tiled(s, panel, batch)
-            .map(|(y, _)| y),
-    }
+    engine
+        .try_execute_batch(schedule, panel, batch)
+        .map(|(y, _)| y)
 }
 
 /// `f64` twin of [`dispatch_f32`].
@@ -1420,14 +1358,9 @@ fn dispatch_f64(
     panel: &[f64],
     batch: usize,
 ) -> Result<Vec<f64>, GustError> {
-    match schedule {
-        PreparedSchedule::Flat(s) => engine
-            .try_execute_batch_f64(s, panel, batch)
-            .map(|(y, _)| y),
-        PreparedSchedule::Tiled(s) => engine
-            .try_execute_batch_tiled_f64(s, panel, batch)
-            .map(|(y, _)| y),
-    }
+    engine
+        .try_execute_batch_f64(schedule, panel, batch)
+        .map(|(y, _)| y)
 }
 
 /// `f32` reference kernel as a plain `fn` for [`execute_panel`].

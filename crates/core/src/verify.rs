@@ -9,16 +9,15 @@
 //! assume. In-memory schedules establish it by construction (the
 //! [`Scheduler`](crate::schedule::Scheduler) colors conflict-free and the
 //! constructors `debug_assert` it), but `debug_assert`s vanish in release
-//! builds, and a deserialized `GUST`/`GUTL` stream can carry a valid
-//! checksum around forged contents. This module closes that gap: it audits
-//! the **complete safety contract** for any flat or tiled schedule
-//! and returns a typed [`AuditReport`] with slot-precise violation
-//! locations instead of panicking.
+//! builds, and a deserialized `GUST` stream can carry a valid checksum
+//! around forged contents. This module closes that gap: it audits the
+//! **complete safety contract** for any schedule and returns a typed
+//! [`AuditReport`] with slot-precise violation locations instead of
+//! panicking.
 //!
 //! # The audited contract
 //!
-//! For every window of a schedule (and, for tiled schedules, every band
-//! and tile on top):
+//! For every window of a schedule:
 //!
 //! 1. **Structure** — the SoA arrays agree in length and `color_ptr` is a
 //!    monotone CSR-style partition covering every slot exactly once.
@@ -36,11 +35,7 @@
 //! 5. **Row permutation** — `row_perm` is a true permutation of
 //!    `0..rows`: in bounds *and* duplicate-free, since a duplicate would
 //!    scatter two windows' outputs into one row concurrently.
-//! 6. **Band/tile containment** — band slot pointers partition each
-//!    window's slots and every slot's column falls inside its band's
-//!    `[start, end)`; tile row boundaries strictly ascend from 0 to
-//!    `rows` (a 0-row matrix has the single empty tile `[0, 0]`).
-//! 7. **Coverage** (optional, against a source [`CsrMatrix`]) — the slot
+//! 6. **Coverage** (optional, against a source [`CsrMatrix`]) — the slot
 //!    stream reproduces the matrix triplet-for-triplet.
 //!
 //! # Admission flow
@@ -61,9 +56,7 @@
 use std::fmt;
 use std::ops::Deref;
 
-use crate::schedule::banded::{BandedSchedule, BandedWindow};
 use crate::schedule::scheduled::{ScheduledMatrix, WindowSchedule};
-use crate::schedule::tiled::{self, TiledSchedule};
 use gust_sparse::CsrMatrix;
 
 /// Reports are truncated at this many violations: a forged stream can
@@ -168,46 +161,6 @@ pub enum Violation {
         /// What is wrong.
         what: String,
     },
-    /// The column-band boundaries do not partition `0..cols`.
-    BandPartition {
-        /// What is wrong.
-        what: String,
-    },
-    /// A window's band slot pointers do not partition its slots.
-    BandPointer {
-        /// Window index.
-        window: usize,
-        /// What is wrong.
-        what: String,
-    },
-    /// A slot's column falls outside the band its pointer range claims.
-    BandColumn {
-        /// Window index.
-        window: usize,
-        /// Band index.
-        band: usize,
-        /// Absolute slot index within the window's SoA arrays.
-        slot: usize,
-        /// The offending column.
-        col: u32,
-        /// Band start (inclusive).
-        start: u32,
-        /// Band end (exclusive).
-        end: u32,
-    },
-    /// The row-tile boundaries do not partition `0..rows` or a tile's
-    /// shape disagrees with its boundaries.
-    TileStructure {
-        /// What is wrong.
-        what: String,
-    },
-    /// A violation inside one tile of a tiled schedule.
-    Tile {
-        /// Tile index.
-        tile: usize,
-        /// The violation within that tile (window indices tile-local).
-        inner: Box<Violation>,
-    },
     /// The slot stream does not reproduce the source matrix.
     Coverage {
         /// What diverges.
@@ -273,23 +226,6 @@ impl fmt::Display for Violation {
                 write!(f, "window {window}: staging index {what}")
             }
             Violation::RowPerm { what } => write!(f, "row permutation {what}"),
-            Violation::BandPartition { what } => write!(f, "band partition {what}"),
-            Violation::BandPointer { window, what } => {
-                write!(f, "window {window}: band slot pointers {what}")
-            }
-            Violation::BandColumn {
-                window,
-                band,
-                slot,
-                col,
-                start,
-                end,
-            } => write!(
-                f,
-                "window {window} band {band} slot {slot}: column {col} outside [{start}, {end})"
-            ),
-            Violation::TileStructure { what } => write!(f, "row tiling {what}"),
-            Violation::Tile { tile, inner } => write!(f, "tile {tile}: {inner}"),
             Violation::Coverage { what } => write!(f, "coverage: {what}"),
         }
     }
@@ -320,21 +256,6 @@ impl AuditReport {
     pub fn violations(&self) -> &[Violation] {
         &self.violations
     }
-
-    /// Wraps every violation with the tile it was found in (window
-    /// indices inside a tile are tile-local).
-    pub(crate) fn in_tile(self, tile: usize) -> Self {
-        Self {
-            violations: self
-                .violations
-                .into_iter()
-                .map(|v| Violation::Tile {
-                    tile,
-                    inner: Box::new(v),
-                })
-                .collect(),
-        }
-    }
 }
 
 impl fmt::Display for AuditReport {
@@ -362,7 +283,7 @@ impl fmt::Display for AuditReport {
 
 impl std::error::Error for AuditReport {}
 
-/// Audits a flat schedule's complete safety contract (items 1–5 of the
+/// Audits a schedule's complete safety contract (items 1–5 of the
 /// module contract). O(nnz).
 #[must_use]
 pub fn audit_schedule(schedule: &ScheduledMatrix) -> AuditReport {
@@ -398,121 +319,6 @@ pub fn audit_schedule(schedule: &ScheduledMatrix) -> AuditReport {
     AuditReport::from_violations(out)
 }
 
-/// Audits one tile's column-banded body: [`audit_schedule`] on the
-/// tile's flat schedule, plus band-partition and per-window band
-/// slot-pointer containment.
-fn audit_banded(tile: &BandedSchedule) -> AuditReport {
-    let flat = tile.flat();
-    let mut report = audit_schedule(flat);
-    let out = &mut report.violations;
-    let starts = tile.bands().starts();
-    audit_band_partition(starts, flat.cols(), out);
-    for (w, (window, banded)) in flat.windows().iter().zip(tile.windows()).enumerate() {
-        // Rebuild the window's band layout from its offsets: the rebuild
-        // audits the offsets and every slot's band containment, and its
-        // band-local columns are the ones the banded gather must read.
-        match BandedWindow::from_merged(w, window, banded.band_slot_ptr().to_vec(), starts) {
-            Err(rebuilt) => {
-                for v in rebuilt.violations {
-                    if !push(out, v) {
-                        break;
-                    }
-                }
-            }
-            Ok(rebuilt) if rebuilt.local_cols() != banded.local_cols() => {
-                push(
-                    out,
-                    Violation::BandPointer {
-                        window: w,
-                        what: "disagree with the band-local columns".into(),
-                    },
-                );
-            }
-            Ok(_) => {}
-        }
-    }
-    report
-}
-
-/// Audits a row-tiled schedule: the tile partition plus, for every
-/// tile's banded body, everything [`audit_schedule`] proves and the band
-/// containment of contract item 6 (violations wrapped in
-/// [`Violation::Tile`]).
-#[must_use]
-pub fn audit_tiled(schedule: &TiledSchedule) -> AuditReport {
-    let mut out = Vec::new();
-    let starts = schedule.row_starts();
-    if starts.len() != schedule.tile_count() + 1 {
-        push(
-            &mut out,
-            Violation::TileStructure {
-                what: format!(
-                    "have {} boundaries for {} tiles",
-                    starts.len(),
-                    schedule.tile_count()
-                ),
-            },
-        );
-    } else if !tiled::row_starts_are_valid(starts, schedule.rows()) {
-        push(
-            &mut out,
-            Violation::TileStructure {
-                what: format!("boundaries must ascend from 0 to {}", schedule.rows()),
-            },
-        );
-    }
-    let mut total_nnz = 0usize;
-    for (t, tile) in schedule.tiles().iter().enumerate() {
-        let flat = tile.flat();
-        total_nnz += flat.nnz();
-        if starts.len() == schedule.tile_count() + 1 {
-            let tile_rows = starts[t + 1].saturating_sub(starts[t]) as usize;
-            if flat.rows() != tile_rows
-                || flat.cols() != schedule.cols()
-                || flat.length() != schedule.length()
-            {
-                push(
-                    &mut out,
-                    Violation::TileStructure {
-                        what: format!(
-                            "tile {t} is {}x{} (length {}) but its boundaries say {}x{} (length {})",
-                            flat.rows(),
-                            flat.cols(),
-                            flat.length(),
-                            tile_rows,
-                            schedule.cols(),
-                            schedule.length()
-                        ),
-                    },
-                );
-            }
-        }
-        for v in audit_banded(tile).violations {
-            if !push(
-                &mut out,
-                Violation::Tile {
-                    tile: t,
-                    inner: Box::new(v),
-                },
-            ) {
-                break;
-            }
-        }
-    }
-    if total_nnz != schedule.nnz() {
-        push(
-            &mut out,
-            Violation::Shape {
-                what: format!(
-                    "tiles hold {total_nnz} slots but the schedule claims {} non-zeros",
-                    schedule.nnz()
-                ),
-            },
-        );
-    }
-    AuditReport::from_violations(out)
-}
-
 /// [`audit_schedule`] plus exact CSR coverage: the slot stream must
 /// reproduce `matrix` triplet-for-triplet. O(nnz log nnz).
 #[must_use]
@@ -524,29 +330,7 @@ pub fn audit_schedule_against(schedule: &ScheduledMatrix, matrix: &CsrMatrix) ->
         return report;
     }
     let mut rebuilt: Vec<(u32, u32, u32)> = Vec::with_capacity(schedule.nnz());
-    collect_triplets(schedule, 0, &mut rebuilt);
-    audit_coverage(
-        &mut rebuilt,
-        schedule.rows(),
-        schedule.cols(),
-        matrix,
-        &mut report.violations,
-    );
-    report
-}
-
-/// [`audit_tiled`] plus exact CSR coverage (tile row permutations are
-/// tile-local; triplets are lifted by each tile's row offset).
-#[must_use]
-pub fn audit_tiled_against(schedule: &TiledSchedule, matrix: &CsrMatrix) -> AuditReport {
-    let mut report = audit_tiled(schedule);
-    if !report.is_clean() {
-        return report;
-    }
-    let mut rebuilt: Vec<(u32, u32, u32)> = Vec::with_capacity(schedule.nnz());
-    for (tile, &row0) in schedule.tiles().iter().zip(schedule.row_starts()) {
-        collect_triplets(tile.flat(), row0, &mut rebuilt);
-    }
+    collect_triplets(schedule, &mut rebuilt);
     audit_coverage(
         &mut rebuilt,
         schedule.rows(),
@@ -567,12 +351,6 @@ pub trait Auditable {
 impl Auditable for ScheduledMatrix {
     fn audit(&self) -> AuditReport {
         audit_schedule(self)
-    }
-}
-
-impl Auditable for TiledSchedule {
-    fn audit(&self) -> AuditReport {
-        audit_tiled(self)
     }
 }
 
@@ -907,86 +685,7 @@ pub(crate) fn audit_row_perm(row_perm: &[u32], rows: usize, out: &mut Vec<Violat
     }
 }
 
-/// Audits the column-band boundaries: non-descending from 0 to `cols`
-/// (empty bands are legal).
-pub(crate) fn audit_band_partition(starts: &[u32], cols: usize, out: &mut Vec<Violation>) {
-    if starts.len() < 2
-        || starts.first() != Some(&0)
-        || starts.last().map(|&e| e as usize) != Some(cols)
-        || starts.windows(2).any(|w| w[0] > w[1])
-    {
-        push(
-            out,
-            Violation::BandPartition {
-                what: format!("boundaries must ascend from 0 to {cols}"),
-            },
-        );
-    }
-}
-
-/// Audits one window's band slot pointers and per-band column containment
-/// (contract item 6) against the raw slot columns.
-pub(crate) fn audit_banded_window(
-    window: usize,
-    band_slot_ptr: &[u32],
-    band_starts: &[u32],
-    cols_arr: &[u32],
-    out: &mut Vec<Violation>,
-) {
-    let bands = band_starts.len().saturating_sub(1);
-    if band_slot_ptr.len() != bands + 1 {
-        push(
-            out,
-            Violation::BandPointer {
-                window,
-                what: format!(
-                    "length {} inconsistent with {bands} bands",
-                    band_slot_ptr.len()
-                ),
-            },
-        );
-        return;
-    }
-    let nnz = cols_arr.len();
-    if band_slot_ptr.first() != Some(&0)
-        || band_slot_ptr.last().map(|&e| e as usize) != Some(nnz)
-        || band_slot_ptr.windows(2).any(|w| w[0] > w[1])
-    {
-        push(
-            out,
-            Violation::BandPointer {
-                window,
-                what: format!("must ascend from 0 to {nnz}"),
-            },
-        );
-        return;
-    }
-    for b in 0..bands {
-        let (start, end) = (band_starts[b], band_starts[b + 1]);
-        // `i` is the violation's slot coordinate, not just a cursor.
-        #[allow(clippy::needless_range_loop)]
-        for i in band_slot_ptr[b] as usize..band_slot_ptr[b + 1] as usize {
-            let col = cols_arr[i];
-            if (col < start || col >= end)
-                && !push(
-                    out,
-                    Violation::BandColumn {
-                        window,
-                        band: b,
-                        slot: i,
-                        col,
-                        start,
-                        end,
-                    },
-                )
-            {
-                return;
-            }
-        }
-    }
-}
-
-/// Schedule-level shape checks shared by the typed auditors.
+/// Schedule-level shape checks.
 fn audit_shape(
     window_count: usize,
     rows: usize,
@@ -1027,22 +726,20 @@ fn audit_shape(
     }
 }
 
-/// Rebuilds `(original_row, col, value_bits)` triplets from a flat
-/// schedule whose rows start at original row `row0` (0 for a flat
-/// schedule, the tile's first row for a tile). Precondition (established
-/// by the structural audit): every `row_mod` indexes inside `row_perm`
-/// after its window's offset.
-fn collect_triplets(schedule: &ScheduledMatrix, row0: u32, out: &mut Vec<(u32, u32, u32)>) {
+/// Rebuilds `(original_row, col, value_bits)` triplets from a schedule.
+/// Precondition (established by the structural audit): every `row_mod`
+/// indexes inside `row_perm` after its window's offset.
+fn collect_triplets(schedule: &ScheduledMatrix, out: &mut Vec<(u32, u32, u32)>) {
     let row_perm = schedule.row_perm();
     for (w, window) in schedule.windows().iter().enumerate() {
         for slot in window.iter_slots() {
             let pos = w * schedule.length() + slot.row_mod as usize;
-            out.push((row0 + row_perm[pos], slot.col, slot.value.to_bits()));
+            out.push((row_perm[pos], slot.col, slot.value.to_bits()));
         }
     }
 }
 
-/// Compares rebuilt triplets against the source matrix (contract item 7).
+/// Compares rebuilt triplets against the source matrix (contract item 6).
 fn audit_coverage(
     rebuilt: &mut Vec<(u32, u32, u32)>,
     rows: usize,
@@ -1120,14 +817,6 @@ mod tests {
         let (m, s) = schedules(11);
         assert!(audit_schedule(&s).is_clean());
         assert!(audit_schedule_against(&s, &m).is_clean());
-        let gust = Gust::new(GustConfig::new(8).with_cache_budget(Some(64)));
-        let tiled = gust.schedule_tiled(&m);
-        assert!(
-            tiled.tiles()[0].bands().count() > 1,
-            "want a multi-band tile"
-        );
-        assert!(audit_tiled(&tiled).is_clean());
-        assert!(audit_tiled_against(&tiled, &m).is_clean());
     }
 
     #[test]
@@ -1225,23 +914,6 @@ mod tests {
         audit_row_perm(&[0, 1, 1, 3], 4, &mut out);
         assert_eq!(out.len(), 1);
         assert!(out[0].to_string().contains("twice"));
-    }
-
-    #[test]
-    fn band_containment_is_checked() {
-        let mut out = Vec::new();
-        // Band 0 is [0, 4) but slot 1 claims column 5.
-        audit_banded_window(0, &[0, 2, 3], &[0, 4, 8], &[1, 5, 6], &mut out);
-        assert!(matches!(
-            out.as_slice(),
-            [Violation::BandColumn {
-                band: 0,
-                slot: 1,
-                col: 5,
-                ..
-            }]
-        ));
-        assert!(out[0].to_string().contains("outside"));
     }
 
     #[test]

@@ -10,13 +10,11 @@
 
 mod common;
 
-use common::{fix_crc, flat_cells, read_u32, same_color_pair, tiled_cells, write_u32, ENVELOPE};
+use common::{fix_crc, flat_cells, read_u32, same_color_pair, write_u32, ENVELOPE};
 use gust::prelude::*;
 use gust::schedule::serialize::{
-    read_schedule, read_tiled_schedule, read_tiled_schedule_file, write_schedule,
-    write_tiled_schedule, ReadScheduleError,
+    read_schedule, read_schedule_file, write_schedule, ReadScheduleError,
 };
-use gust::schedule::Scheduler;
 use gust::serve::Acquired;
 use gust_sparse::gen;
 use gust_sparse::CsrMatrix;
@@ -38,28 +36,6 @@ fn flat_container(seed: u64) -> (CsrMatrix, Vec<u8>) {
     let mut buf = Vec::new();
     write_schedule(&schedule, &mut buf).expect("write to vec");
     (m, buf)
-}
-
-/// Serialized one-tile, three-band `GUTL` container: the purely
-/// column-banded tile body.
-fn banded_container(seed: u64) -> Vec<u8> {
-    let m = matrix(seed);
-    let schedule = Scheduler::new(engine().config().clone()).schedule_tiled_with(
-        &m,
-        1,
-        ColumnBands::with_count(24, 3),
-    );
-    let mut buf = Vec::new();
-    write_tiled_schedule(&schedule, &mut buf).expect("write to vec");
-    buf
-}
-
-fn tiled_container(seed: u64) -> Vec<u8> {
-    let m = matrix(seed);
-    let schedule = engine().schedule_tiled(&m);
-    let mut buf = Vec::new();
-    write_tiled_schedule(&schedule, &mut buf).expect("write to vec");
-    buf
 }
 
 /// Forges an intra-color write collision: copies one occupied cell's
@@ -91,51 +67,6 @@ fn forged_write_collision_in_flat_container_is_rejected_as_audit() {
     }
 }
 
-#[test]
-fn forged_out_of_bounds_column_in_banded_container_is_rejected() {
-    let mut buf = banded_container(2);
-    let cells = tiled_cells(&buf);
-    let cell = cells[cells.len() / 2];
-    // 24 columns; point the gather far outside the matrix (and hence
-    // outside every band).
-    write_u32(&mut buf, cell.col_off, 24 + 7);
-    fix_crc(&mut buf);
-
-    let err = read_tiled_schedule(buf.as_slice()).expect_err("forged column must not load");
-    let ReadScheduleError::Audit(report) = &err else {
-        panic!("expected Audit rejection, got {err:?}");
-    };
-    let text = report.to_string();
-    assert!(
-        text.contains("out of range") || text.contains("outside"),
-        "report must locate the bad column: {text}"
-    );
-}
-
-#[test]
-fn forged_tiled_container_is_rejected_and_names_the_tile() {
-    let mut buf = tiled_container(3);
-    let cells = tiled_cells(&buf);
-    forge_collision(&mut buf, &cells);
-    let path = temp_path("gutl-forged", "gutl");
-    std::fs::write(&path, &buf).expect("write forged file");
-
-    let err = read_tiled_schedule_file(&path).expect_err("forged tile must not load");
-    std::fs::remove_file(&path).ok();
-    let ReadScheduleError::Audit(report) = &err else {
-        panic!("expected Audit rejection, got {err:?}");
-    };
-    let text = report.to_string();
-    assert!(
-        text.contains("tile"),
-        "violation must carry its tile: {text}"
-    );
-    assert!(
-        text.contains("write collision"),
-        "and the collision: {text}"
-    );
-}
-
 fn temp_path(tag: &str, ext: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("gust-audit-{tag}-{}.{ext}", std::process::id()))
 }
@@ -165,10 +96,8 @@ fn registry_quarantines_forged_cache_counts_audit_reject_and_rebuilds() {
     std::fs::create_dir_all(&dir).expect("create cache dir");
     let m = matrix(5);
 
-    // Prime: first registry builds and writes the GUTL cache file.
-    let primer = ScheduleRegistry::new(engine())
-        .with_kind(ScheduleKind::Tiled)
-        .with_cache_dir(&dir);
+    // Prime: first registry builds and writes the GUST cache file.
+    let primer = ScheduleRegistry::new(engine()).with_cache_dir(&dir);
     let key = primer.insert(&m);
     assert!(matches!(primer.acquire(key), Ok(Acquired::Scheduled(_))));
     drop(primer);
@@ -176,23 +105,21 @@ fn registry_quarantines_forged_cache_counts_audit_reject_and_rebuilds() {
         .expect("read cache dir")
         .filter_map(Result::ok)
         .map(|e| e.path())
-        .find(|p| p.extension().is_some_and(|e| e == "gutl"))
-        .expect("primer must have written a .gutl cache file");
+        .find(|p| p.extension().is_some_and(|e| e == "gust"))
+        .expect("primer must have written a .gust cache file");
 
     // Forge a write collision; the file stays checksum-valid.
     let mut buf = std::fs::read(&cache_file).expect("read cache file");
-    let cells = tiled_cells(&buf);
+    let cells = flat_cells(&buf);
     forge_collision(&mut buf, &cells);
     std::fs::write(&cache_file, &buf).expect("write forged file");
     assert!(
-        read_tiled_schedule(buf.as_slice()).is_err(),
+        read_schedule(buf.as_slice()).is_err(),
         "sanity: the forge must trip the auditor"
     );
 
     // A fresh registry must reject, quarantine, and rebuild.
-    let registry = ScheduleRegistry::new(engine())
-        .with_kind(ScheduleKind::Tiled)
-        .with_cache_dir(&dir);
+    let registry = ScheduleRegistry::new(engine()).with_cache_dir(&dir);
     let key = registry.insert(&m);
     let acquired = registry.acquire(key).expect("matrix is registered");
     assert!(
@@ -210,7 +137,7 @@ fn registry_quarantines_forged_cache_counts_audit_reject_and_rebuilds() {
         stats.rebuilds, 1,
         "rejection is a miss: rebuilt, not an error"
     );
-    let quarantined = cache_file.with_extension("gutl.corrupt");
+    let quarantined = cache_file.with_extension("gust.corrupt");
     assert!(
         quarantined.exists(),
         "forged evidence must be preserved at {}",
@@ -223,7 +150,7 @@ fn registry_quarantines_forged_cache_counts_audit_reject_and_rebuilds() {
     );
 
     // The rebuild overwrote the cache with a clean container.
-    assert!(read_tiled_schedule_file(&cache_file).is_ok());
+    assert!(read_schedule_file(&cache_file).is_ok());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,6 +1,6 @@
 //! Shared byte-surgery helpers for the schedule-container audit tests.
 //!
-//! These walk the serialized `GUST`/`GUTL` layouts (see
+//! These walk the serialized `GUST` layout (see
 //! `gust::schedule::serialize`) to locate occupied cells, so tests can
 //! forge *semantically* invalid containers — wrong `row_mod`/`col`
 //! values — and then re-checksum, producing files every byte-level
@@ -16,7 +16,7 @@ pub const ENVELOPE: usize = 16;
 /// One occupied cell in a serialized window grid.
 #[derive(Debug, Clone, Copy)]
 pub struct Cell {
-    /// Which window block (tile-local for `GUTL`).
+    /// Which window block.
     pub window: usize,
     /// Color (time slot) the cell belongs to.
     pub color: usize,
@@ -52,39 +52,8 @@ pub fn fix_crc(buf: &mut [u8]) {
     buf[end..].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Walks one window block (colors/vizing/stalls header + dense cell
-/// grid), appending its occupied cells and returning the offset just
-/// past the block.
-fn walk_window_block(
-    buf: &[u8],
-    mut off: usize,
-    l: usize,
-    window: usize,
-    out: &mut Vec<Cell>,
-) -> usize {
-    let colors = read_u32(buf, off) as usize;
-    off += 4 + 4 + 8; // colors, vizing bound, stalls
-    for color in 0..colors {
-        for lane in 0..l {
-            let occ = buf[off];
-            off += 1;
-            if occ == 1 {
-                out.push(Cell {
-                    window,
-                    color,
-                    lane,
-                    value_off: off,
-                    row_mod_off: off + 4,
-                    col_off: off + 8,
-                });
-                off += 12;
-            }
-        }
-    }
-    off
-}
-
-/// Occupied cells of a serialized **flat** (`GUST`) container.
+/// Occupied cells of a serialized `GUST` container: walks every window
+/// block (colors/vizing/stalls header + dense cell grid).
 pub fn flat_cells(buf: &[u8]) -> Vec<Cell> {
     let mut off = ENVELOPE;
     let l = read_u32(buf, off) as usize;
@@ -95,50 +64,26 @@ pub fn flat_cells(buf: &[u8]) -> Vec<Cell> {
     let window_count = read_u64(buf, off) as usize;
     off += 8;
     let mut cells = Vec::new();
-    for w in 0..window_count {
-        off = walk_window_block(buf, off, l, w, &mut cells);
-    }
-    cells
-}
-
-/// Walks one tile's banded body (band header + row_perm + windows with
-/// band slot pointers), appending cells; returns the offset past the
-/// body.
-fn walk_banded_body(
-    buf: &[u8],
-    mut off: usize,
-    l: usize,
-    rows: usize,
-    out: &mut Vec<Cell>,
-) -> usize {
-    let bands = read_u64(buf, off) as usize;
-    off += 8;
-    off += (bands + 1) * 4; // band_starts
-    off += rows * 4; // row_perm
-    let window_count = read_u64(buf, off) as usize;
-    off += 8;
-    for w in 0..window_count {
-        off = walk_window_block(buf, off, l, w, out);
-        off += (bands + 1) * 4; // band_slot_ptr
-    }
-    off
-}
-
-/// Occupied cells of a serialized **tiled** (`GUTL`) container, all
-/// tiles merged (windows stay tile-local in the `Cell`).
-pub fn tiled_cells(buf: &[u8]) -> Vec<Cell> {
-    let mut off = ENVELOPE;
-    let l = read_u32(buf, off) as usize;
-    off += 4 + 8 + 8; // length, rows, cols
-    let tiles = read_u64(buf, off) as usize;
-    off += 8;
-    let row_starts_off = off;
-    off += (tiles + 1) * 4;
-    let mut cells = Vec::new();
-    for t in 0..tiles {
-        let tile_rows = (read_u32(buf, row_starts_off + (t + 1) * 4)
-            - read_u32(buf, row_starts_off + t * 4)) as usize;
-        off = walk_banded_body(buf, off, l, tile_rows, &mut cells);
+    for window in 0..window_count {
+        let colors = read_u32(buf, off) as usize;
+        off += 4 + 4 + 8; // colors, vizing bound, stalls
+        for color in 0..colors {
+            for lane in 0..l {
+                let occ = buf[off];
+                off += 1;
+                if occ == 1 {
+                    cells.push(Cell {
+                        window,
+                        color,
+                        lane,
+                        value_off: off,
+                        row_mod_off: off + 4,
+                        col_off: off + 8,
+                    });
+                    off += 12;
+                }
+            }
+        }
     }
     cells
 }

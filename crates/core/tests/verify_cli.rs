@@ -122,8 +122,5 @@ fn retired_banded_container_magic_is_unrecognized_with_exit_two() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unrecognized magic"), "stderr: {stderr}");
-    assert!(
-        stderr.contains("(expected GUST or GUTL)"),
-        "stderr: {stderr}"
-    );
+    assert!(stderr.contains("(expected GUST)"), "stderr: {stderr}");
 }

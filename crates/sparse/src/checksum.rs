@@ -1,7 +1,7 @@
 //! CRC32 (IEEE 802.3, the zlib/gzip polynomial) for the on-disk formats.
 //!
-//! The `GSPB` matrix cache and the `GUST`/`GUTL` schedule
-//! containers append a CRC32 of their payload so a bit flip on disk — a
+//! The `GSPB` matrix cache and the `GUST` schedule container append a
+//! CRC32 of their payload so a bit flip on disk — a
 //! failing drive, a torn write, a truncated copy — surfaces as a
 //! *corruption* error the loaders can quarantine and fall back from,
 //! instead of silently feeding wrong numbers (or a panic) into the

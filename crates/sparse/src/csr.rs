@@ -230,28 +230,6 @@ impl CsrMatrix {
         crate::kernels::csr_spmv_f64(crate::kernels::default_backend(), self, x)
     }
 
-    /// Cache-blocked SpMV: columns are walked in bands of `band_cols`,
-    /// so every `x` gather of one pass stays inside a band-sized slice
-    /// (see [`crate::kernels::csr_spmv_banded`]). Bit-identical to
-    /// [`CsrMatrix::spmv`] when a single band covers all columns;
-    /// otherwise the per-row reduction is regrouped by band.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.cols()` or `band_cols == 0`.
-    #[must_use]
-    pub fn spmv_banded(&self, x: &[f32], band_cols: usize) -> Vec<f32> {
-        let mut y = vec![0.0f32; self.rows];
-        crate::kernels::csr_spmv_banded(
-            crate::kernels::default_backend(),
-            self,
-            x,
-            &mut y,
-            band_cols,
-        );
-        y
-    }
-
     /// Returns the transpose as a new CSR matrix.
     #[must_use]
     pub fn transpose(&self) -> Self {
@@ -293,10 +271,7 @@ impl CsrMatrix {
 
     /// The sub-matrix holding rows `range` (all columns): a copied CSR
     /// slice with `range.len()` rows, the same column count, and the
-    /// rows' non-zeros verbatim. This is the row-tile partitioner of the
-    /// 2D tiled schedules (`gust::schedule::tiled`): each row tile is
-    /// scheduled as an independent matrix whose output slice stays
-    /// cache-resident during its walk.
+    /// rows' non-zeros verbatim.
     ///
     /// # Panics
     ///

@@ -33,7 +33,7 @@
 //! |---|---|
 //! | [`sites::IO_READ`] | binary matrix-cache reads ([`crate::io::read_bin`] and friends) |
 //! | [`sites::IO_WRITE`] | binary matrix-cache writes |
-//! | [`sites::SCHEDULE_READ`] | `GUST`/`GUTL` schedule container reads |
+//! | [`sites::SCHEDULE_READ`] | `GUST` schedule container reads |
 //! | [`sites::SCHEDULE_WRITE`] | schedule container writes |
 //! | [`sites::WORKER_PANIC`] | inside each `gust::parallel::Pool` task |
 //! | [`sites::SCHED_BUILD`] | schedule construction in `gust::serve::ScheduleRegistry` |

@@ -303,70 +303,6 @@ pub fn csc_scatter_column(backend: Backend, rows: &[u32], vals: &[f32], xj: f32,
     csc_scatter_scalar(rows, vals, xj, y);
 }
 
-/// Cache-blocked CSR SpMV under an explicit backend: the columns are cut
-/// into bands of `band_cols`, and bands are walked outermost so every
-/// `x[col]` gather of one pass stays inside a `band_cols × 4`-byte slice
-/// — the reference-kernel counterpart of the engine's banded schedules
-/// (`gust::schedule::banded`). Each row accumulates `y[r] += partial`
-/// per band; with a single band (`band_cols >= a.cols()`) the partial
-/// *is* the row sum added to zero, so the result is bit-identical to
-/// [`csr_spmv_into`]. Multiple bands regroup the row reduction (band
-/// partials are combined left to right), which stays within the usual
-/// FMA/reassociation bound on cancellation-free inputs.
-///
-/// # Panics
-///
-/// Panics if `x.len() != a.cols()`, `y.len() != a.rows()`, or
-/// `band_cols == 0`.
-pub fn csr_spmv_banded(
-    backend: Backend,
-    a: &CsrMatrix,
-    x: &[f32],
-    y: &mut [f32],
-    band_cols: usize,
-) {
-    assert_eq!(x.len(), a.cols(), "input vector length mismatch");
-    assert_eq!(y.len(), a.rows(), "output vector length mismatch");
-    assert!(band_cols > 0, "band width must be non-zero");
-    y.fill(0.0);
-    let mut band_start = 0usize;
-    while band_start < a.cols() {
-        let band_end = (band_start + band_cols).min(a.cols());
-        for (r, out) in y.iter_mut().enumerate() {
-            let (cols, vals) = a.row(r);
-            // Columns are sorted within a row: the band is one
-            // contiguous run, found by binary search.
-            let lo = cols.partition_point(|&c| (c as usize) < band_start);
-            let hi = lo + cols[lo..].partition_point(|&c| (c as usize) < band_end);
-            if lo == hi {
-                continue;
-            }
-            *out += row_sum(backend, &cols[lo..hi], &vals[lo..hi], x);
-        }
-        band_start = band_end;
-    }
-}
-
-/// One row's (or row slice's) dot product against `x` under `backend` —
-/// the shared body of [`csr_spmv_into`] and [`csr_spmv_banded`].
-fn row_sum(backend: Backend, cols: &[u32], vals: &[f32], x: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx512 && Backend::Avx512.is_available() {
-        // SAFETY: `is_available` proved avx512f+avx512vl+avx2+fma; column
-        // indices are `< cols == x.len()` by the CSR construction
-        // invariant, and masked-out gather lanes access no memory.
-        return unsafe { avx512::row_sum_avx512(cols, vals, x) };
-    }
-    #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx2 && Backend::Avx2.is_available() {
-        // SAFETY: `is_available` proved avx2+fma; column indices are
-        // `< cols == x.len()` by the CSR construction invariant.
-        return unsafe { avx2::row_sum_avx2(cols, vals, x) };
-    }
-    let _ = backend;
-    row_sum_scalar(cols, vals, x)
-}
-
 /// The seed CSR kernel, verbatim: four independent partial sums per row,
 /// combined at row end as `(a0+a1)+(a2+a3)+tail`.
 fn csr_spmv_scalar(a: &CsrMatrix, x: &[f32], y: &mut [f32]) {
@@ -818,38 +754,6 @@ mod tests {
                 assert!(
                     (a - b).abs() <= 1e-9 * a.abs().max(1.0),
                     "{} diverged from scalar",
-                    backend.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn banded_csr_matches_flat_csr() {
-        let m = crate::CsrMatrix::from(&gen::uniform(70, 90, 1200, 8));
-        let x = vector(90, 11);
-        let mut flat = vec![0.0f32; 70];
-        csr_spmv_into(Backend::Scalar, &m, &x, &mut flat);
-        for backend in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
-            if !backend.is_available() {
-                continue;
-            }
-            // One covering band: bit-identical to the flat kernel (the
-            // partial is the whole row sum, added to zero).
-            let mut single = vec![0.0f32; 70];
-            csr_spmv_banded(backend, &m, &x, &mut single, 90);
-            if backend == Backend::Scalar {
-                assert_eq!(single, flat);
-            }
-            // Narrow bands regroup the reduction: equal within the
-            // reassociation bound.
-            for band_cols in [1usize, 13, 32, 64] {
-                let mut banded = vec![0.0f32; 70];
-                csr_spmv_banded(backend, &m, &x, &mut banded, band_cols);
-                let err = crate::ops::max_relative_error(&banded, &flat);
-                assert!(
-                    err < 1e-4,
-                    "{} band_cols={band_cols}: error {err}",
                     backend.name()
                 );
             }

@@ -160,29 +160,11 @@ fn staged_windows_are_bit_identical_to_the_unstaged_walk() {
         let unstaged = gust.execute_instrumented(&schedule, &x);
         assert_eq!(fast.output, unstaged.output, "{}", backend.name());
         assert_vectors_close(&fast.output, &reference_spmv(&matrix, &x), 1e-4);
-        // One tile of one band is the flat schedule, so the tile's
-        // windows take the staged path too — the tiled walks must match
-        // the same oracles.
-        let tiled = gust::schedule::Scheduler::new(gust.config().clone()).schedule_tiled_with(
-            &matrix,
-            1,
-            ColumnBands::with_count(matrix.cols(), 1),
-        );
-        assert_eq!(tiled.tiles()[0].flat(), &schedule);
-        let tiled_run = gust.execute_tiled(&tiled, &x);
-        assert_eq!(
-            tiled_run.output,
-            unstaged.output,
-            "{} tiled",
-            backend.name()
-        );
         // Batched staging under the scalar backend stays bit-identical
         // to per-vector runs; under AVX2 it matches within the FMA bound.
         for batch in [1usize, 5, 8] {
             let panel = positive_panel(matrix.cols(), batch, 37);
             let (y, _) = gust.execute_batch(&schedule, &panel, batch);
-            let (y_tiled, _) = gust.execute_batch_tiled(&tiled, &panel, batch);
-            assert_eq!(y_tiled, y, "{} tiled batch {batch}", backend.name());
             for j in 0..batch {
                 let col = &panel[j * matrix.cols()..(j + 1) * matrix.cols()];
                 let single = gust.execute(&schedule, col);
@@ -422,57 +404,6 @@ fn f64_batched_engine_matches_the_f64_oracle_under_every_backend() {
                     );
                 }
                 assert_eq!(report_scalar, report_simd, "accounting is backend-free");
-            }
-        }
-    }
-}
-
-#[test]
-fn f64_banded_and_tiled_walks_match_their_flat_f64_counterparts() {
-    let matrix = positive_matrix(2, 64, 96, 900, 163);
-    let batch = 9;
-    let panel = positive_panel_f64(96, batch, 177);
-    let oracle_bound = ulp_bound_f64(&matrix);
-    for backend in std::iter::once(Backend::Scalar).chain(simd_backends()) {
-        let config = GustConfig::new(8)
-            .with_backend(Some(backend))
-            .with_cache_budget(Some(512));
-        let gust = Gust::new(config.clone().with_row_budget(Some(256)));
-
-        // A single-tile (purely banded) f64 walk is bit-identical to
-        // flat-walking the tile's merged (unbanded) schedule: the band
-        // sweep preserves per-window slot order, in f64 exactly as in f32.
-        let banded = Gust::new(config.with_row_budget(Some(1 << 30)))
-            .schedule_tiled_for_batch_f64(&matrix, batch);
-        assert_eq!(banded.tile_count(), 1);
-        assert!(
-            banded.tiles()[0].bands().count() > 1,
-            "budget must force a multi-band f64 plan"
-        );
-        let (y_banded, _) = gust.execute_batch_tiled_f64(&banded, &panel, batch);
-        let (y_flat, _) = gust.execute_batch_f64(banded.tiles()[0].flat(), &panel, batch);
-        assert_eq!(
-            y_flat,
-            y_banded,
-            "{}: banded f64 walk drifted from its merged schedule",
-            backend.name()
-        );
-
-        // The tiled f64 walk stays within the f64 FMA bound of the
-        // row-order oracle (tile boundaries re-associate row sums).
-        let tiled = gust.schedule_tiled_for_batch_f64(&matrix, batch);
-        assert!(tiled.tiles().len() > 1, "budget must force multiple tiles");
-        let (y_tiled, _) = gust.execute_batch_tiled_f64(&tiled, &panel, batch);
-        for j in 0..batch {
-            let col = &panel[j * 96..(j + 1) * 96];
-            let oracle = reference_spmv_f64(&matrix, col);
-            for (r, (&got, want)) in y_tiled[j * 64..(j + 1) * 64].iter().zip(oracle).enumerate() {
-                let denom = want.abs().max(1.0);
-                assert!(
-                    ((got - want) / denom).abs() <= oracle_bound,
-                    "{} col {j} row {r}: tiled f64 {got} vs oracle {want}",
-                    backend.name()
-                );
             }
         }
     }

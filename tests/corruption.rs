@@ -3,15 +3,12 @@
 //! valid stream without panicking, reporting the damage as a typed
 //! error — [`gust_sparse::SparseError::Corrupt`] / `ParseError` for the
 //! GSPB matrix cache, [`ReadScheduleError::Corrupt`] / `Format` for the
-//! `GUST`/`GUTL` schedule containers — and the cached loaders
+//! `GUST` schedule container — and the cached loaders
 //! must quarantine a damaged cache and transparently rebuild from
 //! source.
 
-use gust::schedule::serialize::{
-    read_schedule, read_tiled_schedule, write_schedule, write_tiled_schedule, ReadScheduleError,
-};
-use gust::schedule::Scheduler;
-use gust::{ColumnBands, Gust, GustConfig};
+use gust::schedule::serialize::{read_schedule, write_schedule, ReadScheduleError};
+use gust::{Gust, GustConfig};
 use gust_sparse::io::{
     read_bin, read_matrix_market, read_matrix_market_cached, write_bin, write_matrix_market,
 };
@@ -129,47 +126,16 @@ fn schedule_containers_survive_truncation_and_bit_flips() {
     let m = sample_matrix();
     let gust = Gust::new(GustConfig::new(4));
     let flat = gust.schedule(&m);
-    // One tile of three bands: the multi-band tile body on its own.
-    let banded = Scheduler::new(gust.config().clone()).schedule_tiled_with(
-        &m,
-        1,
-        ColumnBands::with_count(10, 3),
-    );
-    let tiled = gust.schedule_tiled(&m);
 
     let mut flat_bytes = Vec::new();
     write_schedule(&flat, &mut flat_bytes).expect("serialize flat");
-    let mut banded_bytes = Vec::new();
-    write_tiled_schedule(&banded, &mut banded_bytes).expect("serialize banded");
-    let mut tiled_bytes = Vec::new();
-    write_tiled_schedule(&tiled, &mut tiled_bytes).expect("serialize tiled");
 
     assert_eq!(read_schedule(flat_bytes.as_slice()).expect("flat"), flat);
-    assert_eq!(
-        read_tiled_schedule(banded_bytes.as_slice()).expect("banded"),
-        banded
-    );
-    assert_eq!(
-        read_tiled_schedule(tiled_bytes.as_slice()).expect("tiled"),
-        tiled
-    );
 
     for cut in 0..flat_bytes.len() {
         assert_schedule_rejects(
             read_schedule(&flat_bytes[..cut]),
             &format!("flat truncated at {cut}"),
-        );
-    }
-    for cut in 0..banded_bytes.len() {
-        assert_schedule_rejects(
-            read_tiled_schedule(&banded_bytes[..cut]),
-            &format!("banded truncated at {cut}"),
-        );
-    }
-    for cut in 0..tiled_bytes.len() {
-        assert_schedule_rejects(
-            read_tiled_schedule(&tiled_bytes[..cut]),
-            &format!("tiled truncated at {cut}"),
         );
     }
 
@@ -182,26 +148,6 @@ fn schedule_containers_survive_truncation_and_bit_flips() {
             assert_schedule_rejects(
                 read_schedule(damaged.as_slice()),
                 &format!("flat bit {bit} of byte {byte}"),
-            );
-        }
-    }
-    for byte in 0..banded_bytes.len() {
-        for bit in 0..8 {
-            let mut damaged = banded_bytes.clone();
-            damaged[byte] ^= 1 << bit;
-            assert_schedule_rejects(
-                read_tiled_schedule(damaged.as_slice()),
-                &format!("banded bit {bit} of byte {byte}"),
-            );
-        }
-    }
-    for byte in 0..tiled_bytes.len() {
-        for bit in 0..8 {
-            let mut damaged = tiled_bytes.clone();
-            damaged[byte] ^= 1 << bit;
-            assert_schedule_rejects(
-                read_tiled_schedule(damaged.as_slice()),
-                &format!("tiled bit {bit} of byte {byte}"),
             );
         }
     }

@@ -124,54 +124,6 @@ fn try_batch_matches_the_panicking_twin_bit_for_bit() {
 }
 
 #[test]
-fn banded_and_tiled_try_paths_validate_and_match() {
-    let (m, gust, _, x) = setup();
-    // One tile of three bands (the purely column-banded schedule) and
-    // the auto-planned tiling.
-    let banded = gust::schedule::Scheduler::new(gust.config().clone()).schedule_tiled_with(
-        &m,
-        1,
-        ColumnBands::with_count(20, 3),
-    );
-    let tiled = gust.schedule_tiled(&m);
-
-    for schedule in [&banded, &tiled] {
-        assert!(matches!(
-            gust.try_execute_tiled(schedule, &x[..5]).unwrap_err(),
-            GustError::InputLength { .. }
-        ));
-        assert!(matches!(
-            gust.try_execute_batch_tiled(schedule, &x, 0).unwrap_err(),
-            GustError::EmptyBatch
-        ));
-        let run_try = gust.try_execute_tiled(schedule, &x).expect("valid");
-        assert_eq!(run_try.output, gust.execute_tiled(schedule, &x).output);
-    }
-
-    let batch = 3usize;
-    let panel: Vec<f32> = (0..20 * batch).map(|i| (i % 11) as f32 - 5.0).collect();
-    let schedule = gust.schedule_tiled_for_batch(&m, batch);
-    let (y_try, _) = gust
-        .try_execute_batch_tiled(&schedule, &panel, batch)
-        .expect("valid");
-    let (y, _) = gust.execute_batch_tiled(&schedule, &panel, batch);
-    assert_eq!(y_try, y);
-}
-
-#[test]
-fn try_schedule_for_batch_rejects_zero_batch() {
-    let (m, gust, _, _) = setup();
-    assert!(matches!(
-        gust.try_schedule_tiled_for_batch(&m, 0).unwrap_err(),
-        GustError::EmptyBatch
-    ));
-    let tiled = gust
-        .try_schedule_tiled_for_batch(&m, 4)
-        .expect("positive batch");
-    assert_eq!(tiled.rows(), 24);
-}
-
-#[test]
 fn panicking_twins_keep_their_historical_messages() {
     let (_, gust, schedule, x) = setup();
     let other = Gust::new(GustConfig::new(8));
