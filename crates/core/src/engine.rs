@@ -199,14 +199,17 @@ impl Gust {
 
     /// Validates a batched run: length match, non-empty batch, panel of
     /// exactly `cols × batch` values (overflow-proof: an impossible
-    /// product can never equal a real slice length).
-    fn check_batch(
+    /// product can never equal a real slice length), and a `rows × batch`
+    /// output of `E` that an allocation can hold (at most `isize::MAX`
+    /// bytes). The output check matters when `cols` is 0: then any batch
+    /// passes the panel check with an empty panel.
+    fn check_batch<E>(
         &self,
-        sched_len: usize,
-        cols: usize,
+        schedule: &ScheduledMatrix,
         b_len: usize,
         batch: usize,
     ) -> Result<(), GustError> {
+        let (sched_len, rows, cols) = (schedule.length(), schedule.rows(), schedule.cols());
         let l = self.config.length();
         if sched_len != l {
             return Err(GustError::LengthMismatch {
@@ -223,6 +226,13 @@ impl Gust {
                 cols,
                 batch,
             });
+        }
+        let out_bytes = rows
+            .checked_mul(batch)
+            .and_then(|n| n.checked_mul(std::mem::size_of::<E>()))
+            .and_then(|n| isize::try_from(n).ok());
+        if out_bytes.is_none() {
+            return Err(GustError::OutputShape { rows, batch });
         }
         Ok(())
     }
@@ -404,7 +414,8 @@ impl Gust {
     ///
     /// # Panics
     ///
-    /// Panics if `batch == 0`, `b.len() != schedule.cols() * batch`, or the
+    /// Panics if `batch == 0`, `b.len() != schedule.cols() * batch`, the
+    /// `rows × batch` output would exceed `isize::MAX` bytes, or the
     /// schedule's length does not match this engine's configuration. Use
     /// [`Gust::try_execute_batch`] to get a [`GustError`] instead.
     #[must_use]
@@ -423,8 +434,10 @@ impl Gust {
     ///
     /// # Errors
     ///
-    /// [`GustError::LengthMismatch`], [`GustError::EmptyBatch`], or
-    /// [`GustError::PanelShape`] when `b.len() != cols × batch`.
+    /// [`GustError::LengthMismatch`], [`GustError::EmptyBatch`],
+    /// [`GustError::PanelShape`] when `b.len() != cols × batch`, or
+    /// [`GustError::OutputShape`] when the `rows × batch` output would
+    /// exceed `isize::MAX` bytes.
     pub fn try_execute_batch(
         &self,
         schedule: &ScheduledMatrix,
@@ -484,7 +497,7 @@ impl Gust {
         b: &[E],
         batch: usize,
     ) -> Result<(Vec<E>, ExecutionReport), GustError> {
-        self.check_batch(schedule.length(), schedule.cols(), b.len(), batch)?;
+        self.check_batch::<E>(schedule, b.len(), batch)?;
         let cols = schedule.cols();
 
         let backend = self.backend();
@@ -858,10 +871,11 @@ fn flat_walk_single(backend: Backend, schedule: &ScheduledMatrix, x: &[f32], y: 
 
 /// Executes a flat schedule against one register block of `bb` ≤
 /// [`kernels::REG_BLOCK`] right-hand sides starting at panel column `j0`.
-/// Full blocks and ragged tails run the same backend kernel
-/// ([`kernels::panel_walk`]) — the tail is just a smaller `bb` — and
-/// follow the same per-window staging decisions (`stage_flags`, one per
-/// window, from [`panel_stage_flags`]).
+/// Full blocks and ragged tails go through the same dispatcher
+/// ([`kernels::panel_walk`]) — the tail is just a smaller `bb`, which
+/// selects that width's monomorphized kernel — and follow the same
+/// per-window staging decisions (`stage_flags`, one per window, from
+/// [`panel_stage_flags`]).
 ///
 /// Unstaged windows read `scratch.xb`, which the caller has already
 /// filled with this block's interleaved whole panel

@@ -58,6 +58,14 @@ pub enum GustError {
         /// The requested batch width.
         batch: usize,
     },
+    /// A batched run's `rows × batch` output would exceed `isize::MAX`
+    /// bytes, the most one allocation can hold.
+    OutputShape {
+        /// The schedule's row count.
+        rows: usize,
+        /// The requested batch width.
+        batch: usize,
+    },
     /// A matrix-side failure: Matrix Market parse, corrupt binary cache,
     /// or live I/O (see [`gust_sparse::SparseError`]).
     Sparse(SparseError),
@@ -113,6 +121,10 @@ impl fmt::Display for GustError {
                 f,
                 "panel must hold batch × cols values (column-major): \
                  got {got}, need {cols} × {batch}"
+            ),
+            Self::OutputShape { rows, batch } => write!(
+                f,
+                "output of {rows} rows × {batch} vectors is too large to allocate"
             ),
             Self::Sparse(e) => write!(f, "{e}"),
             Self::Schedule(e) => write!(f, "{e}"),

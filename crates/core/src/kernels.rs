@@ -17,10 +17,17 @@
 //! values stay `f32` (widened per slot), while operand panels and
 //! accumulators are double precision — the element type the engine's
 //! generic batch walk (`gust::engine::Element`) is monomorphized over.
-//! AVX-512 runs it 8 lanes per 512-bit register, with masked ragged
-//! tails; scalar and forced-Avx2 walks share the autovectorized fixed-8
-//! scalar body (AVX2 gains too little over it at 4 lanes per register to
-//! justify another unsafe path).
+//! AVX-512 runs a full block in one 512-bit register; scalar and
+//! forced-Avx2 walks share the autovectorized fixed-width scalar body
+//! (AVX2 gains too little over it at 4 lanes per register to justify
+//! another unsafe path).
+//!
+//! Both panel walks run every width from 1 to [`REG_BLOCK`] as a kernel
+//! monomorphized at that width, with plain loads and stores. None loops
+//! over a runtime width: LLVM tail-folds such a loop into masked loads
+//! and stores of the accumulator, and a masked store does not forward to
+//! the next slot's load of the same adder, so a one-request panel cost
+//! more than two full blocks.
 //!
 //! # Numerical contract
 //!
@@ -35,7 +42,10 @@
 //!   each accumulate is an FMA (one rounding instead of two), so outputs
 //!   differ from scalar by at most one ULP per accumulation step — the
 //!   bound `tests/backend_equivalence.rs` enforces. [`panel_walk_f64`]
-//!   obeys the same contract in double precision.
+//!   obeys the same contract in double precision. Every width's kernel
+//!   rounds a lane as the full block does, so column `j` of a panel is
+//!   bit-identical whatever width its register block has
+//!   (`tests/batch_equivalence.rs`).
 //!
 //! # Safety
 //!
@@ -51,9 +61,9 @@
 //! is `< length`, and `local_cols` indexes its own gather list by
 //! construction — and the engine asserts `x.len() == cols` /
 //! `stage.len() == gather_cols.len() · bb` before any kernel runs.
-//! AVX-512 masked loads/gathers/stores never access masked-out lanes, so
-//! a masked tail needs no stronger precondition than the scalar remainder
-//! loop it replaces.
+//! AVX-512 masked loads/gathers/stores (the `f64` stage gather's tail)
+//! never access masked-out lanes, so a masked tail needs no stronger
+//! precondition than the scalar remainder loop it replaces.
 
 #![allow(unsafe_code)]
 // Every unsafe block must state the contract it discharges; enforced
@@ -74,8 +84,9 @@ pub use gust_sparse::kernels::{best_available, cpu_features, default_backend, Ba
 /// whichever backend built it.
 pub const REG_BLOCK: usize = 8;
 
-// The full-block SIMD kernels run `REG_BLOCK / 8` registers per slot.
-const _: () = assert!(REG_BLOCK.is_multiple_of(8));
+// The full-block SIMD kernels run `REG_BLOCK / 8` registers per slot,
+// and the panel walks' width switch (`at_width!`) lists `1..=8`.
+const _: () = assert!(REG_BLOCK == 8);
 
 /// Whether `backend`'s `f32` walk runs the AVX2 kernels: [`Backend::Avx2`]
 /// and [`Backend::Avx512`] both do (AVX-512 availability implies
@@ -143,21 +154,40 @@ pub(crate) fn window_walk(
     window_walk_scalar(values, idx, row_mods, operands, adders);
 }
 
+/// Calls `$walk::<B>(args…)` with the compile-time width `B == $bb`, for
+/// every `$bb` in `1..=REG_BLOCK` — the one width switch both panel walks
+/// share.
+macro_rules! at_width {
+    ($bb:expr, $walk:ident($($arg:expr),* $(,)?)) => {
+        match $bb {
+            1 => $walk::<1>($($arg),*),
+            2 => $walk::<2>($($arg),*),
+            3 => $walk::<3>($($arg),*),
+            4 => $walk::<4>($($arg),*),
+            5 => $walk::<5>($($arg),*),
+            6 => $walk::<6>($($arg),*),
+            7 => $walk::<7>($($arg),*),
+            8 => $walk::<8>($($arg),*),
+            bb => panic!("panel width {bb} outside 1..={REG_BLOCK}"),
+        }
+    };
+}
+
 /// The batched panel walk: for each slot `i` and each right-hand side
 /// `j < bb`,
 /// `acc[row_mods[i]·bb + j] += values[i] * operands[idx[i]·bb + j]`.
 ///
-/// One code path serves full register blocks and ragged tails alike: the
-/// scalar backend monomorphizes its shared per-slot kernel at the
-/// register-block width and falls back to the same kernel with a runtime
-/// width for tails, and the AVX2 backend strides any `bb` in 8-lane FMA
-/// steps plus a fused scalar remainder — so a tail cannot drift from the
-/// main path.
+/// Every width `bb` in `1..=REG_BLOCK` runs a kernel monomorphized at
+/// that width (see the module docs). The full register block keeps the
+/// straight-line AVX2 FMA kernel; narrower widths on the AVX2 tier run
+/// [`walk_blocks`] with fused `mul_add` lanes, and the scalar backend
+/// runs it unfused at every width.
 ///
 /// # Panics
 ///
-/// Panics if the slot arrays disagree in length or a slot's operand or
-/// accumulator block would fall outside its array.
+/// Panics if `bb` is outside `1..=REG_BLOCK`, the slot arrays disagree
+/// in length, or a slot's operand or accumulator block would fall
+/// outside its array.
 pub(crate) fn panel_walk(
     backend: Backend,
     values: &[f32],
@@ -169,34 +199,46 @@ pub(crate) fn panel_walk(
 ) {
     assert_eq!(values.len(), idx.len(), "slot array length mismatch");
     assert_eq!(values.len(), row_mods.len(), "slot array length mismatch");
+    at_width!(
+        bb,
+        panel_walk_at(backend, values, idx, row_mods, operands, acc)
+    );
+}
+
+/// [`panel_walk`] at the compile-time width `B`: picks the backend's
+/// kernel for that width.
+fn panel_walk_at<const B: usize>(
+    backend: Backend,
+    values: &[f32],
+    idx: &[u32],
+    row_mods: &[u32],
+    operands: &[f32],
+    acc: &mut [f32],
+) {
     #[cfg(target_arch = "x86_64")]
     if runs_avx2(backend) {
-        debug_assert!(idx.iter().all(|&c| (c as usize + 1) * bb <= operands.len()));
-        debug_assert!(row_mods.iter().all(|&r| (r as usize + 1) * bb <= acc.len()));
-        // SAFETY: avx2+fma verified. The per-slot block offsets are
-        // schedule invariants validated at construction
-        // (`ScheduledMatrix::from_parts`): every `idx` is < the operand
-        // row count and every `row_mod` < the accumulator row count, and
-        // the engine sized both arrays as `rows × bb`. Full register
-        // blocks take the monomorphized straight-line kernel; any other
-        // width takes the runtime-striding one — same arithmetic.
-        unsafe {
-            if bb == REG_BLOCK {
+        if B == REG_BLOCK {
+            debug_assert!(idx.iter().all(|&c| (c as usize + 1) * B <= operands.len()));
+            debug_assert!(row_mods.iter().all(|&r| (r as usize + 1) * B <= acc.len()));
+            // SAFETY: avx2+fma verified. The per-slot block offsets are
+            // schedule invariants validated at construction
+            // (`ScheduledMatrix::from_parts`): every `idx` is < the
+            // operand row count and every `row_mod` < the accumulator row
+            // count, and the engine sized both arrays as `rows × bb`.
+            unsafe {
                 avx2::panel_walk_avx2_const::<{ REG_BLOCK / 8 }>(
                     values, idx, row_mods, operands, acc,
                 );
-            } else {
-                avx2::panel_walk_avx2(values, idx, row_mods, operands, acc, bb);
             }
+        } else {
+            // SAFETY: avx2+fma verified; the kernel bounds-checks every
+            // block it touches.
+            unsafe { avx2::panel_walk_avx2_narrow::<B>(values, idx, row_mods, operands, acc) };
         }
         return;
     }
     let _ = backend;
-    if bb == REG_BLOCK {
-        panel_walk_scalar_const::<REG_BLOCK>(values, idx, row_mods, operands, acc);
-    } else {
-        panel_walk_scalar_dyn(values, idx, row_mods, operands, acc, bb);
-    }
+    walk_blocks::<f32, B>(values, idx, row_mods, operands, acc, |v, x, a| a + v * x);
 }
 
 /// The batched panel walk in double precision: for each slot `i` and each
@@ -204,15 +246,17 @@ pub(crate) fn panel_walk(
 /// `acc[row_mods[i]·bb + j] += f64(values[i]) * operands[idx[i]·bb + j]`.
 ///
 /// The schedule's matrix values stay `f32` storage (widened once per
-/// slot); operands and accumulators are `f64`. Only [`Backend::Avx512`]
-/// has an explicit SIMD body (8 lanes fill one 512-bit register);
+/// slot); operands and accumulators are `f64`. Widths dispatch as in
+/// [`panel_walk`]: [`Backend::Avx512`] runs its 512-bit FMA kernel on the
+/// full register block and fused [`walk_blocks`] on narrower ones;
 /// [`Backend::Avx2`] and [`Backend::Scalar`] share the autovectorized
-/// fixed-8 scalar kernel — see the module docs.
+/// unfused [`walk_blocks`] at every width — see the module docs.
 ///
 /// # Panics
 ///
-/// Panics if the slot arrays disagree in length or a slot's operand or
-/// accumulator block would fall outside its array.
+/// Panics if `bb` is outside `1..=REG_BLOCK`, the slot arrays disagree
+/// in length, or a slot's operand or accumulator block would fall
+/// outside its array.
 pub(crate) fn panel_walk_f64(
     backend: Backend,
     values: &[f32],
@@ -224,30 +268,45 @@ pub(crate) fn panel_walk_f64(
 ) {
     assert_eq!(values.len(), idx.len(), "slot array length mismatch");
     assert_eq!(values.len(), row_mods.len(), "slot array length mismatch");
+    at_width!(
+        bb,
+        panel_walk_f64_at(backend, values, idx, row_mods, operands, acc)
+    );
+}
+
+/// [`panel_walk_f64`] at the compile-time width `B`.
+fn panel_walk_f64_at<const B: usize>(
+    backend: Backend,
+    values: &[f32],
+    idx: &[u32],
+    row_mods: &[u32],
+    operands: &[f64],
+    acc: &mut [f64],
+) {
     #[cfg(target_arch = "x86_64")]
     if backend == Backend::Avx512 && Backend::Avx512.is_available() {
-        debug_assert!(idx.iter().all(|&c| (c as usize + 1) * bb <= operands.len()));
-        debug_assert!(row_mods.iter().all(|&r| (r as usize + 1) * bb <= acc.len()));
-        // SAFETY: avx512f+avx512vl+avx2+fma verified; block offsets are
-        // schedule invariants validated at construction, as in
-        // `panel_walk`.
-        unsafe {
-            if bb == REG_BLOCK {
+        if B == REG_BLOCK {
+            debug_assert!(idx.iter().all(|&c| (c as usize + 1) * B <= operands.len()));
+            debug_assert!(row_mods.iter().all(|&r| (r as usize + 1) * B <= acc.len()));
+            // SAFETY: avx512f+avx512vl+avx2+fma verified; block offsets
+            // are schedule invariants validated at construction, as in
+            // `panel_walk_at`.
+            unsafe {
                 avx512::panel_walk_f64_avx512_const::<{ REG_BLOCK / 8 }>(
                     values, idx, row_mods, operands, acc,
                 );
-            } else {
-                avx512::panel_walk_f64_avx512(values, idx, row_mods, operands, acc, bb);
+            }
+        } else {
+            // SAFETY: avx512f+avx512vl+avx2+fma verified; the kernel
+            // bounds-checks every block it touches.
+            unsafe {
+                avx512::panel_walk_f64_avx512_narrow::<B>(values, idx, row_mods, operands, acc);
             }
         }
         return;
     }
     let _ = backend;
-    if bb == REG_BLOCK {
-        panel_walk_f64_scalar_const::<REG_BLOCK>(values, idx, row_mods, operands, acc);
-    } else {
-        panel_walk_f64_scalar_dyn(values, idx, row_mods, operands, acc, bb);
-    }
+    walk_blocks::<f64, B>(values, idx, row_mods, operands, acc, |v, x, a| a + v * x);
 }
 
 /// Interleaves one register block of the column-major panel:
@@ -419,97 +478,33 @@ fn window_walk_scalar(
     }
 }
 
-/// The shared per-slot panel kernel: `a[j] += v · x[j]` for `j < len`.
-/// Both scalar panel paths (full block and ragged tail) funnel through
-/// this one body, so the arithmetic cannot drift between them.
+/// The panel walk at the compile-time width `B` that every kernel but
+/// the full-block SIMD ones runs: per slot, `a[j] = lane(v, x[j], a[j])`
+/// over bounds-checked `[T; B]` blocks, with `v` widened once. A fixed
+/// `B` lowers the lane loop to straight-line code with plain loads and
+/// stores. `lane` is `a + v·x` (two roundings) on the scalar path and a
+/// fused `mul_add` inside the SIMD tiers' `#[target_feature]` kernels,
+/// which inline this body and so compile it for their feature set.
 #[inline(always)]
-fn slot_axpy(v: f32, x: &[f32], a: &mut [f32]) {
-    for (aj, &xj) in a.iter_mut().zip(x) {
-        *aj += v * xj;
-    }
-}
-
-/// Full-register-block scalar panel walk, monomorphized at the block
-/// width so the fixed-length [`slot_axpy`] lowers to full-width SIMD.
-fn panel_walk_scalar_const<const B: usize>(
+fn walk_blocks<T: Copy + From<f32>, const B: usize>(
     values: &[f32],
     idx: &[u32],
     row_mods: &[u32],
-    operands: &[f32],
-    acc: &mut [f32],
+    operands: &[T],
+    acc: &mut [T],
+    lane: impl Fn(T, T, T) -> T,
 ) {
     for ((&v, &c), &r) in values.iter().zip(idx).zip(row_mods) {
-        let x: &[f32; B] = operands[c as usize * B..c as usize * B + B]
+        let v = T::from(v);
+        let x: &[T; B] = operands[c as usize * B..c as usize * B + B]
             .try_into()
             .expect("block-sized operand slice");
-        let a: &mut [f32; B] = (&mut acc[r as usize * B..r as usize * B + B])
+        let a: &mut [T; B] = (&mut acc[r as usize * B..r as usize * B + B])
             .try_into()
             .expect("block-sized accumulator slice");
-        slot_axpy(v, x, a);
-    }
-}
-
-/// Ragged-tail scalar panel walk at a runtime width — same
-/// [`slot_axpy`] body as the full-block path.
-fn panel_walk_scalar_dyn(
-    values: &[f32],
-    idx: &[u32],
-    row_mods: &[u32],
-    operands: &[f32],
-    acc: &mut [f32],
-    bb: usize,
-) {
-    for ((&v, &c), &r) in values.iter().zip(idx).zip(row_mods) {
-        let x = &operands[c as usize * bb..c as usize * bb + bb];
-        let a = &mut acc[r as usize * bb..r as usize * bb + bb];
-        slot_axpy(v, x, a);
-    }
-}
-
-/// [`slot_axpy`] in double precision: `a[j] += v · x[j]` with the slot
-/// value already widened. Both f64 scalar panel paths funnel through this
-/// one body.
-#[inline(always)]
-fn slot_axpy_f64(v: f64, x: &[f64], a: &mut [f64]) {
-    for (aj, &xj) in a.iter_mut().zip(x) {
-        *aj += v * xj;
-    }
-}
-
-/// Full-register-block f64 scalar panel walk, monomorphized at the block
-/// width so the fixed-length [`slot_axpy_f64`] autovectorizes.
-fn panel_walk_f64_scalar_const<const B: usize>(
-    values: &[f32],
-    idx: &[u32],
-    row_mods: &[u32],
-    operands: &[f64],
-    acc: &mut [f64],
-) {
-    for ((&v, &c), &r) in values.iter().zip(idx).zip(row_mods) {
-        let x: &[f64; B] = operands[c as usize * B..c as usize * B + B]
-            .try_into()
-            .expect("block-sized operand slice");
-        let a: &mut [f64; B] = (&mut acc[r as usize * B..r as usize * B + B])
-            .try_into()
-            .expect("block-sized accumulator slice");
-        slot_axpy_f64(f64::from(v), x, a);
-    }
-}
-
-/// Ragged-tail f64 scalar panel walk at a runtime width — same
-/// [`slot_axpy_f64`] body as the full-block path.
-fn panel_walk_f64_scalar_dyn(
-    values: &[f32],
-    idx: &[u32],
-    row_mods: &[u32],
-    operands: &[f64],
-    acc: &mut [f64],
-    bb: usize,
-) {
-    for ((&v, &c), &r) in values.iter().zip(idx).zip(row_mods) {
-        let x = &operands[c as usize * bb..c as usize * bb + bb];
-        let a = &mut acc[r as usize * bb..r as usize * bb + bb];
-        slot_axpy_f64(f64::from(v), x, a);
+        for (aj, &xj) in a.iter_mut().zip(x) {
+            *aj = lane(v, xj, *aj);
+        }
     }
 }
 
@@ -651,41 +646,24 @@ mod avx2 {
         }
     }
 
-    /// Panel walk at any width `bb`: per slot, 8-lane FMA strides plus a
-    /// fused scalar remainder — one path for ragged tails of any size.
+    /// Panel walk at a compile-time width `B < 8`, below one 256-bit
+    /// register: per slot, `B` fused `mul_add`s on fixed-size blocks —
+    /// the same single rounding per accumulate as the full-block FMA —
+    /// with plain loads and stores (see the module docs).
     ///
     /// # Safety
     ///
-    /// Caller verified avx2+fma. Per-slot operand/accumulator blocks are
-    /// obtained with bounds-checked slicing before any raw load, so the
-    /// pointer arithmetic below stays inside those blocks.
+    /// Caller verified avx2+fma. The kernel performs no raw memory access:
+    /// every block is taken by bounds-checked slicing.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn panel_walk_avx2(
+    pub(super) unsafe fn panel_walk_avx2_narrow<const B: usize>(
         values: &[f32],
         idx: &[u32],
         row_mods: &[u32],
         operands: &[f32],
         acc: &mut [f32],
-        bb: usize,
     ) {
-        for ((&v, &c), &r) in values.iter().zip(idx).zip(row_mods) {
-            let x = &operands[c as usize * bb..c as usize * bb + bb];
-            let a = &mut acc[r as usize * bb..r as usize * bb + bb];
-            let vv = _mm256_set1_ps(v);
-            let xp = x.as_ptr();
-            let ap = a.as_mut_ptr();
-            let mut j = 0usize;
-            while j + 8 <= bb {
-                let av = _mm256_loadu_ps(ap.add(j));
-                let xv = _mm256_loadu_ps(xp.add(j));
-                _mm256_storeu_ps(ap.add(j), _mm256_fmadd_ps(vv, xv, av));
-                j += 8;
-            }
-            while j < bb {
-                a[j] = v.mul_add(x[j], a[j]);
-                j += 1;
-            }
-        }
+        super::walk_blocks::<f32, B>(values, idx, row_mods, operands, acc, f32::mul_add);
     }
 }
 
@@ -697,14 +675,14 @@ mod avx512 {
     //! — the exact set [`super::Backend::Avx512.is_available`] checks —
     //! and only called after that check returned `true`; gather indices
     //! are schedule invariants validated at construction (see the module
-    //! docs). Ragged tails use masked loads/gathers/stores: masked-out
-    //! lanes never touch memory, so the preconditions match the scalar
-    //! remainder loops these masks replace.
+    //! docs). The stage gather's ragged tail uses masked loads, gathers
+    //! and stores: masked-out lanes never touch memory, so its
+    //! preconditions match the scalar remainder loop the masks replace.
 
     use std::arch::x86_64::{
         __mmask8, _mm256_loadu_si256, _mm256_maskz_loadu_epi32, _mm512_fmadd_pd,
         _mm512_i32gather_pd, _mm512_loadu_pd, _mm512_mask_i32gather_pd, _mm512_mask_storeu_pd,
-        _mm512_maskz_loadu_pd, _mm512_set1_pd, _mm512_setzero_pd, _mm512_storeu_pd,
+        _mm512_set1_pd, _mm512_setzero_pd, _mm512_storeu_pd,
     };
 
     /// Strided gather for the `f64` panel stage: `stage[i·bb + j] =
@@ -784,44 +762,24 @@ mod avx512 {
         }
     }
 
-    /// f64 panel walk at any width `bb`: 8-lane `pd` FMA strides plus a
-    /// masked remainder.
+    /// f64 panel walk at a compile-time width `B < 8`, below one 512-bit
+    /// `pd` register: per slot, the value is widened once, then `B` fused
+    /// `mul_add`s on fixed-size blocks with plain loads and stores — the
+    /// same single rounding per accumulate as the full-block FMA.
     ///
     /// # Safety
     ///
-    /// Caller verified the avx512 feature set. Per-slot blocks are
-    /// obtained with bounds-checked slicing before any raw load, and the
-    /// remainder mask covers exactly the in-bounds lanes.
+    /// Caller verified the avx512 feature set. The kernel performs no raw
+    /// memory access: every block is taken by bounds-checked slicing.
     #[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-    pub(super) unsafe fn panel_walk_f64_avx512(
+    pub(super) unsafe fn panel_walk_f64_avx512_narrow<const B: usize>(
         values: &[f32],
         idx: &[u32],
         row_mods: &[u32],
         operands: &[f64],
         acc: &mut [f64],
-        bb: usize,
     ) {
-        for ((&v, &c), &r) in values.iter().zip(idx).zip(row_mods) {
-            let x = &operands[c as usize * bb..c as usize * bb + bb];
-            let a = &mut acc[r as usize * bb..r as usize * bb + bb];
-            let vv = _mm512_set1_pd(f64::from(v));
-            let xp = x.as_ptr();
-            let ap = a.as_mut_ptr();
-            let mut j = 0usize;
-            while j + 8 <= bb {
-                let av = _mm512_loadu_pd(ap.add(j));
-                let xv = _mm512_loadu_pd(xp.add(j));
-                _mm512_storeu_pd(ap.add(j), _mm512_fmadd_pd(vv, xv, av));
-                j += 8;
-            }
-            let rem = bb - j;
-            if rem > 0 {
-                let m: __mmask8 = (1u8 << rem) - 1;
-                let av = _mm512_maskz_loadu_pd(m, ap.add(j));
-                let xv = _mm512_maskz_loadu_pd(m, xp.add(j));
-                _mm512_mask_storeu_pd(ap.add(j), m, _mm512_fmadd_pd(vv, xv, av));
-            }
-        }
+        super::walk_blocks::<f64, B>(values, idx, row_mods, operands, acc, f64::mul_add);
     }
 }
 
@@ -878,7 +836,7 @@ mod tests {
     #[test]
     fn panel_walk_full_block_and_tail_agree_with_naive() {
         for backend in both_backends() {
-            for bb in [1usize, 3, 7, 8, 11, 16, 17, 32, 33] {
+            for bb in 1..=REG_BLOCK {
                 let slots = 23;
                 let u = 9;
                 let l = 6;
@@ -912,7 +870,7 @@ mod tests {
     #[test]
     fn panel_walk_f64_agrees_with_naive_under_every_backend() {
         for backend in both_backends() {
-            for bb in [1usize, 3, 7, 8, 11, 16, 17] {
+            for bb in 1..=REG_BLOCK {
                 let slots = 23;
                 let u = 9;
                 let l = 6;
@@ -941,6 +899,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One slot on a 1×1 block at width `bb`: the operand and
+    /// accumulator arrays are sized for `bb`, so only the width check
+    /// can reject it.
+    fn walk_one_slot(bb: usize) {
+        let mut acc = vec![0.0f32; bb];
+        panel_walk(
+            Backend::Scalar,
+            &[1.0],
+            &[0],
+            &[0],
+            &vec![1.0f32; bb],
+            &mut acc,
+            bb,
+        );
+    }
+
+    fn walk_one_slot_f64(bb: usize) {
+        let mut acc = vec![0.0f64; bb];
+        panel_walk_f64(
+            Backend::Scalar,
+            &[1.0],
+            &[0],
+            &[0],
+            &vec![1.0f64; bb],
+            &mut acc,
+            bb,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "panel width 0 outside")]
+    fn panel_walk_rejects_width_zero() {
+        walk_one_slot(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "panel width 9 outside")]
+    fn panel_walk_rejects_widths_above_the_register_block() {
+        walk_one_slot(REG_BLOCK + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "panel width 0 outside")]
+    fn panel_walk_f64_rejects_width_zero() {
+        walk_one_slot_f64(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "panel width 9 outside")]
+    fn panel_walk_f64_rejects_widths_above_the_register_block() {
+        walk_one_slot_f64(REG_BLOCK + 1);
     }
 
     #[test]

@@ -141,3 +141,48 @@ fn warm_pool_spawns_no_threads_across_execute_batch_calls() {
         "a warm pool must not spawn new threads"
     );
 }
+
+/// Column `j` of a width-`w` panel is bit-identical to column `j` of the
+/// width-17 panel, for every width 1..=17, in `f32` and `f64`, under
+/// every available backend. Widths 1..=8 each run their own
+/// compile-time-width kernel and 9..=17 add a ragged tail block, so this
+/// covers every narrow kernel against the full register block. It is
+/// what keeps a served response independent of the other requests its
+/// panel happened to carry.
+#[test]
+fn panel_columns_are_independent_of_the_panel_width() {
+    const WIDEST: usize = 17;
+    let matrix = generate(1, 150, 140, 1500, 5);
+    let cols = matrix.cols();
+    let rows = matrix.rows();
+    let b32: Vec<f32> = (0..cols * WIDEST)
+        .map(|i| (i as f32 * 0.37).sin())
+        .collect();
+    let b64: Vec<f64> = (0..cols * WIDEST)
+        .map(|i| (i as f64 * 0.37).sin())
+        .collect();
+    let backends = [Backend::Scalar, Backend::Avx2, Backend::Avx512]
+        .into_iter()
+        .filter(|b| b.is_available());
+    for backend in backends {
+        let engine = Gust::new(GustConfig::new(8).with_backend(Some(backend)));
+        let schedule = engine.schedule(&matrix);
+        let (wide32, _) = engine.execute_batch(&schedule, &b32, WIDEST);
+        let (wide64, _) = engine.execute_batch_f64(&schedule, &b64, WIDEST);
+        for w in 1..=WIDEST {
+            let (y32, _) = engine.execute_batch(&schedule, &b32[..cols * w], w);
+            let (y64, _) = engine.execute_batch_f64(&schedule, &b64[..cols * w], w);
+            let same32 = y32
+                .iter()
+                .zip(&wide32)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            let same64 = y64
+                .iter()
+                .zip(&wide64)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert_eq!((y32.len(), y64.len()), (rows * w, rows * w));
+            assert!(same32, "{} f32 width {w}", backend.name());
+            assert!(same64, "{} f64 width {w}", backend.name());
+        }
+    }
+}

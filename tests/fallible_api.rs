@@ -108,6 +108,33 @@ fn try_execute_batch_rejects_empty_and_misshapen_panels() {
 }
 
 #[test]
+fn try_batch_rejects_an_output_too_large_to_allocate() {
+    // With no columns every batch passes the panel check on an empty
+    // panel, so only the `rows × batch` output bounds the batch.
+    let m = CsrMatrix::try_new(5, 0, vec![0; 6], vec![], vec![]).expect("valid 5×0 CSR");
+    let gust = Gust::new(GustConfig::new(4));
+    let schedule = gust.schedule(&m);
+
+    let batch = usize::MAX / 2;
+    let e = gust.try_execute_batch(&schedule, &[], batch).unwrap_err();
+    assert!(matches!(e, GustError::OutputShape { rows: 5, batch: b } if b == batch));
+    assert!(e.to_string().contains("too large to allocate"));
+
+    // `5 × 2^62` overflows the element count; `5 × 2^60` fits it, but
+    // not as `f64` bytes.
+    for batch in [1usize << 62, 1 << 60] {
+        let e = gust
+            .try_execute_batch_f64(&schedule, &[], batch)
+            .unwrap_err();
+        assert!(matches!(e, GustError::OutputShape { rows: 5, batch: b } if b == batch));
+    }
+
+    // A batch that fits still runs: five zero rows per vector.
+    let (y, _) = gust.try_execute_batch(&schedule, &[], 3).expect("fits");
+    assert_eq!(y, vec![0.0f32; 15]);
+}
+
+#[test]
 fn try_batch_matches_the_panicking_twin_bit_for_bit() {
     let (_, gust, schedule, x) = setup();
     let batch = 5usize;
