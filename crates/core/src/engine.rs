@@ -25,32 +25,26 @@
 //! fast path to it (and to the structurally faithful Fig. 2 pipeline in
 //! [`crate::hw`]) bit for bit.
 //!
-//! # Kernel backends and operand staging
+//! # Kernel backends
 //!
 //! Every hot loop below dispatches through a runtime-selected
 //! [`Backend`] (see [`crate::kernels`]): a safe scalar implementation
 //! that reproduces the PR 2 arithmetic bit for bit, and an AVX2+FMA
 //! implementation gated by `is_x86_feature_detected!`, which the AVX-512
 //! backend runs too — only the `f64` panel walk has AVX-512 kernels (8
-//! lanes per register, masked ragged tails), gated on
-//! `avx512f`+`avx512vl` on top of the AVX2 set. Selection is
-//! automatic, overridable with [`GustConfig::with_backend`] or the
-//! `GUST_BACKEND` environment variable. Windows whose columns are reused
-//! (≥ 2× mean reuse,
-//! [`crate::schedule::scheduled::WindowSchedule::has_column_reuse`]) and
-//! whose source operand block exceeds cache additionally gather
-//! their distinct `x` entries **once** into a window-local stage buffer —
-//! the software analog of the paper's on-chip input buffer — and the
-//! inner loops then index that dense, cache-resident array through the
-//! schedule's compacted `local_cols`.
+//! lanes per register), gated on `avx512f`+`avx512vl` on top of the AVX2
+//! set. Selection is automatic, overridable with
+//! [`GustConfig::with_backend`] or the `GUST_BACKEND` environment
+//! variable. Every walk reads its operands directly: `x` (or the block's
+//! interleaved panel) indexed through the schedule's `cols`.
 //!
 //! # Batched execution
 //!
 //! [`Gust::execute_batch`] streams the schedule **once** for a whole panel
 //! of right-hand sides (the §5.3 multi-RHS amortization): the batch is cut
 //! into register blocks of [`kernels::REG_BLOCK`] columns (8, whatever
-//! the backend), each block's operands are staged/interleaved so one
-//! slot's `B` multiply-accumulates are contiguous, and blocks can fan out across
+//! the backend), each block's operands are interleaved so one slot's `B`
+//! multiply-accumulates are contiguous, and blocks can fan out across
 //! threads via [`crate::config::GustConfig::with_parallelism`]. Under the
 //! scalar backend, per-column arithmetic order equals the per-vector
 //! scalar path, so batched outputs are bit-identical to `B` independent
@@ -62,7 +56,7 @@
 //! adds in slot order.
 //!
 //! The batched walk is **generic over the element type** (the private
-//! [`Element`] trait, monomorphized for f32 and f64):
+//! `Element` trait, monomorphized for f32 and f64):
 //! [`Gust::execute_batch_f64`] runs the identical pipeline in double
 //! precision — schedule values stay f32, widened per slot; f64 register
 //! blocks are the same [`kernels::REG_BLOCK`] lanes, one 512-bit `pd`
@@ -105,35 +99,6 @@ pub struct GustRun {
 #[derive(Debug, Clone)]
 pub struct Gust {
     config: GustConfig,
-}
-
-/// Source-operand footprint (bytes) above which window-local staging can
-/// pay: roughly the L2 slice a core can keep hot. Below it the whole
-/// input block is cache-resident anyway and the extra staging pass only
-/// costs (measured at the paper's 16 384-column shape: the 512 KB
-/// interleaved panel is L2-resident and staging *lost* ~20%; at
-/// million-column shapes the panel spills and staging wins).
-const STAGE_SOURCE_BYTES: usize = 512 * 1024;
-
-/// Whether the engine stages `window`'s operands for a pass whose source
-/// operand block covers `cols` columns at `bb` values per column of
-/// `elem_bytes` each: the window must have ≥ 2× column reuse
-/// ([`crate::schedule::scheduled::WindowSchedule::has_column_reuse`]),
-/// the source block must exceed [`STAGE_SOURCE_BYTES`], and the stage
-/// must compact it at least 4×. The element width matters: an f64 panel
-/// reaches the staging threshold at half the column count, exactly as
-/// its footprint reaches cache capacity at half the columns. Staging
-/// never changes results — the staged values are bit-copies — so this
-/// predicate is purely a performance decision.
-fn window_staged(
-    window: &crate::schedule::scheduled::WindowSchedule,
-    cols: usize,
-    bb: usize,
-    elem_bytes: usize,
-) -> bool {
-    window.has_column_reuse()
-        && cols * bb * elem_bytes > STAGE_SOURCE_BYTES
-        && 4 * window.gather_cols().len() <= cols
 }
 
 impl Gust {
@@ -389,8 +354,8 @@ impl Gust {
     ///
     /// Unlike `batch` separate [`Gust::execute`] calls, the schedule is
     /// walked **once**: each slot performs a register block of up to
-    /// [`Gust::reg_block`] multiply-accumulates against staged (or, for
-    /// windows without column reuse, whole-panel interleaved) operands.
+    /// [`Gust::reg_block`] multiply-accumulates against the block's
+    /// interleaved operands.
     /// Blocks split across threads when [`GustConfig::with_parallelism`]
     /// allows. Under the scalar backend, outputs are bit-identical to the
     /// per-vector scalar path; under AVX2 each accumulate fuses into an
@@ -451,11 +416,11 @@ impl Gust {
     /// panel walk over the same `f32`-valued schedule, with the operand
     /// panel, every accumulator, and the output in `f64` (the schedule's
     /// matrix values are widened once per slot). The register block is
-    /// [`kernels::REG_BLOCK`] — one 512-bit register under AVX-512 — and
-    /// the staging heuristic accounts for the doubled element width.
+    /// [`kernels::REG_BLOCK`] — one 512-bit register under AVX-512.
     /// Under the scalar backend outputs are bit-identical to a scalar
-    /// double-precision reference walk in slot order; AVX-512 fuses each accumulate into an FMA within the usual
-    /// contraction bound, now at `f64` precision.
+    /// double-precision reference walk in slot order; AVX-512 fuses each
+    /// accumulate into an FMA within the usual contraction bound, now at
+    /// `f64` precision.
     ///
     /// # Panics
     ///
@@ -488,9 +453,8 @@ impl Gust {
 
     /// The shared monomorphized body of [`Gust::try_execute_batch`] and
     /// [`Gust::try_execute_batch_f64`]: everything about the walk is
-    /// element-generic — the register block, the staging threshold, the
-    /// interleave/stage buffers, the panel kernel — so the two precisions
-    /// cannot drift structurally.
+    /// element-generic — the register block, the interleave buffer, the
+    /// panel kernel — so the two precisions cannot drift structurally.
     fn try_execute_batch_generic<E: Element>(
         &self,
         schedule: &ScheduledMatrix,
@@ -505,7 +469,6 @@ impl Gust {
         let rows = schedule.rows();
         let mut y = vec![E::ZERO; rows * batch];
         let workers = self.config.effective_workers(batch.div_ceil(rb));
-        let (stage_flags, needs_panel) = panel_stage_flags::<E>(schedule, rb.min(batch));
 
         run_blocks(
             workers,
@@ -514,20 +477,8 @@ impl Gust {
             rb,
             batch,
             |j0, bb, y_block, scratch| {
-                if needs_panel {
-                    scratch.interleave(b, cols, j0, bb);
-                }
-                run_block(
-                    backend,
-                    schedule,
-                    b,
-                    j0,
-                    bb,
-                    &stage_flags,
-                    rows,
-                    y_block,
-                    scratch,
-                );
+                scratch.interleave(b, cols, j0, bb);
+                run_block(backend, schedule, bb, rows, y_block, scratch);
             },
         );
 
@@ -644,8 +595,6 @@ pub(crate) trait Element:
 {
     /// Additive identity (accumulator/buffer fill value).
     const ZERO: Self;
-    /// Element width in bytes — what the staging threshold divides by.
-    const BYTES: usize;
     /// The batched panel walk at this precision
     /// ([`kernels::panel_walk`] / [`kernels::panel_walk_f64`]).
     fn panel_walk(
@@ -657,17 +606,6 @@ pub(crate) trait Element:
         acc: &mut [Self],
         bb: usize,
     );
-    /// The window-local panel stage at this precision
-    /// ([`kernels::stage_panel`] / [`kernels::stage_panel_f64`]).
-    fn stage_panel(
-        backend: Backend,
-        b: &[Self],
-        cols: usize,
-        j0: usize,
-        bb: usize,
-        gather_cols: &[u32],
-        stage: &mut [Self],
-    );
     /// Runs `f` with this thread's scratch for this element type (each
     /// impl owns its own `thread_local!` — Rust has no generic
     /// thread-locals).
@@ -676,7 +614,6 @@ pub(crate) trait Element:
 
 impl Element for f32 {
     const ZERO: Self = 0.0;
-    const BYTES: usize = std::mem::size_of::<f32>();
 
     fn panel_walk(
         backend: Backend,
@@ -690,18 +627,6 @@ impl Element for f32 {
         kernels::panel_walk(backend, values, idx, row_mods, operands, acc, bb);
     }
 
-    fn stage_panel(
-        backend: Backend,
-        b: &[Self],
-        cols: usize,
-        j0: usize,
-        bb: usize,
-        gather_cols: &[u32],
-        stage: &mut [Self],
-    ) {
-        kernels::stage_panel(backend, b, cols, j0, bb, gather_cols, stage);
-    }
-
     fn with_block_scratch<R>(f: impl FnOnce(&mut BlockScratch<Self>) -> R) -> R {
         std::thread_local! {
             static SCRATCH: std::cell::RefCell<BlockScratch<f32>> =
@@ -713,7 +638,6 @@ impl Element for f32 {
 
 impl Element for f64 {
     const ZERO: Self = 0.0;
-    const BYTES: usize = std::mem::size_of::<f64>();
 
     fn panel_walk(
         backend: Backend,
@@ -727,18 +651,6 @@ impl Element for f64 {
         kernels::panel_walk_f64(backend, values, idx, row_mods, operands, acc, bb);
     }
 
-    fn stage_panel(
-        backend: Backend,
-        b: &[Self],
-        cols: usize,
-        j0: usize,
-        bb: usize,
-        gather_cols: &[u32],
-        stage: &mut [Self],
-    ) {
-        kernels::stage_panel_f64(backend, b, cols, j0, bb, gather_cols, stage);
-    }
-
     fn with_block_scratch<R>(f: impl FnOnce(&mut BlockScratch<Self>) -> R) -> R {
         std::thread_local! {
             static SCRATCH: std::cell::RefCell<BlockScratch<f64>> =
@@ -748,21 +660,17 @@ impl Element for f64 {
     }
 }
 
-/// Reusable per-thread scratch of the batched kernel: the (optional)
-/// whole-panel interleave, the window-local operand stage, and the
-/// per-window accumulator block — in the walk's element type.
+/// Reusable per-thread scratch of the batched kernel: the whole-panel
+/// interleave and the per-window accumulator block — in the walk's
+/// element type.
 ///
 /// Pool workers are never reaped, so their thread-local scratch lives
 /// for the process; [`BlockScratch::trim`] bounds what a parked worker
 /// keeps pinned after a huge matrix passes through.
 #[derive(Debug, Default)]
 pub(crate) struct BlockScratch<E> {
-    /// `xb[col * bb + j]` = panel value of column `col`, RHS `j0 + j`
-    /// (only filled when some window skips staging).
+    /// `xb[col * bb + j]` = panel value of column `col`, RHS `j0 + j`.
     xb: Vec<E>,
-    /// `stage[i * bb + j]` = panel value of the window's i-th distinct
-    /// column, RHS `j0 + j` (staged windows).
-    stage: Vec<E>,
     /// `acc[row_mod * bb + j]` = running sum for adder `row_mod`, RHS `j`.
     acc: Vec<E>,
 }
@@ -779,7 +687,7 @@ impl<E: Element> BlockScratch<E> {
     /// Called after each pool task; contents never carry meaning between
     /// tasks, only capacity.
     fn trim(&mut self) {
-        for buf in [&mut self.xb, &mut self.stage, &mut self.acc] {
+        for buf in [&mut self.xb, &mut self.acc] {
             if buf.capacity() > Self::MAX_RETAINED {
                 buf.clear();
                 buf.shrink_to(Self::MAX_RETAINED);
@@ -788,34 +696,14 @@ impl<E: Element> BlockScratch<E> {
     }
 
     /// Interleaves the register block of `bb` right-hand sides starting
-    /// at panel column `j0` into `xb`, for the windows that read the
-    /// whole panel: one slot's `bb` vector elements become contiguous,
-    /// so the kernel's inner loop is a unit-stride multiply-accumulate.
+    /// at panel column `j0` into `xb`: one slot's `bb` vector elements
+    /// become contiguous, so the kernel's inner loop is a unit-stride
+    /// multiply-accumulate.
     /// Plain resize (no clear): the interleave overwrites every cell.
     fn interleave(&mut self, b: &[E], cols: usize, j0: usize, bb: usize) {
         self.xb.resize(cols * bb, E::ZERO);
         kernels::interleave_panel(b, cols, j0, bb, &mut self.xb);
     }
-}
-
-/// The per-window staging decisions of a panel walk over `schedule` at
-/// register-block width `bb`, plus whether some non-empty window skips
-/// staging and so reads the whole-panel interleave. Decided once per
-/// window at the full register-block width, so every block (ragged
-/// tails included) takes the same path and the interleave is built
-/// exactly when some window reads it.
-fn panel_stage_flags<E: Element>(schedule: &ScheduledMatrix, bb: usize) -> (Vec<bool>, bool) {
-    let flags: Vec<bool> = schedule
-        .windows()
-        .iter()
-        .map(|w| window_staged(w, schedule.cols(), bb, E::BYTES))
-        .collect();
-    let reads_panel = schedule
-        .windows()
-        .iter()
-        .zip(&flags)
-        .any(|(w, &staged)| w.nnz() > 0 && !staged);
-    (flags, reads_panel)
 }
 
 /// The single-vector walk of a flat schedule: streams `schedule` against
@@ -824,7 +712,6 @@ fn flat_walk_single(backend: Backend, schedule: &ScheduledMatrix, x: &[f32], y: 
     debug_assert_eq!(y.len(), schedule.rows());
     let l = schedule.length();
     let mut adders = vec![0.0f32; l];
-    let mut stage: Vec<f32> = Vec::new();
 
     let row_perm = schedule.row_perm();
     for (w, window) in schedule.windows().iter().enumerate() {
@@ -839,25 +726,13 @@ fn flat_walk_single(backend: Backend, schedule: &ScheduledMatrix, x: &[f32], y: 
         // sees its products in color order, so this flat walk is
         // bit-identical to the per-cycle walk — under every backend,
         // because the kernels only vectorize the multiply-gathers and
-        // keep the scatter into `adders` in slot order. Windows whose
-        // reused columns compact a larger-than-cache `x` first gather
-        // their distinct entries into a dense window-local stage
-        // (same values, so still bit-identical) and index it through
-        // the compacted `local_cols`.
-        let (idx, operands): (&[u32], &[f32]) =
-            if window_staged(window, x.len(), 1, std::mem::size_of::<f32>()) {
-                stage.resize(window.gather_cols().len(), 0.0);
-                kernels::gather(backend, x, window.gather_cols(), &mut stage);
-                (window.local_cols(), &stage)
-            } else {
-                (window.cols(), x)
-            };
+        // keep the scatter into `adders` in slot order.
         kernels::window_walk(
             backend,
             window.values(),
-            idx,
+            window.cols(),
             window.row_mods(),
-            operands,
+            x,
             &mut adders,
         );
 
@@ -870,31 +745,23 @@ fn flat_walk_single(backend: Backend, schedule: &ScheduledMatrix, x: &[f32], y: 
 }
 
 /// Executes a flat schedule against one register block of `bb` ≤
-/// [`kernels::REG_BLOCK`] right-hand sides starting at panel column `j0`.
-/// Full blocks and ragged tails go through the same dispatcher
-/// ([`kernels::panel_walk`]) — the tail is just a smaller `bb`, which
-/// selects that width's monomorphized kernel — and follow the same
-/// per-window staging decisions (`stage_flags`, one per window, from
-/// [`panel_stage_flags`]).
+/// [`kernels::REG_BLOCK`] right-hand sides. Full blocks and ragged tails
+/// go through the same dispatcher ([`kernels::panel_walk`]) — the tail
+/// is just a smaller `bb`, which selects that width's monomorphized
+/// kernel.
 ///
-/// Unstaged windows read `scratch.xb`, which the caller has already
-/// filled with this block's interleaved whole panel
-/// ([`BlockScratch::interleave`]) whenever such a window exists. The
-/// row permutation addresses the column-major `rows_total × bb` output
-/// block.
-#[allow(clippy::too_many_arguments)]
+/// Every window reads `scratch.xb`, which the caller has already filled
+/// with this block's interleaved whole panel
+/// ([`BlockScratch::interleave`]). The row permutation addresses the
+/// column-major `rows_total × bb` output block.
 fn run_block<E: Element>(
     backend: Backend,
     schedule: &ScheduledMatrix,
-    b: &[E],
-    j0: usize,
     bb: usize,
-    stage_flags: &[bool],
     rows_total: usize,
     y_block: &mut [E],
     scratch: &mut BlockScratch<E>,
 ) {
-    let cols = schedule.cols();
     let l = schedule.length();
     scratch.acc.resize(l * bb, E::ZERO);
 
@@ -902,32 +769,12 @@ fn run_block<E: Element>(
     for (w, window) in schedule.windows().iter().enumerate() {
         let active = schedule.window_rows(w);
         scratch.acc[..active * bb].fill(E::ZERO);
-        // Staged windows gather their distinct columns once per block
-        // into a dense `u × bb` stage (same values as the interleave —
-        // the numerical contract does not depend on staging).
-        let (idx, operands): (&[u32], &[E]) = if stage_flags[w] {
-            scratch
-                .stage
-                .resize(window.gather_cols().len() * bb, E::ZERO);
-            E::stage_panel(
-                backend,
-                b,
-                cols,
-                j0,
-                bb,
-                window.gather_cols(),
-                &mut scratch.stage,
-            );
-            (window.local_cols(), &scratch.stage)
-        } else {
-            (window.cols(), &scratch.xb)
-        };
         E::panel_walk(
             backend,
             window.values(),
-            idx,
+            window.cols(),
             window.row_mods(),
-            operands,
+            &scratch.xb,
             &mut scratch.acc,
             bb,
         );
@@ -950,7 +797,7 @@ fn run_block<E: Element>(
 /// panel (claimed exactly once through its own slot), so the result is
 /// bit-identical for every worker count regardless of the pool's dynamic
 /// task order. Pool workers keep per-thread scratch per element type
-/// ([`Element::with_block_scratch`]), so the interleave/stage/accumulator
+/// (`Element::with_block_scratch`), so the interleave/accumulator
 /// buffers amortize across `execute_batch` calls — exactly the
 /// repeated-solve pattern the pool exists for.
 fn run_blocks<E: Element>(

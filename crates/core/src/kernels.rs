@@ -1,22 +1,21 @@
 //! Runtime-dispatched backends for the execution engine's hot loops.
 //!
-//! [`crate::engine::Gust`] runs three inner loops per SpMV: the operand
-//! gather (stage `x[col]` into a window-local buffer), the single-vector
-//! window walk (multiply–crossbar–accumulate per slot), and the batched
-//! panel walk (one slot × a register block of [`REG_BLOCK`] right-hand
-//! sides). Each is implemented here twice — a safe scalar version that
-//! reproduces the PR 2 arithmetic bit for bit, and an `std::arch::x86_64`
-//! AVX2+FMA version — and dispatched per window through [`Backend`]
-//! (re-exported from [`gust_sparse::kernels`], where detection and the
-//! `GUST_BACKEND` override live). [`Backend::Avx512`] runs these `f32`
-//! loops on the AVX2 kernels: 16-lane AVX-512 versions lost every
-//! measured engine probe to them.
+//! [`crate::engine::Gust`] runs two inner loops per SpMV: the
+//! single-vector window walk (multiply–crossbar–accumulate per slot) and
+//! the batched panel walk (one slot × a register block of [`REG_BLOCK`]
+//! right-hand sides). Each is implemented here twice — a safe scalar
+//! version that reproduces the PR 2 arithmetic bit for bit, and an
+//! `std::arch::x86_64` AVX2+FMA version — and dispatched per window
+//! through [`Backend`] (re-exported from [`gust_sparse::kernels`], where
+//! detection and the `GUST_BACKEND` override live). [`Backend::Avx512`]
+//! runs these `f32` loops on the AVX2 kernels: 16-lane AVX-512 versions
+//! lost every measured engine probe to them.
 //!
 //! The batched panel walk additionally exists in an `f64` variant
-//! ([`panel_walk_f64`] / [`stage_panel_f64`]): the schedule's *matrix*
-//! values stay `f32` (widened per slot), while operand panels and
-//! accumulators are double precision — the element type the engine's
-//! generic batch walk (`gust::engine::Element`) is monomorphized over.
+//! (`panel_walk_f64`): the schedule's *matrix* values stay `f32`
+//! (widened per slot), while operand panels and accumulators are double
+//! precision — the element type the engine's generic batch walk
+//! (`gust::engine::Element`) is monomorphized over.
 //! AVX-512 runs a full block in one 512-bit register; scalar and
 //! forced-Avx2 walks share the autovectorized fixed-width scalar body
 //! (AVX2 gains too little over it at 4 lanes per register to justify
@@ -31,17 +30,17 @@
 //!
 //! # Numerical contract
 //!
-//! * [`gather`] and [`stage_panel`] copy values; they are exact under
-//!   every backend.
-//! * [`window_walk`] is **bit-identical across backends**: SIMD only
+//! * `interleave_panel` and `scatter_panel` copy values; they are exact
+//!   under every backend.
+//! * `window_walk` is **bit-identical across backends**: SIMD only
 //!   widens the multiplies (IEEE-exact), the scatter adds stay scalar and
 //!   in slot order — which is what keeps `Gust::execute` pinned to the
 //!   instrumented walk and the `hw::GustPipeline` regardless of backend.
-//! * [`panel_walk`] is bit-identical to the scalar path under
+//! * `panel_walk` is bit-identical to the scalar path under
 //!   [`Backend::Scalar`]; under [`Backend::Avx2`] and [`Backend::Avx512`]
 //!   each accumulate is an FMA (one rounding instead of two), so outputs
 //!   differ from scalar by at most one ULP per accumulation step — the
-//!   bound `tests/backend_equivalence.rs` enforces. [`panel_walk_f64`]
+//!   bound `tests/backend_equivalence.rs` enforces. `panel_walk_f64`
 //!   obeys the same contract in double precision. Every width's kernel
 //!   rounds a lane as the full block does, so column `j` of a panel is
 //!   bit-identical whatever width its register block has
@@ -55,15 +54,12 @@
 //! function guarded by [`Backend::is_available`] (enabling `avx2,fma`,
 //! plus `avx512f,avx512vl` for the avx512 module — exactly the set
 //! `Backend::Avx512.is_available()` checks), or a gather/load intrinsic
-//! whose indices were validated when the schedule
-//! was built: [`crate::ScheduledMatrix`] asserts at construction (release
-//! builds included) that every slot column is `< cols`, every `row_mod`
-//! is `< length`, and `local_cols` indexes its own gather list by
-//! construction — and the engine asserts `x.len() == cols` /
-//! `stage.len() == gather_cols.len() · bb` before any kernel runs.
-//! AVX-512 masked loads/gathers/stores (the `f64` stage gather's tail)
-//! never access masked-out lanes, so a masked tail needs no stronger
-//! precondition than the scalar remainder loop it replaces.
+//! whose indices were validated when the schedule was built:
+//! [`crate::ScheduledMatrix`] asserts at construction (release builds
+//! included) that every slot column is `< cols` and every `row_mod` is
+//! `< length`, directly over each window's slot arrays — and the engine
+//! sizes `x` (`x.len() == cols`) and the interleaved panel
+//! (`cols · bb`) to match before any kernel runs.
 
 #![allow(unsafe_code)]
 // Every unsafe block must state the contract it discharges; enforced
@@ -96,36 +92,9 @@ fn runs_avx2(backend: Backend) -> bool {
     matches!(backend, Backend::Avx2 | Backend::Avx512) && Backend::Avx2.is_available()
 }
 
-/// Gathers `dst[i] = src[idx[i]]` — the single-vector operand staging
-/// pass. Exact under every backend.
-///
-/// # Panics
-///
-/// Panics if `dst.len() != idx.len()` or (scalar path) an index is out of
-/// bounds. The AVX2 path requires every `idx` to be in bounds for `src`;
-/// the engine only passes schedule gather lists validated at
-/// construction.
-pub(crate) fn gather(backend: Backend, src: &[f32], idx: &[u32], dst: &mut [f32]) {
-    assert_eq!(dst.len(), idx.len(), "gather output length mismatch");
-    debug_assert!(idx.iter().all(|&i| (i as usize) < src.len()));
-    #[cfg(target_arch = "x86_64")]
-    if runs_avx2(backend) {
-        // SAFETY: avx2+fma verified; indices validated at schedule build
-        // (`ScheduledMatrix::from_parts`) against `cols == src.len()`.
-        unsafe { avx2::gather_avx2(src, idx, dst) };
-        return;
-    }
-    let _ = backend;
-    for (d, &i) in dst.iter_mut().zip(idx) {
-        *d = src[i as usize];
-    }
-}
-
 /// The single-vector window walk: for each slot `i`,
-/// `adders[row_mods[i]] += values[i] * operands[idx[i]]`, in slot order.
-///
-/// `(idx, operands)` is either `(local_cols, stage)` for a staged window
-/// or `(cols, x)` for a direct one. Bit-identical across backends (see
+/// `adders[row_mods[i]] += values[i] * operands[idx[i]]`, in slot order,
+/// with `(idx, operands) = (cols, x)`. Bit-identical across backends (see
 /// the module docs).
 ///
 /// # Panics
@@ -311,7 +280,7 @@ fn panel_walk_f64_at<const B: usize>(
 
 /// Interleaves one register block of the column-major panel:
 /// `xb[i·bb + j] = b[(j0+j)·cols + i]` for all columns `i` — the PR 2
-/// whole-panel transpose, used for windows that are not staged.
+/// whole-panel transpose every panel walk reads.
 ///
 /// Generic over the element type (`f32` / `f64` panels interleave the
 /// same way — it is a copy).
@@ -325,92 +294,6 @@ pub(crate) fn interleave_panel<T: Copy>(b: &[T], cols: usize, j0: usize, bb: usi
         let src = &b[(j0 + j) * cols..(j0 + j + 1) * cols];
         for (i, &v) in src.iter().enumerate() {
             xb[i * bb + j] = v;
-        }
-    }
-}
-
-/// Stages one register block of a window's distinct columns from the
-/// column-major panel: `stage[i·bb + j] = b[(j0+j)·cols + gather[i]]`.
-/// The gather list is ascending, so each `j` pass reads its panel column
-/// monotonically. Exact under every backend.
-///
-/// # Panics
-///
-/// Panics if `stage.len() != gather.len()·bb` or (scalar path) an index
-/// is out of bounds; the AVX2 path requires in-bounds gather indices,
-/// which the schedule guarantees.
-pub(crate) fn stage_panel(
-    backend: Backend,
-    b: &[f32],
-    cols: usize,
-    j0: usize,
-    bb: usize,
-    gather_cols: &[u32],
-    stage: &mut [f32],
-) {
-    assert_eq!(
-        stage.len(),
-        gather_cols.len() * bb,
-        "stage buffer length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if runs_avx2(backend) {
-        for j in 0..bb {
-            let src = &b[(j0 + j) * cols..(j0 + j + 1) * cols];
-            // SAFETY: avx2+fma verified; gather indices validated at
-            // schedule build against `cols == src.len()`.
-            unsafe { avx2::gather_strided_avx2(src, gather_cols, stage, bb, j) };
-        }
-        return;
-    }
-    let _ = backend;
-    for j in 0..bb {
-        let src = &b[(j0 + j) * cols..(j0 + j + 1) * cols];
-        for (i, &g) in gather_cols.iter().enumerate() {
-            stage[i * bb + j] = src[g as usize];
-        }
-    }
-}
-
-/// [`stage_panel`] in double precision: stages one register block of a
-/// window's distinct columns from a column-major `f64` panel. Exact under
-/// every backend (a copy); AVX-512 runs the gathers 8 lanes per 512-bit
-/// register.
-///
-/// # Panics
-///
-/// Panics if `stage.len() != gather.len()·bb` or (scalar path) an index
-/// is out of bounds; the AVX-512 path requires in-bounds gather indices,
-/// which the schedule guarantees.
-pub(crate) fn stage_panel_f64(
-    backend: Backend,
-    b: &[f64],
-    cols: usize,
-    j0: usize,
-    bb: usize,
-    gather_cols: &[u32],
-    stage: &mut [f64],
-) {
-    assert_eq!(
-        stage.len(),
-        gather_cols.len() * bb,
-        "stage buffer length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx512 && Backend::Avx512.is_available() {
-        for j in 0..bb {
-            let src = &b[(j0 + j) * cols..(j0 + j + 1) * cols];
-            // SAFETY: avx512f+avx512vl+avx2+fma verified; gather indices
-            // validated at schedule build against `cols == src.len()`.
-            unsafe { avx512::gather_strided_avx512_pd(src, gather_cols, stage, bb, j) };
-        }
-        return;
-    }
-    let _ = backend;
-    for j in 0..bb {
-        let src = &b[(j0 + j) * cols..(j0 + j + 1) * cols];
-        for (i, &g) in gather_cols.iter().enumerate() {
-            stage[i * bb + j] = src[g as usize];
         }
     }
 }
@@ -521,61 +404,6 @@ mod avx2 {
         _mm256_set1_ps, _mm256_storeu_ps,
     };
 
-    /// 8-wide `dst[i] = src[idx[i]]`.
-    ///
-    /// # Safety
-    ///
-    /// Caller verified avx2+fma and that every index is `< src.len()`;
-    /// `dst.len() == idx.len()` is asserted by the dispatcher.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn gather_avx2(src: &[f32], idx: &[u32], dst: &mut [f32]) {
-        let mut chunks_i = idx.chunks_exact(8);
-        let mut chunks_d = dst.chunks_exact_mut(8);
-        for (i, d) in (&mut chunks_i).zip(&mut chunks_d) {
-            let iv = _mm256_loadu_si256(i.as_ptr().cast());
-            let g = _mm256_i32gather_ps::<4>(src.as_ptr(), iv);
-            _mm256_storeu_ps(d.as_mut_ptr(), g);
-        }
-        for (&i, d) in chunks_i.remainder().iter().zip(chunks_d.into_remainder()) {
-            *d = src[i as usize];
-        }
-    }
-
-    /// Strided gather for the panel stage: `stage[i·bb + j] =
-    /// src[gather[i]]` for all `i`, one right-hand side `j` at a time.
-    /// The vector gather hides the latency of the scattered reads; the
-    /// strided stores stay scalar (AVX2 has no scatter).
-    ///
-    /// # Safety
-    ///
-    /// Caller verified avx2+fma, every gather index `< src.len()`, and
-    /// `stage.len() == gather.len()·bb` with `j < bb`.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn gather_strided_avx2(
-        src: &[f32],
-        gather: &[u32],
-        stage: &mut [f32],
-        bb: usize,
-        j: usize,
-    ) {
-        let mut buf = [0.0f32; 8];
-        let mut chunks = gather.chunks_exact(8);
-        let mut i = 0usize;
-        for g in &mut chunks {
-            let iv = _mm256_loadu_si256(g.as_ptr().cast());
-            let vals = _mm256_i32gather_ps::<4>(src.as_ptr(), iv);
-            _mm256_storeu_ps(buf.as_mut_ptr(), vals);
-            for (k, &v) in buf.iter().enumerate() {
-                stage[(i + k) * bb + j] = v;
-            }
-            i += 8;
-        }
-        for &g in chunks.remainder() {
-            stage[i * bb + j] = src[g as usize];
-            i += 1;
-        }
-    }
-
     /// 8-slot single-vector walk: gather + multiply vectorized, scatter
     /// adds scalar and in slot order — bit-identical to the scalar path.
     ///
@@ -673,62 +501,11 @@ mod avx512 {
     //! runs the AVX2 kernels under [`super::Backend::Avx512`]). Every
     //! function is `#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]`
     //! — the exact set [`super::Backend::Avx512.is_available`] checks —
-    //! and only called after that check returned `true`; gather indices
-    //! are schedule invariants validated at construction (see the module
-    //! docs). The stage gather's ragged tail uses masked loads, gathers
-    //! and stores: masked-out lanes never touch memory, so its
-    //! preconditions match the scalar remainder loop the masks replace.
+    //! and only called after that check returned `true`; operand and
+    //! accumulator offsets are schedule invariants validated at
+    //! construction (see the module docs).
 
-    use std::arch::x86_64::{
-        __mmask8, _mm256_loadu_si256, _mm256_maskz_loadu_epi32, _mm512_fmadd_pd,
-        _mm512_i32gather_pd, _mm512_loadu_pd, _mm512_mask_i32gather_pd, _mm512_mask_storeu_pd,
-        _mm512_set1_pd, _mm512_setzero_pd, _mm512_storeu_pd,
-    };
-
-    /// Strided gather for the `f64` panel stage: `stage[i·bb + j] =
-    /// src[gather[i]]`, one right-hand side `j` at a time — 8 double
-    /// lanes per 512-bit gather, indices in one 256-bit register, masked
-    /// on the tail. Stores stay scalar (the stride defeats a vector
-    /// store).
-    ///
-    /// # Safety
-    ///
-    /// Caller verified the avx512 feature set, every gather index
-    /// `< src.len()`, and `stage.len() == gather.len()·bb` with `j < bb`.
-    /// Masked-out tail lanes access no memory.
-    #[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-    pub(super) unsafe fn gather_strided_avx512_pd(
-        src: &[f64],
-        gather: &[u32],
-        stage: &mut [f64],
-        bb: usize,
-        j: usize,
-    ) {
-        let mut buf = [0.0f64; 8];
-        let n = gather.len();
-        let full = n / 8 * 8;
-        let mut i = 0usize;
-        while i < full {
-            let iv = _mm256_loadu_si256(gather.as_ptr().add(i).cast());
-            let vals = _mm512_i32gather_pd::<8>(iv, src.as_ptr().cast());
-            _mm512_storeu_pd(buf.as_mut_ptr(), vals);
-            for (k, &v) in buf.iter().enumerate() {
-                stage[(i + k) * bb + j] = v;
-            }
-            i += 8;
-        }
-        let rem = n - full;
-        if rem > 0 {
-            let m: __mmask8 = (1u8 << rem) - 1;
-            let iv = _mm256_maskz_loadu_epi32(m, gather.as_ptr().add(full).cast());
-            let vals =
-                _mm512_mask_i32gather_pd::<8>(_mm512_setzero_pd(), m, iv, src.as_ptr().cast());
-            _mm512_mask_storeu_pd(buf.as_mut_ptr(), m, vals);
-            for (k, &v) in buf[..rem].iter().enumerate() {
-                stage[(full + k) * bb + j] = v;
-            }
-        }
-    }
+    use std::arch::x86_64::{_mm512_fmadd_pd, _mm512_loadu_pd, _mm512_set1_pd, _mm512_storeu_pd};
 
     /// f64 panel walk at a compile-time width of `NREG` 512-bit `pd`
     /// registers (`bb = 8·NREG`): the slot value is widened once, then
@@ -796,18 +573,6 @@ mod tests {
             v.push(Backend::Avx512);
         }
         v
-    }
-
-    #[test]
-    fn gather_copies_by_index_under_every_backend() {
-        let src: Vec<f32> = (0..40).map(|i| i as f32 * 0.5).collect();
-        let idx: Vec<u32> = vec![3, 0, 39, 17, 17, 8, 21, 30, 5, 1, 2];
-        for backend in both_backends() {
-            let mut dst = vec![0.0f32; idx.len()];
-            gather(backend, &src, &idx, &mut dst);
-            let expected: Vec<f32> = idx.iter().map(|&i| src[i as usize]).collect();
-            assert_eq!(dst, expected, "{}", backend.name());
-        }
     }
 
     #[test]
@@ -955,26 +720,6 @@ mod tests {
     }
 
     #[test]
-    fn stage_panel_f64_matches_the_scalar_copy() {
-        let cols = 29;
-        let bb = 5;
-        let b: Vec<f64> = (0..cols * (bb + 1)).map(|i| i as f64 * 0.25).collect();
-        let gather: Vec<u32> = (0..cols as u32).filter(|i| i % 3 != 1).collect();
-        let mut expected = vec![0.0f64; gather.len() * bb];
-        stage_panel_f64(Backend::Scalar, &b, cols, 1, bb, &gather, &mut expected);
-        for j in 0..bb {
-            for (i, &g) in gather.iter().enumerate() {
-                assert_eq!(expected[i * bb + j], b[(1 + j) * cols + g as usize]);
-            }
-        }
-        for backend in both_backends() {
-            let mut stage = vec![0.0f64; gather.len() * bb];
-            stage_panel_f64(backend, &b, cols, 1, bb, &gather, &mut stage);
-            assert_eq!(stage, expected, "{}", backend.name());
-        }
-    }
-
-    #[test]
     fn scatter_panel_places_rows_through_the_permutation() {
         let bb = 3;
         let rows_total = 10;
@@ -988,20 +733,5 @@ mod tests {
         }
         // Exactly 2·bb cells written.
         assert_eq!(y.iter().filter(|&&v| v != -1.0).count(), 2 * bb);
-    }
-
-    #[test]
-    fn stage_panel_matches_interleave_on_identity_gather() {
-        let cols = 13;
-        let bb = 5;
-        let b: Vec<f32> = (0..cols * (bb + 2)).map(|i| i as f32 * 0.25).collect();
-        let gather_all: Vec<u32> = (0..cols as u32).collect();
-        for backend in both_backends() {
-            let mut stage = vec![0.0f32; cols * bb];
-            stage_panel(backend, &b, cols, 1, bb, &gather_all, &mut stage);
-            let mut xb = vec![0.0f32; cols * bb];
-            interleave_panel(&b, cols, 1, bb, &mut xb);
-            assert_eq!(stage, xb, "{}", backend.name());
-        }
     }
 }

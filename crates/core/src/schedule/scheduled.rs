@@ -64,15 +64,6 @@ pub struct WindowSchedule {
     cols: Vec<u32>,
     /// Matrix value (`M_sch`) per slot.
     values: Vec<f32>,
-    /// The window's distinct original columns, ascending — the gather list
-    /// of the window-local operand staging (the software analog of the
-    /// paper's on-chip input buffer): executing a window may first gather
-    /// `x[gather_cols[i]]` into a dense stage array.
-    gather_cols: Vec<u32>,
-    /// Per-slot index into [`WindowSchedule::gather_cols`] (and therefore
-    /// into the staged operand array): `gather_cols[local_cols[i]] ==
-    /// cols[i]` for every slot `i`.
-    local_cols: Vec<u32>,
 }
 
 impl WindowSchedule {
@@ -122,7 +113,6 @@ impl WindowSchedule {
                 "two slots target the same adder within one color"
             );
         }
-        let (gather_cols, local_cols) = build_staging_index(&cols);
         Self {
             colors,
             vizing_bound,
@@ -132,8 +122,6 @@ impl WindowSchedule {
             row_mods,
             cols,
             values,
-            gather_cols,
-            local_cols,
         }
     }
 
@@ -260,39 +248,6 @@ impl WindowSchedule {
         &self.values
     }
 
-    /// The window's distinct original columns, ascending: the gather list
-    /// of window-local operand staging. `gather_cols()[local_cols()[i]] ==
-    /// cols()[i]` for every slot.
-    #[must_use]
-    pub fn gather_cols(&self) -> &[u32] {
-        &self.gather_cols
-    }
-
-    /// Per-slot compacted column index into the staged operand array (and
-    /// into [`WindowSchedule::gather_cols`]). Always in
-    /// `0..gather_cols().len()`.
-    #[must_use]
-    pub fn local_cols(&self) -> &[u32] {
-        &self.local_cols
-    }
-
-    /// Whether this window's operand set is compact enough that
-    /// window-local staging *can* pay: each distinct column is read at
-    /// least twice on average (`distinct ≤ nnz / 2`), so gathering it
-    /// once into a dense stage array saves scattered reads.
-    ///
-    /// This is the schedule-side half of the staging decision. The engine
-    /// combines it with a footprint test (the source operand block must
-    /// exceed on-chip cache, and the stage must compact it ≥ 4×) — see
-    /// `gust::engine`: when the whole input block already sits in L2,
-    /// staging is pure overhead, which is exactly the paper's observation
-    /// that the on-chip input buffer matters once inputs stream from
-    /// off-chip.
-    #[must_use]
-    pub fn has_column_reuse(&self) -> bool {
-        !self.gather_cols.is_empty() && 2 * self.gather_cols.len() <= self.nnz()
-    }
-
     /// The slot record at flat index `i` (color-major order).
     ///
     /// # Panics
@@ -364,9 +319,9 @@ impl ScheduledMatrix {
     ) -> Self {
         let nnz = windows.iter().map(WindowSchedule::nnz).sum();
         for (w, window) in windows.iter().enumerate() {
-            let max_col = window.gather_cols.last().copied().unwrap_or(0);
+            let max_col = window.cols.iter().copied().max().unwrap_or(0);
             assert!(
-                window.gather_cols.is_empty() || (max_col as usize) < cols,
+                window.cols.is_empty() || (max_col as usize) < cols,
                 "window {w}: column {max_col} out of range for {cols} columns"
             );
             let max_adder = window.row_mods.iter().copied().max().unwrap_or(0);
@@ -617,26 +572,6 @@ impl ScheduledMatrix {
     }
 }
 
-/// Builds the window-local operand-staging index from the per-slot column
-/// array: the sorted distinct columns (`gather_cols`) and, per slot, its
-/// position in that list (`local_cols`). O(nnz log nnz); runs once per
-/// window at schedule assembly (and at deserialization), never on the
-/// execution path.
-fn build_staging_index(cols: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    let mut gather: Vec<u32> = cols.to_vec();
-    gather.sort_unstable();
-    gather.dedup();
-    let local = cols
-        .iter()
-        .map(|c| {
-            gather
-                .binary_search(c)
-                .expect("every slot column is in the gather list") as u32
-        })
-        .collect();
-    (gather, local)
-}
-
 /// `⌈log₂ l⌉` with the convention `log2_ceil(1) = 1` (one bit still needs a
 /// wire), matching the paper's index-width accounting.
 #[must_use]
@@ -740,6 +675,22 @@ mod tests {
         assert_eq!(s.nnz(), 3);
         // 3 nnz over (2 lanes × 5 cycles).
         assert!((s.predicted_utilization() - 3.0 / 10.0).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "window 1: column 4 out of range for 4 columns")]
+    fn from_parts_rejects_an_out_of_range_slot_column() {
+        let w1 = WindowSchedule::from_colors(vec![vec![slot(0, 0, 3, 1.0)]], 1, 0);
+        let w2 =
+            WindowSchedule::from_colors(vec![vec![slot(0, 0, 1, 2.0), slot(1, 1, 4, 3.0)]], 1, 0);
+        let _ = ScheduledMatrix::from_parts(2, 4, 4, vec![0, 1, 2, 3], vec![w1, w2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "window 0: adder 2 out of range for length 2")]
+    fn from_parts_rejects_an_out_of_range_adder() {
+        let w = WindowSchedule::from_colors(vec![vec![slot(0, 2, 0, 1.0)]], 1, 0);
+        let _ = ScheduledMatrix::from_parts(2, 2, 2, vec![0, 1], vec![w]);
     }
 
     #[test]

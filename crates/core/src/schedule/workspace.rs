@@ -15,7 +15,7 @@
 //! 1. [`crate::schedule::windows::WindowPlan::fill_window`] refills
 //!    `workspace.window` in place.
 //! 2. A coloring algorithm (`color_window_*`, `arbitrate_window`) writes a
-//!    color per edge into [`ColorScratch::edge_color`] and returns the
+//!    color per edge into `ColorScratch::edge_color` and returns the
 //!    color count.
 //! 3. [`ColorScratch::assemble`] counting-sorts the edges by color into a
 //!    tight, exactly-sized [`WindowSchedule`] (the only allocation that

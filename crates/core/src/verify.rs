@@ -28,14 +28,10 @@
 //! 3. **Write-disjointness** — within one color no two slots share a lane
 //!    (one multiplier port per cycle) and no two slots target the same
 //!    adder (the race-freedom proof for the parallel scatter).
-//! 4. **Staging consistency** — `gather_cols` is strictly ascending, every
-//!    entry is in bounds, and `gather_cols[local_cols[i]] == cols[i]`, so
-//!    the staged (`x`-compacting) kernel path reads the same operands as
-//!    the direct path.
-//! 5. **Row permutation** — `row_perm` is a true permutation of
+//! 4. **Row permutation** — `row_perm` is a true permutation of
 //!    `0..rows`: in bounds *and* duplicate-free, since a duplicate would
 //!    scatter two windows' outputs into one row concurrently.
-//! 6. **Coverage** (optional, against a source [`CsrMatrix`]) — the slot
+//! 5. **Coverage** (optional, against a source [`CsrMatrix`]) — the slot
 //!    stream reproduces the matrix triplet-for-triplet.
 //!
 //! # Admission flow
@@ -148,14 +144,6 @@ pub enum Violation {
         /// Matrix column count.
         cols: usize,
     },
-    /// The window's staging index (`gather_cols` / `local_cols`) is
-    /// inconsistent with its slot columns.
-    StagingIndex {
-        /// Window index.
-        window: usize,
-        /// What is inconsistent.
-        what: String,
-    },
     /// The row permutation is not a permutation of `0..rows`.
     RowPerm {
         /// What is wrong.
@@ -222,9 +210,6 @@ impl fmt::Display for Violation {
                 f,
                 "window {window} color {color} slot {slot}: column {col} out of range for {cols} columns"
             ),
-            Violation::StagingIndex { window, what } => {
-                write!(f, "window {window}: staging index {what}")
-            }
             Violation::RowPerm { what } => write!(f, "row permutation {what}"),
             Violation::Coverage { what } => write!(f, "coverage: {what}"),
         }
@@ -283,7 +268,7 @@ impl fmt::Display for AuditReport {
 
 impl std::error::Error for AuditReport {}
 
-/// Audits a schedule's complete safety contract (items 1–5 of the
+/// Audits a schedule's complete safety contract (items 1–4 of the
 /// module contract). O(nnz).
 #[must_use]
 pub fn audit_schedule(schedule: &ScheduledMatrix) -> AuditReport {
@@ -313,7 +298,6 @@ pub fn audit_schedule(schedule: &ScheduledMatrix) -> AuditReport {
             &mut scratch,
             &mut out,
         );
-        audit_staging_index(w, window, schedule.cols(), &mut out);
     }
     audit_row_perm(schedule.row_perm(), schedule.rows(), &mut out);
     AuditReport::from_violations(out)
@@ -584,70 +568,8 @@ pub(crate) fn audit_window_soa(
     }
 }
 
-/// Audits a window's staging index against its slot columns (contract
-/// item 4). The staged kernel gathers the *entire* `gather_cols` list, so
-/// every entry must be in bounds even if no slot references it.
-fn audit_staging_index(
-    window: usize,
-    win: &WindowSchedule,
-    matrix_cols: usize,
-    out: &mut Vec<Violation>,
-) {
-    let gather = win.gather_cols();
-    if gather.windows(2).any(|w| w[0] >= w[1]) {
-        push(
-            out,
-            Violation::StagingIndex {
-                window,
-                what: "gather list is not strictly ascending".into(),
-            },
-        );
-        return;
-    }
-    if gather.last().is_some_and(|&g| (g as usize) >= matrix_cols) {
-        push(
-            out,
-            Violation::StagingIndex {
-                window,
-                what: format!(
-                    "gather column {} out of range for {matrix_cols} columns",
-                    gather.last().copied().unwrap_or(0)
-                ),
-            },
-        );
-        return;
-    }
-    let locals = win.local_cols();
-    if locals.len() != win.nnz() {
-        push(
-            out,
-            Violation::StagingIndex {
-                window,
-                what: format!("has {} local columns for {} slots", locals.len(), win.nnz()),
-            },
-        );
-        return;
-    }
-    for (i, (&local, &col)) in locals.iter().zip(win.cols()).enumerate() {
-        let ok = gather.get(local as usize).is_some_and(|&g| g == col);
-        if !ok
-            && !push(
-                out,
-                Violation::StagingIndex {
-                    window,
-                    what: format!(
-                        "slot {i}: local column {local} does not map to slot column {col}"
-                    ),
-                },
-            )
-        {
-            return;
-        }
-    }
-}
-
 /// Audits the row permutation: a true permutation of `0..rows` (contract
-/// item 5). A duplicate would scatter two scheduled positions into one
+/// item 4). A duplicate would scatter two scheduled positions into one
 /// output row concurrently.
 pub(crate) fn audit_row_perm(row_perm: &[u32], rows: usize, out: &mut Vec<Violation>) {
     if row_perm.len() != rows {
@@ -739,7 +661,7 @@ fn collect_triplets(schedule: &ScheduledMatrix, out: &mut Vec<(u32, u32, u32)>) 
     }
 }
 
-/// Compares rebuilt triplets against the source matrix (contract item 6).
+/// Compares rebuilt triplets against the source matrix (contract item 5).
 fn audit_coverage(
     rebuilt: &mut Vec<(u32, u32, u32)>,
     rows: usize,

@@ -68,8 +68,8 @@ pub mod sites {
     pub const SCHED_BUILD: &str = "sched_build";
     /// Latency injection at the serving runtime's execution boundaries
     /// (`gust::serve`): a fired roll makes the boundary sleep for
-    /// [`INJECTED_DELAY`], exercising deadline enforcement without any
-    /// component actually failing.
+    /// [`INJECTED_DELAY`](super::INJECTED_DELAY), exercising deadline
+    /// enforcement without any component actually failing.
     pub const EXEC_DELAY: &str = "exec_delay";
 }
 
