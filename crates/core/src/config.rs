@@ -16,7 +16,6 @@ use gust_sparse::kernels::Backend;
 
 /// How non-zeros are assigned to time slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SchedulingPolicy {
     /// No reordering: stream column segments in natural order and stall on
     /// every adder collision (§3.3 "the naive method").
@@ -43,7 +42,6 @@ impl SchedulingPolicy {
 
 /// Which edge-coloring implementation to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ColoringAlgorithm {
     /// Listing 1 verbatim: scan each left vertex's edge list in column order
     /// and take the first edge whose lane is unmatched. O(degree) scans.
@@ -120,7 +118,6 @@ impl ConfigError {
 /// assert_eq!(config.arithmetic_units(), 512);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GustConfig {
     length: usize,
     frequency_hz: f64,

@@ -30,7 +30,6 @@ use std::ops::Range;
 /// This is a *view* assembled on demand from the structure-of-arrays
 /// storage of [`WindowSchedule`]; it is not how slots are stored.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScheduledSlot {
     /// Multiplier lane, `0..l` (which multiplier consumes this element).
     pub lane: u32,
@@ -46,7 +45,6 @@ pub struct ScheduledSlot {
 /// The schedule of one window (one set of `l` rows), stored as a structure
 /// of arrays (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WindowSchedule {
     /// Colors used by this window = cycles to stream it.
     colors: u32,
@@ -283,7 +281,6 @@ impl WindowSchedule {
 /// computed once per sparsity pattern; see §3.3 and the §5.3 amortization
 /// discussion).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScheduledMatrix {
     length: usize,
     rows: usize,

@@ -2,7 +2,9 @@
 //! Buffer Filler consumes from off-chip memory (§3.3 "Streaming the
 //! Inputs").
 //!
-//! The `GUST` container is one corruption-safe envelope (little-endian):
+//! The `GUST` container is the corruption-safe envelope it shares with
+//! the `GSPB` matrix cache ([`gust_sparse::io::write_envelope`];
+//! little-endian):
 //!
 //! ```text
 //! "GUST" | version u32 | payload_len u64 | payload | crc32 u32
@@ -37,8 +39,8 @@
 
 use super::scheduled::{ScheduledMatrix, WindowSchedule};
 use crate::verify::{self, AuditReport, VerifiedSchedule};
-use gust_sparse::checksum::crc32;
 use gust_sparse::faults;
+use gust_sparse::io::{read_envelope, write_envelope, write_file_atomic, EnvelopeError};
 use std::io::{self, Read, Write};
 use std::path::Path;
 
@@ -58,13 +60,14 @@ pub enum ReadScheduleError {
     Format(String),
     /// The stream was a schedule container once and has been damaged:
     /// truncated payload or checksum mismatch. Callers may quarantine
-    /// the file and rebuild the schedule (see [`read_schedule_cached`]).
+    /// the file and rebuild the schedule, as the serving registry does
+    /// ([`crate::serve::ScheduleRegistry`]).
     Corrupt(String),
     /// The bytes are intact (checksum valid) and structurally parseable,
     /// but the schedule they encode violates the safety contract the
     /// unsafe kernels rely on — a forged or wrongly-generated stream.
-    /// Treated exactly like [`Self::Corrupt`] by the cached loaders and
-    /// the serving registry: quarantined and rebuilt, never executed.
+    /// Treated exactly like [`Self::Corrupt`] by the serving registry:
+    /// quarantined and rebuilt, never executed.
     Audit(Box<AuditReport>),
 }
 
@@ -87,77 +90,15 @@ impl From<io::Error> for ReadScheduleError {
     }
 }
 
-/// Writes the container envelope around an already-serialized payload.
-fn write_container<W: Write>(payload: &[u8], writer: &mut W) -> io::Result<()> {
-    faults::check_io(faults::sites::SCHEDULE_WRITE)?;
-    writer.write_all(MAGIC)?;
-    writer.write_all(&VERSION.to_le_bytes())?;
-    writer.write_all(&(payload.len() as u64).to_le_bytes())?;
-    writer.write_all(payload)?;
-    writer.write_all(&crc32(payload).to_le_bytes())?;
-    Ok(())
-}
-
-/// Reads and verifies the container envelope, returning the intact
-/// payload bytes.
-fn read_container<R: Read>(mut reader: R) -> Result<Vec<u8>, ReadScheduleError> {
-    faults::check_io(faults::sites::SCHEDULE_READ)?;
-    let eof_corrupt = |what: &str, e: io::Error| -> ReadScheduleError {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            ReadScheduleError::Corrupt(format!("truncated {what}"))
-        } else {
-            ReadScheduleError::Io(e)
+impl From<EnvelopeError> for ReadScheduleError {
+    fn from(e: EnvelopeError) -> Self {
+        match e {
+            EnvelopeError::BadMagic => Self::Format("bad magic".into()),
+            EnvelopeError::Version(v) => Self::Format(format!("unsupported version {v}")),
+            EnvelopeError::Corrupt(why) => Self::Corrupt(why),
+            EnvelopeError::Io(e) => Self::Io(e),
         }
-    };
-    let mut got = [0u8; 4];
-    reader
-        .read_exact(&mut got)
-        .map_err(|e| eof_corrupt("container magic", e))?;
-    if &got != MAGIC {
-        return Err(ReadScheduleError::Format("bad magic".into()));
     }
-    let mut word = [0u8; 4];
-    reader
-        .read_exact(&mut word)
-        .map_err(|e| eof_corrupt("container version", e))?;
-    let version = u32::from_le_bytes(word);
-    if version != VERSION {
-        return Err(ReadScheduleError::Format(format!(
-            "unsupported version {version}"
-        )));
-    }
-    let mut qword = [0u8; 8];
-    reader
-        .read_exact(&mut qword)
-        .map_err(|e| eof_corrupt("payload length", e))?;
-    let payload_len = u64::from_le_bytes(qword);
-    // Read the payload in bounded chunks: a forged length fails at the
-    // stream's real end instead of one giant up-front allocation.
-    const CHUNK: u64 = 16 << 20;
-    let mut payload = Vec::new();
-    let mut remaining = payload_len;
-    while remaining > 0 {
-        let take = usize::try_from(remaining.min(CHUNK))
-            .map_err(|_| ReadScheduleError::Corrupt("payload exceeds address space".into()))?;
-        let start = payload.len();
-        payload.resize(start + take, 0u8);
-        reader
-            .read_exact(&mut payload[start..])
-            .map_err(|e| eof_corrupt("payload", e))?;
-        remaining -= take as u64;
-    }
-    let mut trailer = [0u8; 4];
-    reader
-        .read_exact(&mut trailer)
-        .map_err(|e| eof_corrupt("checksum trailer", e))?;
-    let stored = u32::from_le_bytes(trailer);
-    let computed = crc32(&payload);
-    if stored != computed {
-        return Err(ReadScheduleError::Corrupt(format!(
-            "payload checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
-        )));
-    }
-    Ok(payload)
 }
 
 /// Writes `schedule` to `writer` in the stream format above.
@@ -167,7 +108,7 @@ fn read_container<R: Read>(mut reader: R) -> Result<Vec<u8>, ReadScheduleError> 
 /// # Errors
 ///
 /// Propagates I/O errors from the writer.
-pub fn write_schedule<W: Write>(schedule: &ScheduledMatrix, mut writer: W) -> io::Result<()> {
+pub fn write_schedule<W: Write>(schedule: &ScheduledMatrix, writer: W) -> io::Result<()> {
     let mut payload = Vec::new();
     payload.write_all(&(schedule.length() as u32).to_le_bytes())?;
     payload.write_all(&(schedule.rows() as u64).to_le_bytes())?;
@@ -179,7 +120,13 @@ pub fn write_schedule<W: Write>(schedule: &ScheduledMatrix, mut writer: W) -> io
     for window in schedule.windows() {
         write_window(window, schedule.length(), &mut payload)?;
     }
-    write_container(&payload, &mut writer)
+    write_envelope(
+        MAGIC,
+        VERSION,
+        faults::sites::SCHEDULE_WRITE,
+        &payload,
+        writer,
+    )
 }
 
 /// Writes one window's header and dense per-color cell grid.
@@ -223,7 +170,7 @@ fn write_window<W: Write>(window: &WindowSchedule, l: usize, writer: &mut W) -> 
 /// bit-damaged stream (checksum mismatch), [`ReadScheduleError::Io`] on
 /// reader failure.
 pub fn read_schedule<R: Read>(reader: R) -> Result<ScheduledMatrix, ReadScheduleError> {
-    let payload = read_container(reader)?;
+    let payload = read_envelope(MAGIC, VERSION, faults::sites::SCHEDULE_READ, reader)?;
     let mut reader = payload.as_slice();
     let length = read_u32(&mut reader)? as usize;
     if length == 0 {
@@ -239,7 +186,10 @@ pub fn read_schedule<R: Read>(reader: R) -> Result<ScheduledMatrix, ReadSchedule
         )));
     }
     let mut windows = Vec::with_capacity(window_count);
-    let mut scratch = verify::Scratch::new(length);
+    // Sized by the rows a window can cover, not by the untrusted
+    // `length` alone: a forged `length = u32::MAX` must not ask for
+    // tens of gigabytes of scratch.
+    let mut scratch = verify::Scratch::new(length.min(rows));
     for w in 0..window_count {
         let window_rows = (rows - (w * length).min(rows)).min(length);
         windows.push(read_window(
@@ -369,46 +319,14 @@ pub fn read_schedule_file(path: impl AsRef<Path>) -> Result<ScheduledMatrix, Rea
     read_schedule(io::BufReader::new(std::fs::File::open(path)?))
 }
 
-/// Writes `path` atomically: bytes land in a uniquely named temporary
-/// sibling (`<path>.<pid>.<seq>.tmp` — pid plus a process-wide counter,
-/// so concurrent writers of the same destination never share a temp
-/// file) and are renamed over the destination only once fully flushed,
-/// so an interrupted write or a racing writer never leaves a partial
-/// container behind. On error the temporary is removed and `path` is
-/// untouched.
-fn write_file_atomic(
-    path: &Path,
-    write: impl FnOnce(&mut io::BufWriter<std::fs::File>) -> io::Result<()>,
-) -> io::Result<()> {
-    let tmp = {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-        let mut os = path.as_os_str().to_os_string();
-        os.push(format!(".{}.{}.tmp", std::process::id(), seq));
-        std::path::PathBuf::from(os)
-    };
-    let result = (|| {
-        let mut writer = io::BufWriter::new(std::fs::File::create(&tmp)?);
-        write(&mut writer)?;
-        writer.flush()?;
-        drop(writer);
-        std::fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
-}
-
-/// Writes a flat schedule to `path` (atomically — see
-/// [`write_schedule`] for the container format).
+/// Writes a flat schedule to `path` atomically (see [`write_schedule`]
+/// for the container format and [`write_file_atomic`] for the write).
 ///
 /// # Errors
 ///
 /// Propagates I/O errors; on error `path` is untouched.
 pub fn write_schedule_file(schedule: &ScheduledMatrix, path: impl AsRef<Path>) -> io::Result<()> {
-    write_file_atomic(path.as_ref(), |w| write_schedule(schedule, w))
+    write_file_atomic(path, |w| write_schedule(schedule, w))
 }
 
 /// Reads a flat schedule from `path` and wraps it as a
@@ -431,54 +349,6 @@ pub fn read_schedule_file_verified(
     read_schedule_file(path).map(VerifiedSchedule::witness)
 }
 
-/// Moves a damaged or forged schedule cache out of the way (renamed to
-/// `<path>.corrupt`, or removed when the rename fails) and warns on
-/// stderr — the quarantine step shared by [`read_schedule_cached`] and
-/// the serving registry's disk loads.
-pub(crate) fn quarantine_corrupt_cache(path: &Path, err: &ReadScheduleError) {
-    match gust_sparse::io::quarantine_corrupt(path) {
-        Some(dest) => eprintln!(
-            "warning: quarantined corrupt schedule cache {} -> {} ({err})",
-            path.display(),
-            dest.display()
-        ),
-        None => eprintln!(
-            "warning: removed corrupt schedule cache {} ({err})",
-            path.display()
-        ),
-    }
-}
-
-/// Loads a flat schedule from `path`, rebuilding it with `build` when
-/// the file is missing, outdated, or damaged. A damaged file is
-/// quarantined as `<path>.corrupt` first; the rebuilt schedule is
-/// written back (best-effort) so the next load is cheap again.
-///
-/// Scheduling again is always correct — the cache only ever saves time,
-/// never changes results — so no cache problem surfaces as an error.
-pub fn read_schedule_cached(
-    path: impl AsRef<Path>,
-    build: impl FnOnce() -> ScheduledMatrix,
-) -> ScheduledMatrix {
-    let path = path.as_ref();
-    if path.exists() {
-        match read_schedule_file(path) {
-            Ok(schedule) => return schedule,
-            // Damaged bytes and checksum-valid-but-forged contents take
-            // the same quarantine path: keep the evidence, never execute.
-            Err(err @ (ReadScheduleError::Corrupt(_) | ReadScheduleError::Audit(_))) => {
-                quarantine_corrupt_cache(path, &err);
-            }
-            // Older version, foreign file, transient I/O failure: the
-            // rebuild below overwrites it either way.
-            Err(_) => {}
-        }
-    }
-    let schedule = build();
-    let _ = write_schedule_file(&schedule, path);
-    schedule
-}
-
 fn read_array<R: Read, const N: usize>(reader: &mut R) -> io::Result<[u8; N]> {
     let mut buf = [0u8; N];
     reader.read_exact(&mut buf)?;
@@ -495,10 +365,11 @@ fn read_u64<R: Read>(reader: &mut R) -> io::Result<u64> {
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)] // tests may unwrap; the gate is for load paths
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::{GustConfig, SchedulingPolicy};
     use crate::engine::Gust;
+    use gust_sparse::checksum::crc32;
     use gust_sparse::prelude::*;
 
     /// Container envelope: magic 4 + version 4 + payload_len 8.
@@ -614,9 +485,12 @@ mod tests {
         );
     }
 
-    /// CRC32 of the whole `GUST` stream of [`container_bytes_are_pinned`]'s
-    /// schedule (8 192 bytes at version 2).
-    const PINNED_CRC: u32 = 0x880b_7a2c;
+    /// CRC32 of every byte but the trailer of
+    /// [`container_bytes_are_pinned`]'s stream (8 192 bytes at version 2).
+    /// The trailer stays out: for CRC-32, `crc(M ‖ crc(M))` is one
+    /// constant for every message of a given length, so a whole-stream
+    /// CRC would pin only the length.
+    const PINNED_CRC: u32 = 0x1394_a98a;
 
     /// Pins the `GUST` bytes of one fixed seeded schedule. A change to
     /// what `write_schedule` emits must come with a `VERSION` bump (and a
@@ -628,8 +502,35 @@ mod tests {
         let mut buf = Vec::new();
         write_schedule(&schedule, &mut buf).unwrap();
         assert_eq!(VERSION, 2);
-        let crc = crc32(&buf);
+        assert_eq!(buf.len(), 8_192);
+        let crc = crc32(&buf[..buf.len() - 4]);
         assert_eq!(crc, PINNED_CRC, "GUST bytes changed: {crc:#010x}");
+    }
+
+    /// A checksum-valid 48-byte container: `length = u32::MAX` with
+    /// zero rows, columns and windows.
+    pub(crate) fn forged_huge_length_container() -> Vec<u8> {
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&u32::MAX.to_le_bytes()); // length
+        payload.extend_from_slice(&0u64.to_le_bytes()); // rows
+        payload.extend_from_slice(&0u64.to_le_bytes()); // cols
+        payload.extend_from_slice(&0u64.to_le_bytes()); // window count
+        let mut buf = Vec::new();
+        write_envelope(MAGIC, VERSION, "", &payload, &mut buf).unwrap();
+        assert_eq!(buf.len(), 48);
+        buf
+    }
+
+    /// Regression: the reader sized its audit scratch by the untrusted
+    /// `length` field, so this file asked for tens of gigabytes and
+    /// aborted the process. The scratch now covers at most `rows`.
+    #[test]
+    fn forged_huge_length_is_read_without_a_giant_allocation() {
+        let bytes = forged_huge_length_container();
+        let schedule = read_schedule(bytes.as_slice()).expect("a 0-row schedule is intact");
+        assert_eq!(schedule.length(), u32::MAX as usize);
+        assert_eq!((schedule.rows(), schedule.cols()), (0, 0));
+        assert!(crate::verify::audit_schedule(&schedule).is_clean());
     }
 
     #[test]
@@ -685,63 +586,5 @@ mod tests {
             matches!(&err, ReadScheduleError::Format(m) if m.contains("unsupported version 1")),
             "unexpected error: {err:?}"
         );
-    }
-
-    #[test]
-    fn cached_loader_quarantines_corrupt_schedules_and_rebuilds() {
-        let dir = std::env::temp_dir().join(format!(
-            "gust-sched-cache-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("m.gust");
-        let m = CsrMatrix::from(&gen::uniform(12, 12, 50, 5));
-        let gust = Gust::new(GustConfig::new(4));
-        let expected = gust.schedule(&m);
-
-        // First call: cache miss, builds and writes.
-        let first = read_schedule_cached(&path, || gust.schedule(&m));
-        assert_eq!(first, expected);
-        assert!(path.is_file(), "cache must be written on miss");
-
-        // Second call: pure cache hit (build closure must not run).
-        let second = read_schedule_cached(&path, || panic!("cache hit must not rebuild"));
-        assert_eq!(second, expected);
-
-        // Damage one payload byte: the next load must quarantine and
-        // rebuild transparently, with a correct result.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x04;
-        std::fs::write(&path, &bytes).unwrap();
-        let third = read_schedule_cached(&path, || gust.schedule(&m));
-        assert_eq!(third, expected, "corrupt cache must fall back to rebuild");
-        let quarantined = dir.join("m.gust.corrupt");
-        assert!(quarantined.is_file(), "corrupt cache must be quarantined");
-        assert_eq!(std::fs::read(&quarantined).unwrap(), bytes);
-        // And the cache was rewritten healthy.
-        assert_eq!(read_schedule_file(&path).unwrap(), expected);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn cached_loader_hits_without_rebuilding() {
-        let dir = std::env::temp_dir().join(format!(
-            "gust-sched-cache2-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let m = CsrMatrix::from(&gen::uniform(12, 12, 50, 5));
-        let gust = Gust::new(GustConfig::new(4));
-
-        let flat_path = dir.join("m.gust");
-        let flat = read_schedule_cached(&flat_path, || gust.schedule(&m));
-        assert_eq!(
-            read_schedule_cached(&flat_path, || panic!("hit must not rebuild")),
-            flat
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

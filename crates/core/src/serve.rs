@@ -7,8 +7,9 @@
 //!
 //! * [`ScheduleRegistry`] — a content-addressed, in-RAM memo of
 //!   prepared schedules keyed by a hash of the CSR structure, backed by
-//!   the existing on-disk schedule cache (`GUST` containers).
-//!   A corrupt cache file is quarantined on disk
+//!   the on-disk schedule cache (`GUST` containers). It is the one
+//!   load-or-rebuild path for cached schedules. A corrupt or forged
+//!   cache file is quarantined on disk
 //!   ([`gust_sparse::io::quarantine_corrupt`]) and mirrored in RAM as a
 //!   poisoned-entry eviction; builds are retried with jittered
 //!   exponential backoff; a matrix whose schedule repeatedly fails to
@@ -606,7 +607,7 @@ impl ScheduleRegistry {
                     inner.stats.audit_rejects += 1;
                 }
                 drop(inner);
-                serialize::quarantine_corrupt_cache(&path, &err);
+                gust_sparse::io::quarantine_corrupt(&path, "schedule cache", &err);
                 None
             }
             Err(_) => None,
@@ -1486,6 +1487,35 @@ mod tests {
             "corrupt container must be quarantined on disk"
         );
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checksum-valid forged container at a registered key's path
+    /// (`length = u32::MAX`, zero rows) used to abort the process inside
+    /// the disk load. It must now load without a giant allocation, fail
+    /// the shape check, and be rebuilt over.
+    #[test]
+    fn forged_huge_length_cache_is_rebuilt_without_aborting() {
+        let dir = std::env::temp_dir().join(format!("gust-serve-forged-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let matrix = small_matrix(6);
+        let registry = ScheduleRegistry::new(engine()).with_cache_dir(&dir);
+        let key = registry.insert(&matrix);
+        let path = dir.join(format!("{:016x}.gust", key.as_u64()));
+        std::fs::write(
+            &path,
+            crate::schedule::serialize::tests::forged_huge_length_container(),
+        )
+        .unwrap();
+
+        let Acquired::Scheduled(schedule) = registry.acquire(key).unwrap() else {
+            panic!("a forged cache must rebuild, not degrade");
+        };
+        assert_eq!(schedule.rows(), matrix.rows());
+        let stats = registry.stats();
+        assert_eq!(stats.rebuilds, 1);
+        assert_eq!(stats.disk_loads, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

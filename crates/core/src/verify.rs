@@ -281,7 +281,9 @@ pub fn audit_schedule(schedule: &ScheduledMatrix) -> AuditReport {
         schedule.windows().iter().map(WindowSchedule::nnz).sum(),
         &mut out,
     );
-    let mut scratch = Scratch::new(schedule.length());
+    // No window covers more than `min(l, rows)` rows, and adders are
+    // bounded by their window's rows before the scratch is indexed.
+    let mut scratch = Scratch::new(schedule.length().min(schedule.rows()));
     for (w, window) in schedule.windows().iter().enumerate() {
         let window_rows =
             (schedule.rows() - (w * schedule.length()).min(schedule.rows())).min(schedule.length());
@@ -482,7 +484,7 @@ pub(crate) fn audit_window_soa(
         );
         return;
     }
-    debug_assert!(scratch.epoch.len() >= length);
+    debug_assert!(scratch.epoch.len() >= window_rows);
     for c in 0..colors {
         scratch.current += 1;
         let bucket = color_ptr[c as usize] as usize..color_ptr[c as usize + 1] as usize;

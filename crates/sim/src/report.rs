@@ -20,7 +20,6 @@ use crate::mem::MemoryTraffic;
 /// assert!((r.utilization() - 8_192.0 / (512.0 * 1_000.0)).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExecutionReport {
     /// Short machine-readable design name (e.g. `"gust-ec-lb"`).
     pub design: String,

@@ -9,7 +9,6 @@ use crate::clock::Cycle;
 
 /// One cycle's activity snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceEntry {
     /// The cycle this entry describes.
     pub cycle: Cycle,
@@ -36,7 +35,6 @@ pub struct TraceEntry {
 /// assert_eq!(trace.dumps(), 1);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CycleTrace {
     entries: Vec<TraceEntry>,
 }

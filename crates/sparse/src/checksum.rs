@@ -1,7 +1,8 @@
 //! CRC32 (IEEE 802.3, the zlib/gzip polynomial) for the on-disk formats.
 //!
-//! The `GSPB` matrix cache and the `GUST` schedule container append a
-//! CRC32 of their payload so a bit flip on disk — a
+//! The `GSPB` matrix cache and the `GUST` schedule container share one
+//! envelope ([`crate::io::write_envelope`]) that appends a CRC32 of the
+//! payload, so a bit flip on disk — a
 //! failing drive, a torn write, a truncated copy — surfaces as a
 //! *corruption* error the loaders can quarantine and fall back from,
 //! instead of silently feeding wrong numbers (or a panic) into the
@@ -84,112 +85,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc.finish()
 }
 
-/// A [`std::io::Write`] adapter that checksums everything written
-/// through it, so large payloads stream to disk while the trailer CRC is
-/// computed on the fly (no double buffering).
-pub struct Crc32Writer<W> {
-    inner: W,
-    crc: Crc32,
-    written: u64,
-}
-
-impl<W: std::io::Write> Crc32Writer<W> {
-    /// Wraps `inner`.
-    pub fn new(inner: W) -> Self {
-        Self {
-            inner,
-            crc: Crc32::new(),
-            written: 0,
-        }
-    }
-
-    /// The checksum of all bytes written so far.
-    #[must_use]
-    pub fn crc(&self) -> u32 {
-        self.crc.finish()
-    }
-
-    /// Bytes written so far.
-    #[must_use]
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Unwraps the inner writer.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-
-    /// The inner writer, e.g. to append a trailer that must not be
-    /// checksummed.
-    pub fn inner_mut(&mut self) -> &mut W {
-        &mut self.inner
-    }
-}
-
-impl<W: std::io::Write> std::io::Write for Crc32Writer<W> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.crc.update(&buf[..n]);
-        self.written += n as u64;
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// A [`std::io::Read`] adapter that checksums everything read through
-/// it — the reader-side twin of [`Crc32Writer`].
-pub struct Crc32Reader<R> {
-    inner: R,
-    crc: Crc32,
-    read: u64,
-}
-
-impl<R: std::io::Read> Crc32Reader<R> {
-    /// Wraps `inner`.
-    pub fn new(inner: R) -> Self {
-        Self {
-            inner,
-            crc: Crc32::new(),
-            read: 0,
-        }
-    }
-
-    /// The checksum of all bytes read so far.
-    #[must_use]
-    pub fn crc(&self) -> u32 {
-        self.crc.finish()
-    }
-
-    /// Bytes read so far.
-    #[must_use]
-    pub fn read_count(&self) -> u64 {
-        self.read
-    }
-
-    /// The inner reader, e.g. to read a trailer that must not be
-    /// checksummed.
-    pub fn inner_mut(&mut self) -> &mut R {
-        &mut self.inner
-    }
-}
-
-impl<R: std::io::Read> std::io::Read for Crc32Reader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.crc.update(&buf[..n]);
-        self.read += n as u64;
-        Ok(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
 
     #[test]
     fn matches_the_standard_check_value() {
@@ -218,22 +116,5 @@ mod tests {
                 assert_ne!(crc32(&flipped), clean, "flip at {byte}.{bit}");
             }
         }
-    }
-
-    #[test]
-    fn writer_and_reader_adapters_agree() {
-        let payload: Vec<u8> = (0..5000u32).flat_map(|v| v.to_le_bytes()).collect();
-        let mut writer = Crc32Writer::new(Vec::new());
-        writer.write_all(&payload).unwrap();
-        assert_eq!(writer.written(), payload.len() as u64);
-        let crc_w = writer.crc();
-        let stored = writer.into_inner();
-
-        let mut reader = Crc32Reader::new(stored.as_slice());
-        let mut back = Vec::new();
-        reader.read_to_end(&mut back).unwrap();
-        assert_eq!(back, payload);
-        assert_eq!(reader.crc(), crc_w);
-        assert_eq!(reader.crc(), crc32(&payload));
     }
 }

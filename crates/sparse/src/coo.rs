@@ -30,7 +30,6 @@ use crate::error::SparseError;
 /// # Ok::<(), gust_sparse::SparseError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CooMatrix {
     rows: usize,
     cols: usize,

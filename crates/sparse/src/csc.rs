@@ -22,7 +22,6 @@ use crate::error::SparseError;
 /// # Ok::<(), gust_sparse::SparseError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CscMatrix {
     rows: usize,
     cols: usize,

@@ -21,7 +21,6 @@ use crate::error::SparseError;
 /// # Ok::<(), gust_sparse::SparseError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,
@@ -269,34 +268,6 @@ impl CsrMatrix {
         (&self.indptr, &self.indices, &self.values)
     }
 
-    /// The sub-matrix holding rows `range` (all columns): a copied CSR
-    /// slice with `range.len()` rows, the same column count, and the
-    /// rows' non-zeros verbatim.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range.end > self.rows()` or `range.start > range.end`.
-    #[must_use]
-    pub fn row_slice(&self, range: std::ops::Range<usize>) -> Self {
-        assert!(
-            range.start <= range.end && range.end <= self.rows,
-            "row range {range:?} out of bounds for {} rows",
-            self.rows
-        );
-        let base = self.indptr[range.start];
-        let end = self.indptr[range.end];
-        Self {
-            rows: range.len(),
-            cols: self.cols,
-            indptr: self.indptr[range.start..=range.end]
-                .iter()
-                .map(|&p| p - base)
-                .collect(),
-            indices: self.indices[base..end].to_vec(),
-            values: self.values[base..end].to_vec(),
-        }
-    }
-
     /// Converts back to COO triplets (row-major order).
     #[must_use]
     pub fn to_coo(&self) -> CooMatrix {
@@ -482,31 +453,5 @@ mod tests {
         let m =
             CsrMatrix::try_new(2, 3, vec![0, 2, 3], vec![0, 2, 1], vec![1.0, 2.0, 3.0]).unwrap();
         assert_eq!(m.nnz(), 3);
-    }
-
-    #[test]
-    fn row_slice_extracts_contiguous_row_tiles() {
-        let m = CsrMatrix::from(&crate::gen::uniform(10, 7, 40, 3));
-        // The tiles stitch back into the whole matrix.
-        let mut seen = 0usize;
-        for range in [0..4usize, 4..9, 9..10] {
-            let tile = m.row_slice(range.clone());
-            assert_eq!(tile.rows(), range.len());
-            assert_eq!(tile.cols(), m.cols());
-            for (i, orig) in range.enumerate() {
-                assert_eq!(tile.row(i), m.row(orig), "row {orig}");
-            }
-            seen += tile.nnz();
-        }
-        assert_eq!(seen, m.nnz());
-        // The full range is the identity, an empty range a 0-row matrix.
-        assert_eq!(m.row_slice(0..10), m);
-        assert_eq!(m.row_slice(5..5).nnz(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn row_slice_rejects_out_of_range() {
-        let _ = CsrMatrix::identity(4).row_slice(2..5);
     }
 }

@@ -18,7 +18,6 @@ use crate::csr::CsrMatrix;
 /// assert_eq!(m.matvec(&[0.0, 2.0]), vec![6.0, 0.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,

@@ -31,8 +31,8 @@
 //!
 //! | site | where it fires |
 //! |---|---|
-//! | [`sites::IO_READ`] | binary matrix-cache reads ([`crate::io::read_bin`] and friends) |
-//! | [`sites::IO_WRITE`] | binary matrix-cache writes |
+//! | [`sites::IO_READ`] | `GSPB` matrix-cache reads ([`crate::io::read_bin`], [`crate::io::read_bin_file`]) |
+//! | [`sites::IO_WRITE`] | `GSPB` matrix-cache writes ([`crate::io::write_bin`], [`crate::io::write_bin_file`]) |
 //! | [`sites::SCHEDULE_READ`] | `GUST` schedule container reads |
 //! | [`sites::SCHEDULE_WRITE`] | schedule container writes |
 //! | [`sites::WORKER_PANIC`] | inside each `gust::parallel::Pool` task |

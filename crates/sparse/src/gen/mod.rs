@@ -35,7 +35,6 @@ use rand::{Rng, SeedableRng};
 /// Used by [`crate::suite`] to describe each paper matrix's structure class,
 /// and dispatched through [`MatrixKind::generate`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MatrixKind {
     /// Independently placed non-zeros (SNAP "uniform").
     Uniform,

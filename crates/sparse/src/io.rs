@@ -15,21 +15,28 @@
 //! Matrix Market is a text format: loading a multi-GB SuiteSparse matrix
 //! re-parses every non-zero on every run. [`write_bin`] / [`read_bin`]
 //! store a validated [`CsrMatrix`] as a little-endian header plus the raw
-//! CSR arrays, so a bench harness parses once, caches, and thereafter
-//! loads at I/O speed ([`read_bin_file`] on a warm page cache is a
-//! `memcpy`) — the first step of the roadmap's mmap item.
+//! CSR arrays, so [`read_matrix_market_cached`] parses a file once and
+//! thereafter loads it at I/O speed.
+//!
+//! # One container codec
+//!
+//! Both on-disk caches, the `GSPB` matrix cache here and the `GUST`
+//! schedule container (`gust::schedule::serialize`), use the checksummed
+//! envelope of [`write_envelope`] / [`read_envelope`], are written
+//! through [`write_file_atomic`], and are moved aside by
+//! [`quarantine_corrupt`] when a load finds them damaged.
 
 // Production loaders must surface failures as typed errors, never
 // `unwrap` panics: this module is part of the fault-tolerant loading
 // path (see the README's Robustness section).
 #![deny(clippy::unwrap_used)]
 
-use crate::checksum::{Crc32, Crc32Reader, Crc32Writer};
+use crate::checksum::{crc32, Crc32};
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::faults;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Parses a Matrix Market stream into a [`CooMatrix`].
@@ -170,19 +177,208 @@ pub fn write_matrix_market<W: Write>(matrix: &CooMatrix, mut writer: W) -> std::
     Ok(())
 }
 
+/// Why [`read_envelope`] rejected a stream. Each codec maps these onto
+/// its own error type.
+#[derive(Debug)]
+pub enum EnvelopeError {
+    /// The stream does not start with the expected magic: it is not this
+    /// kind of container at all.
+    BadMagic,
+    /// The expected magic with an unsupported version.
+    Version(u32),
+    /// The stream was a container once and has been damaged: it is
+    /// truncated, or its payload does not match the trailer checksum.
+    Corrupt(String),
+    /// A live read failure, injected faults included.
+    Io(std::io::Error),
+}
+
+/// Writes `payload` in the checksummed container envelope that the
+/// `GSPB` matrix cache and the `GUST` schedule container share
+/// (little-endian):
+///
+/// ```text
+/// magic | version u32 | payload_len u64 | payload | crc32(payload) u32
+/// ```
+///
+/// `payload_len` and the CRC32 trailer cover exactly the payload, so any
+/// truncation or bit flip after the version field is caught by
+/// [`read_envelope`]. `site` is the fault-injection site the write
+/// crosses (see [`faults::sites`]).
+///
+/// # Errors
+///
+/// Propagates I/O errors from the writer, and injected faults at `site`.
+pub fn write_envelope<W: Write>(
+    magic: &[u8; 4],
+    version: u32,
+    site: &str,
+    payload: &[u8],
+    mut writer: W,
+) -> std::io::Result<()> {
+    faults::check_io(site)?;
+    writer.write_all(magic)?;
+    writer.write_all(&version.to_le_bytes())?;
+    writer.write_all(&(payload.len() as u64).to_le_bytes())?;
+    writer.write_all(payload)?;
+    writer.write_all(&crc32(payload).to_le_bytes())
+}
+
+/// Reads one envelope written by [`write_envelope`] and returns its
+/// payload. The length prefix and the CRC32 over the whole payload are
+/// both checked before the caller parses any byte. The payload is read
+/// in bounded 16 MiB chunks, so a forged length fails at the stream's
+/// real end instead of attempting one giant allocation up front.
+///
+/// # Errors
+///
+/// [`EnvelopeError::BadMagic`] / [`EnvelopeError::Version`] when the
+/// stream is not a `magic`/`version` container,
+/// [`EnvelopeError::Corrupt`] on truncation or a checksum mismatch, and
+/// [`EnvelopeError::Io`] on a live read failure or an injected fault at
+/// `site`.
+pub fn read_envelope<R: Read>(
+    magic: &[u8; 4],
+    version: u32,
+    site: &str,
+    mut reader: R,
+) -> Result<Vec<u8>, EnvelopeError> {
+    fn read_part<R: Read>(reader: &mut R, buf: &mut [u8], what: &str) -> Result<(), EnvelopeError> {
+        reader.read_exact(buf).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                EnvelopeError::Corrupt(format!("truncated {what}"))
+            } else {
+                EnvelopeError::Io(e)
+            }
+        })
+    }
+    const CHUNK: u64 = 16 << 20;
+
+    faults::check_io(site).map_err(EnvelopeError::Io)?;
+    let mut word = [0u8; 4];
+    read_part(&mut reader, &mut word, "container magic")?;
+    if &word != magic {
+        return Err(EnvelopeError::BadMagic);
+    }
+    read_part(&mut reader, &mut word, "container version")?;
+    let found = u32::from_le_bytes(word);
+    if found != version {
+        return Err(EnvelopeError::Version(found));
+    }
+    let mut qword = [0u8; 8];
+    read_part(&mut reader, &mut qword, "payload length")?;
+    let mut remaining = u64::from_le_bytes(qword);
+    let mut payload = Vec::new();
+    while remaining > 0 {
+        let take = usize::try_from(remaining.min(CHUNK))
+            .map_err(|_| EnvelopeError::Corrupt("payload exceeds address space".into()))?;
+        let start = payload.len();
+        payload.resize(start + take, 0u8);
+        read_part(&mut reader, &mut payload[start..], "payload")?;
+        remaining -= take as u64;
+    }
+    read_part(&mut reader, &mut word, "checksum trailer")?;
+    let stored = u32::from_le_bytes(word);
+    let computed = crc32(&payload);
+    if stored != computed {
+        return Err(EnvelopeError::Corrupt(format!(
+            "{} payload checksum mismatch (stored {stored:#010x}, computed {computed:#010x})",
+            String::from_utf8_lossy(magic)
+        )));
+    }
+    Ok(payload)
+}
+
+/// Writes `path` atomically: `write` fills a uniquely named temporary
+/// sibling, `<path>.<pid>.<seq>.tmp`, which is renamed over `path` only
+/// once fully flushed. A crash, an I/O failure mid-write or a racing
+/// writer therefore never leaves a partial artifact for a later load to
+/// trip over.
+///
+/// # Errors
+///
+/// Propagates I/O errors from `write`, the flush and the rename; on error
+/// the temporary file is removed and `path` is untouched.
+pub fn write_file_atomic(
+    path: impl AsRef<Path>,
+    write: impl FnOnce(&mut BufWriter<std::fs::File>) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let path = path.as_ref();
+    let tmp = unique_tmp_sibling(path);
+    let result = (|| {
+        let mut writer = BufWriter::new(std::fs::File::create(&tmp)?);
+        write(&mut writer)?;
+        writer.flush()?;
+        drop(writer);
+        std::fs::rename(&tmp, path)
+    })();
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
+}
+
+/// Builds a collision-free temporary sibling name for an atomic write
+/// to `path`: `<path>.<pid>.<seq>.tmp`. The pid disambiguates separate
+/// processes writing the same destination; the process-wide counter
+/// disambiguates concurrent writers (and repeated writes) within one
+/// process. A fixed `.tmp` sibling let two concurrent writers of the
+/// same cache path truncate each other's in-progress temp file and
+/// rename a partial artifact into place.
+fn unique_tmp_sibling(path: &Path) -> PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let mut os = path.as_os_str().to_os_string();
+    os.push(format!(".{}.{}.tmp", std::process::id(), seq));
+    PathBuf::from(os)
+}
+
+/// Moves the corrupt cache at `path` out of the way and warns once on
+/// stderr, naming `what` it held and `why` it was rejected. The file is
+/// renamed to `<path>.corrupt` (the rename atomically replaces any
+/// previous quarantine of the same file), so a rebuilt artifact can take
+/// its place while the damaged bytes stay available for post-mortem;
+/// when the rename itself fails, the file is deleted instead.
+///
+/// No separate delete of an old quarantine precedes the rename: with
+/// several loaders racing on one corrupt file, such a delete could
+/// remove the evidence a faster racer had just quarantined.
+///
+/// Best-effort by design: the caller is already on its degradation path
+/// and must not fail because quarantining did.
+pub fn quarantine_corrupt(path: &Path, what: &str, why: impl std::fmt::Display) {
+    let mut os = path.as_os_str().to_os_string();
+    os.push(".corrupt");
+    let dest = PathBuf::from(os);
+    if std::fs::rename(path, &dest).is_ok() {
+        eprintln!(
+            "warning: quarantined corrupt {what} {} -> {} ({why})",
+            path.display(),
+            dest.display()
+        );
+    } else {
+        let _ = std::fs::remove_file(path);
+        eprintln!("warning: removed corrupt {what} {} ({why})", path.display());
+    }
+}
+
 /// Binary CSR cache magic.
 const BIN_MAGIC: &[u8; 4] = b"GSPB";
 /// Binary CSR cache format version.
 ///
 /// * v2 added the source byte length to the header.
-/// * v3 made the format corruption-safe: the body is length-prefixed
-///   (`payload_len u64` right after the version) and followed by a
-///   CRC32 trailer, and the header records a CRC32 fingerprint of the
-///   source file besides its length (see [`SourceFingerprint`]).
+/// * v3 made the format corruption-safe: the body moved into the
+///   checksummed envelope of [`write_envelope`], and the header records a
+///   CRC32 fingerprint of the source file besides its length (see
+///   [`SourceFingerprint`]).
 ///
 /// Older versions are rejected with a [`SparseError::ParseError`], which
 /// for the cache use case simply forces one reparse-and-rewrite.
 const BIN_VERSION: u32 = 3;
+/// Fixed `GSPB` payload header: source_len u64, source_crc u32, then
+/// rows, cols and nnz as u64.
+const BIN_HEADER: usize = 8 + 4 + 8 + 8 + 8;
 
 /// Fingerprint of the source file a cached matrix was parsed from:
 /// its byte length and the CRC32 of its contents.
@@ -190,7 +386,7 @@ const BIN_VERSION: u32 = 3;
 /// source to decide freshness, which closes the classic mtime blind spot
 /// (a rewrite landing in the same filesystem timestamp tick as the cache
 /// write). Zero fields mean "not recorded" and skip that comparison; the
-/// all-zero [`Default`] is what [`write_bin`] records.
+/// all-zero [`Default`] records nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SourceFingerprint {
     /// Source byte length (0 = not recorded; a parseable Matrix Market
@@ -201,11 +397,7 @@ pub struct SourceFingerprint {
 }
 
 /// Streams `path` once and returns its [`SourceFingerprint`].
-///
-/// # Errors
-///
-/// Propagates I/O errors from opening or reading the file.
-pub fn file_fingerprint(path: impl AsRef<Path>) -> std::io::Result<SourceFingerprint> {
+fn file_fingerprint(path: &Path) -> std::io::Result<SourceFingerprint> {
     let mut file = std::fs::File::open(path)?;
     let mut crc = Crc32::new();
     let mut len = 0u64;
@@ -227,15 +419,17 @@ pub fn file_fingerprint(path: impl AsRef<Path>) -> std::io::Result<SourceFingerp
 /// Byte length of a v3 payload for a `rows × …` matrix with `nnz`
 /// non-zeros; `None` if it overflows `u64` (only a forged header can).
 fn bin_payload_len(rows: u64, nnz: u64) -> Option<u64> {
-    // source_len u64 + source_crc u32 + rows/cols/nnz u64 each.
-    let fixed = 8u64 + 4 + 8 + 8 + 8;
     let indptr = rows.checked_add(1)?.checked_mul(8)?;
     let entries = nnz.checked_mul(8)?; // index u32 + value f32 per entry
-    fixed.checked_add(indptr)?.checked_add(entries)
+    (BIN_HEADER as u64)
+        .checked_add(indptr)?
+        .checked_add(entries)
 }
 
-/// Writes `matrix` in the binary CSR cache format (little-endian) with
-/// no recorded source fingerprint (see [`write_bin_with_fingerprint`]):
+/// Writes `matrix` in the binary CSR cache format, recording the
+/// [`SourceFingerprint`] of the file it was parsed from
+/// ([`SourceFingerprint::default`] records none). The payload sits in
+/// the checksummed envelope of [`write_envelope`] (little-endian):
 ///
 /// ```text
 /// magic "GSPB" | version u32 | payload_len u64 | payload | crc32 u32
@@ -244,309 +438,87 @@ fn bin_payload_len(rows: u64, nnz: u64) -> Option<u64> {
 ///         | values: nnz × f32
 /// ```
 ///
-/// `payload_len` covers exactly the payload (not magic/version/trailer),
-/// and the trailing CRC32 is computed over the same bytes, so any
-/// truncation or bit flip after the version field surfaces as
-/// [`SparseError::Corrupt`] on read.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_bin<W: Write>(matrix: &CsrMatrix, writer: W) -> std::io::Result<()> {
-    write_bin_with_fingerprint(matrix, SourceFingerprint::default(), writer)
-}
-
-/// As [`write_bin`], recording only the source byte length (kept for
-/// callers that have no source bytes to checksum).
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_bin_with_source<W: Write>(
-    matrix: &CsrMatrix,
-    source_len: u64,
-    writer: W,
-) -> std::io::Result<()> {
-    write_bin_with_fingerprint(
-        matrix,
-        SourceFingerprint {
-            len: source_len,
-            crc: 0,
-        },
-        writer,
-    )
-}
-
-/// As [`write_bin`], recording the full [`SourceFingerprint`] of the
-/// file the matrix was parsed from (see [`read_matrix_market_cached`]).
-///
 /// # Errors
 ///
 /// Propagates I/O errors from the writer (including injected
 /// [`faults::sites::IO_WRITE`] faults when fault injection is active).
-pub fn write_bin_with_fingerprint<W: Write>(
+pub fn write_bin<W: Write>(
     matrix: &CsrMatrix,
     source: SourceFingerprint,
-    mut writer: W,
+    writer: W,
 ) -> std::io::Result<()> {
-    faults::check_io(faults::sites::IO_WRITE)?;
     let (indptr, indices, values) = matrix.raw_parts();
     let payload_len = bin_payload_len(matrix.rows() as u64, matrix.nnz() as u64)
+        .and_then(|n| usize::try_from(n).ok())
         .ok_or_else(|| std::io::Error::other("matrix too large for the GSPB format"))?;
-    writer.write_all(BIN_MAGIC)?;
-    writer.write_all(&BIN_VERSION.to_le_bytes())?;
-    writer.write_all(&payload_len.to_le_bytes())?;
-    // Everything from here to the trailer goes through the CRC.
-    let mut writer = Crc32Writer::new(writer);
-    writer.write_all(&source.len.to_le_bytes())?;
-    writer.write_all(&source.crc.to_le_bytes())?;
-    writer.write_all(&(matrix.rows() as u64).to_le_bytes())?;
-    writer.write_all(&(matrix.cols() as u64).to_le_bytes())?;
-    writer.write_all(&(matrix.nnz() as u64).to_le_bytes())?;
-    // Bulk-convert each array into one contiguous byte buffer per array
-    // so a multi-GB matrix is a handful of large writes, not nnz tiny
-    // ones.
-    let mut buf: Vec<u8> = Vec::with_capacity(indptr.len() * 8);
+    let mut payload = Vec::with_capacity(payload_len);
+    payload.extend_from_slice(&source.len.to_le_bytes());
+    payload.extend_from_slice(&source.crc.to_le_bytes());
+    for dim in [matrix.rows(), matrix.cols(), matrix.nnz()] {
+        payload.extend_from_slice(&(dim as u64).to_le_bytes());
+    }
     for &p in indptr {
-        buf.extend_from_slice(&(p as u64).to_le_bytes());
+        payload.extend_from_slice(&(p as u64).to_le_bytes());
     }
-    writer.write_all(&buf)?;
-    buf.clear();
-    buf.reserve(indices.len() * 4);
     for &c in indices {
-        buf.extend_from_slice(&c.to_le_bytes());
+        payload.extend_from_slice(&c.to_le_bytes());
     }
-    writer.write_all(&buf)?;
-    buf.clear();
     for &v in values {
-        buf.extend_from_slice(&v.to_le_bytes());
+        payload.extend_from_slice(&v.to_le_bytes());
     }
-    writer.write_all(&buf)?;
-    debug_assert_eq!(writer.written(), payload_len);
-    let crc = writer.crc();
-    writer.inner_mut().write_all(&crc.to_le_bytes())?;
-    Ok(())
-}
-
-/// Writes the binary CSR cache to `path` (see [`write_bin`]).
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_bin_file(matrix: &CsrMatrix, path: impl AsRef<Path>) -> std::io::Result<()> {
-    write_bin_file_with_source(matrix, 0, path)
-}
-
-/// Writes the binary CSR cache to `path`, recording the source byte
-/// length (see [`write_bin_with_source`]).
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_bin_file_with_source(
-    matrix: &CsrMatrix,
-    source_len: u64,
-    path: impl AsRef<Path>,
-) -> std::io::Result<()> {
-    write_bin_file_with_fingerprint(
-        matrix,
-        SourceFingerprint {
-            len: source_len,
-            crc: 0,
-        },
-        path,
+    debug_assert_eq!(payload.len(), payload_len);
+    write_envelope(
+        BIN_MAGIC,
+        BIN_VERSION,
+        faults::sites::IO_WRITE,
+        &payload,
+        writer,
     )
 }
 
-/// Builds a collision-free temporary sibling name for an atomic write
-/// to `path`: `<path>.<pid>.<seq>.tmp`. The pid disambiguates separate
-/// processes writing the same destination; the process-wide counter
-/// disambiguates concurrent writers (and repeated writes) within one
-/// process. A fixed `.tmp` sibling — the pre-PR-9 scheme — let two
-/// concurrent writers of the same cache path truncate each other's
-/// in-progress temp file and rename a partial artifact into place.
-pub(crate) fn unique_tmp_sibling(path: &Path) -> PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    let mut os = path.as_os_str().to_os_string();
-    os.push(format!(".{}.{}.tmp", std::process::id(), seq));
-    PathBuf::from(os)
-}
-
-/// Writes the binary CSR cache to `path`, recording the full source
-/// fingerprint (see [`write_bin_with_fingerprint`]).
-///
-/// The write is atomic at the destination: bytes land in a uniquely
-/// named temporary sibling first (per-process id + per-call counter, so
-/// concurrent writers of the same path never share a temp file) and are
-/// renamed over `path` only once fully flushed, so a crash, an I/O
-/// failure mid-write, or a racing writer can never leave a partial
-/// cache for a later load to trip over.
+/// Writes the binary CSR cache to `path` atomically (see [`write_bin`]
+/// and [`write_file_atomic`]).
 ///
 /// # Errors
 ///
-/// Propagates I/O errors; on error the temporary file is removed and
-/// `path` is untouched.
-pub fn write_bin_file_with_fingerprint(
+/// Propagates I/O errors; on error `path` is untouched.
+pub fn write_bin_file(
     matrix: &CsrMatrix,
     source: SourceFingerprint,
     path: impl AsRef<Path>,
 ) -> std::io::Result<()> {
-    let path = path.as_ref();
-    let tmp = unique_tmp_sibling(path);
-    let result = (|| {
-        let mut writer = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-        write_bin_with_fingerprint(matrix, source, &mut writer)?;
-        writer.flush()?;
-        drop(writer);
-        std::fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
+    write_file_atomic(path, |w| write_bin(matrix, source, w))
 }
 
-/// Maps a raw read failure: end-of-stream mid-structure means the bytes
-/// were damaged (truncated copy, torn write) → [`SparseError::Corrupt`];
-/// anything else is a live I/O failure → [`SparseError::Io`].
-fn read_failure(what: &str, e: &std::io::Error) -> SparseError {
-    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-        SparseError::Corrupt(format!("truncated {what}"))
-    } else {
-        SparseError::Io(format!("reading {what}: {e}"))
-    }
-}
-
-/// Reads `count` bytes in bounded chunks, so a forged size field fails
-/// at the stream's real end instead of attempting one giant allocation
-/// up front (pre-allocation never outruns the bytes actually received).
-fn read_chunked<R: Read>(reader: &mut R, count: u64, what: &str) -> Result<Vec<u8>, SparseError> {
-    const CHUNK: u64 = 16 << 20;
-    let mut buf = Vec::new();
-    let mut remaining = count;
-    while remaining > 0 {
-        let take = usize::try_from(remaining.min(CHUNK))
-            .map_err(|_| SparseError::Corrupt(format!("{what} size exceeds address space")))?;
-        let start = buf.len();
-        buf.resize(start + take, 0u8);
-        reader
-            .read_exact(&mut buf[start..])
-            .map_err(|e| read_failure(what, &e))?;
-        remaining -= take as u64;
-    }
-    Ok(buf)
-}
-
-/// Reads a matrix previously written with [`write_bin`], re-validating
-/// every CSR invariant (the cache may come from an untrusted disk).
+/// Reads a matrix previously written with [`write_bin`], with the
+/// [`SourceFingerprint`] it recorded, re-validating every CSR invariant
+/// (the cache may come from an untrusted disk).
 ///
 /// # Errors
 ///
 /// [`SparseError::ParseError`] on a bad magic or an unsupported version
 /// (the stream is not a v3 GSPB artifact at all),
-/// [`SparseError::Corrupt`] on truncation, a payload length that
-/// contradicts the declared shape, or a CRC mismatch (it was one, and
-/// has been damaged), [`SparseError::Io`] on a live read failure, and
+/// [`SparseError::Corrupt`] on truncation, a CRC mismatch or a payload
+/// length that contradicts the declared shape (it was one, and has been
+/// damaged), [`SparseError::Io`] on a live read failure (including
+/// injected [`faults::sites::IO_READ`] faults), and
 /// [`SparseError::InvalidStructure`] / [`SparseError::IndexOutOfBounds`]
 /// if the (intact) arrays do not form a valid CSR matrix.
-pub fn read_bin<R: Read>(reader: R) -> Result<CsrMatrix, SparseError> {
-    read_bin_with_fingerprint(reader).map(|(matrix, _)| matrix)
-}
-
-/// As [`read_bin`], also returning the recorded source byte length
-/// (0 when the writer did not record one — see
-/// [`write_bin_with_source`]).
-///
-/// # Errors
-///
-/// As [`read_bin`].
-pub fn read_bin_with_source<R: Read>(reader: R) -> Result<(CsrMatrix, u64), SparseError> {
-    read_bin_with_fingerprint(reader).map(|(matrix, fp)| (matrix, fp.len))
-}
-
-/// As [`read_bin`], also returning the recorded [`SourceFingerprint`]
-/// (zero fields when the writer did not record one).
-///
-/// # Errors
-///
-/// As [`read_bin`] (plus injected [`faults::sites::IO_READ`] faults,
-/// surfaced as [`SparseError::Io`], when fault injection is active).
-pub fn read_bin_with_fingerprint<R: Read>(
-    mut reader: R,
-) -> Result<(CsrMatrix, SourceFingerprint), SparseError> {
-    faults::check_io(faults::sites::IO_READ)?;
-    let mut magic = [0u8; 4];
-    reader
-        .read_exact(&mut magic)
-        .map_err(|e| read_failure("binary matrix header", &e))?;
-    if &magic != BIN_MAGIC {
-        return Err(SparseError::ParseError {
-            line: 0,
-            message: "not a GSPB binary matrix stream".into(),
-        });
-    }
-    let mut word = [0u8; 4];
-    reader
-        .read_exact(&mut word)
-        .map_err(|e| read_failure("version", &e))?;
-    let version = u32::from_le_bytes(word);
-    if version != BIN_VERSION {
-        return Err(SparseError::ParseError {
-            line: 0,
-            message: format!("unsupported binary version {version}"),
-        });
-    }
-    let mut qword = [0u8; 8];
-    reader
-        .read_exact(&mut qword)
-        .map_err(|e| read_failure("payload length", &e))?;
-    let declared_payload = u64::from_le_bytes(qword);
-
-    // Everything between the length prefix and the trailer is
-    // checksummed; parse it through the CRC adapter.
-    let mut payload = Crc32Reader::new(reader);
-    fn read_u64<R: Read>(payload: &mut R, what: &str) -> Result<u64, SparseError> {
-        let mut buf = [0u8; 8];
-        payload
-            .read_exact(&mut buf)
-            .map_err(|e| read_failure(what, &e))?;
-        Ok(u64::from_le_bytes(buf))
-    }
-    let source_len = read_u64(&mut payload, "source length")?;
-    let source_crc = {
-        let mut buf = [0u8; 4];
-        payload
-            .read_exact(&mut buf)
-            .map_err(|e| read_failure("source checksum", &e))?;
-        u32::from_le_bytes(buf)
-    };
-    let rows64 = read_u64(&mut payload, "rows")?;
-    let cols64 = read_u64(&mut payload, "cols")?;
-    let nnz64 = read_u64(&mut payload, "nnz")?;
-
-    // The shape fields and the payload length prefix are redundant:
-    // they must agree exactly, or some of them are forged/damaged. This
-    // is also the pre-allocation cap — sizes are cross-checked *before*
-    // any array is read, and reads stay chunked regardless.
-    let expected_payload = bin_payload_len(rows64, nnz64)
-        .ok_or_else(|| SparseError::Corrupt(format!("shape {rows64}x{cols64} overflows")))?;
-    if expected_payload != declared_payload {
+pub fn read_bin<R: Read>(reader: R) -> Result<(CsrMatrix, SourceFingerprint), SparseError> {
+    let payload = read_envelope(BIN_MAGIC, BIN_VERSION, faults::sites::IO_READ, reader).map_err(
+        |e| match e {
+            EnvelopeError::BadMagic => parse_err(0, "not a GSPB binary matrix stream"),
+            EnvelopeError::Version(v) => parse_err(0, format!("unsupported binary version {v}")),
+            EnvelopeError::Corrupt(why) => SparseError::Corrupt(why),
+            EnvelopeError::Io(e) => SparseError::from(e),
+        },
+    )?;
+    let Some((header, arrays)) = payload.split_first_chunk::<BIN_HEADER>() else {
         return Err(SparseError::Corrupt(format!(
-            "payload length {declared_payload} does not match the declared shape \
-             (rows {rows64}, nnz {nnz64} require {expected_payload})"
+            "payload of {} bytes is shorter than the GSPB header",
+            payload.len()
         )));
-    }
-    let to_usize = |v: u64, what: &str| -> Result<usize, SparseError> {
-        usize::try_from(v).map_err(|_| SparseError::Corrupt(format!("{what} {v} does not fit")))
     };
-    let rows = to_usize(rows64, "row count")?;
-    let cols = to_usize(cols64, "column count")?;
-    to_usize(nnz64, "nnz")?;
-
-    // `chunks_exact(N)` yields exactly-N-byte slices; the copy into a
-    // fixed array cannot come up short, so no fallible conversion here.
     let word8 = |c: &[u8]| {
         let mut w = [0u8; 8];
         w.copy_from_slice(c);
@@ -557,106 +529,63 @@ pub fn read_bin_with_fingerprint<R: Read>(
         w.copy_from_slice(c);
         w
     };
-    let indptr_bytes = read_chunked(&mut payload, (rows64 + 1) * 8, "indptr")?;
+    let source = SourceFingerprint {
+        len: u64::from_le_bytes(word8(&header[0..8])),
+        crc: u32::from_le_bytes(word4(&header[8..12])),
+    };
+    let rows64 = u64::from_le_bytes(word8(&header[12..20]));
+    let cols64 = u64::from_le_bytes(word8(&header[20..28]));
+    let nnz64 = u64::from_le_bytes(word8(&header[28..36]));
+
+    // The shape fields and the payload length are redundant: they must
+    // agree exactly, or some of them are forged. Agreement also bounds
+    // every array split below by the bytes actually received.
+    let expected_payload = bin_payload_len(rows64, nnz64)
+        .ok_or_else(|| SparseError::Corrupt(format!("shape {rows64}x{cols64} overflows")))?;
+    if expected_payload != payload.len() as u64 {
+        return Err(SparseError::Corrupt(format!(
+            "payload length {} does not match the declared shape \
+             (rows {rows64}, nnz {nnz64} require {expected_payload})",
+            payload.len()
+        )));
+    }
+    let to_usize = |v: u64, what: &str| -> Result<usize, SparseError> {
+        usize::try_from(v).map_err(|_| SparseError::Corrupt(format!("{what} {v} does not fit")))
+    };
+    let rows = to_usize(rows64, "row count")?;
+    let cols = to_usize(cols64, "column count")?;
+    let nnz = to_usize(nnz64, "nnz")?;
+
+    // `chunks_exact(N)` yields exactly-N-byte slices, so the word copies
+    // cannot come up short.
+    let (indptr_bytes, entries) = arrays.split_at((rows + 1) * 8);
+    let (indices_bytes, values_bytes) = entries.split_at(nnz * 4);
     let indptr: Vec<usize> = indptr_bytes
         .chunks_exact(8)
         .map(|c| u64::from_le_bytes(word8(c)) as usize)
         .collect();
-    drop(indptr_bytes);
-    let indices_bytes = read_chunked(&mut payload, nnz64 * 4, "indices")?;
     let indices: Vec<u32> = indices_bytes
         .chunks_exact(4)
         .map(|c| u32::from_le_bytes(word4(c)))
         .collect();
-    drop(indices_bytes);
-    let values_bytes = read_chunked(&mut payload, nnz64 * 4, "values")?;
     let values: Vec<f32> = values_bytes
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes(word4(c)))
         .collect();
-    drop(values_bytes);
-
-    let computed_crc = payload.crc();
-    let mut trailer = [0u8; 4];
-    payload
-        .inner_mut()
-        .read_exact(&mut trailer)
-        .map_err(|e| read_failure("checksum trailer", &e))?;
-    let stored_crc = u32::from_le_bytes(trailer);
-    if stored_crc != computed_crc {
-        return Err(SparseError::Corrupt(format!(
-            "GSPB payload checksum mismatch (stored {stored_crc:#010x}, \
-             computed {computed_crc:#010x})"
-        )));
-    }
-    CsrMatrix::try_new(rows, cols, indptr, indices, values).map(|m| {
-        (
-            m,
-            SourceFingerprint {
-                len: source_len,
-                crc: source_crc,
-            },
-        )
-    })
+    CsrMatrix::try_new(rows, cols, indptr, indices, values).map(|m| (m, source))
 }
 
 /// Reads a binary CSR cache from `path` (see [`read_bin`]).
 ///
 /// # Errors
 ///
-/// Any [`SparseError`] from validation, or a [`SparseError::ParseError`]
-/// wrapping the I/O failure.
-pub fn read_bin_file(path: impl AsRef<Path>) -> Result<CsrMatrix, SparseError> {
-    read_bin_file_with_source(path).map(|(matrix, _)| matrix)
-}
-
-/// Reads a binary CSR cache from `path`, also returning the recorded
-/// source byte length (see [`read_bin_with_source`]).
-///
-/// # Errors
-///
-/// As [`read_bin_file`].
-pub fn read_bin_file_with_source(path: impl AsRef<Path>) -> Result<(CsrMatrix, u64), SparseError> {
-    read_bin_file_with_fingerprint(path).map(|(matrix, fp)| (matrix, fp.len))
-}
-
-/// Reads a binary CSR cache from `path`, also returning the recorded
-/// [`SourceFingerprint`] (see [`read_bin_with_fingerprint`]).
-///
-/// # Errors
-///
-/// As [`read_bin_file`].
-pub fn read_bin_file_with_fingerprint(
+/// As [`read_bin`]; a file that cannot be opened is [`SparseError::Io`].
+pub fn read_bin_file(
     path: impl AsRef<Path>,
 ) -> Result<(CsrMatrix, SourceFingerprint), SparseError> {
     let file = std::fs::File::open(path.as_ref())
         .map_err(|e| SparseError::Io(format!("cannot open {}: {e}", path.as_ref().display())))?;
-    read_bin_with_fingerprint(BufReader::new(file))
-}
-
-/// Moves a corrupt on-disk artifact out of the way by renaming it to
-/// `<path>.corrupt` (the rename atomically replaces any previous
-/// quarantine of the same file), so the rebuilt artifact can take its
-/// place while the damaged bytes stay available for post-mortem. Falls
-/// back to deleting the file when the rename itself fails. Returns the
-/// quarantine path if the rename succeeded.
-///
-/// No separate delete of an old quarantine precedes the rename: with
-/// several loaders racing on one corrupt file, such a delete could
-/// remove the evidence a faster racer had just quarantined.
-///
-/// Best-effort by design: the caller is already on its degradation path
-/// and must not fail because quarantining did.
-pub fn quarantine_corrupt(path: &Path) -> Option<PathBuf> {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".corrupt");
-    let dest = PathBuf::from(os);
-    if std::fs::rename(path, &dest).is_ok() {
-        Some(dest)
-    } else {
-        let _ = std::fs::remove_file(path);
-        None
-    }
+    read_bin(BufReader::new(file))
 }
 
 /// Loads `mtx_path` through the binary cache: reads `<mtx_path>.gspb` if
@@ -702,7 +631,7 @@ pub fn read_matrix_market_cached(mtx_path: impl AsRef<Path>) -> Result<CsrMatrix
         (None, _) => false,
     };
     if cache_fresh {
-        match read_bin_file_with_fingerprint(&cache_path) {
+        match read_bin_file(&cache_path) {
             Ok((matrix, recorded)) => {
                 if source_matches(mtx_path, source_len, recorded) {
                     return Ok(matrix);
@@ -712,17 +641,7 @@ pub fn read_matrix_market_cached(mtx_path: impl AsRef<Path>) -> Result<CsrMatrix
             Err(SparseError::Corrupt(why)) => {
                 // Damaged bytes: move them aside so the rewrite below
                 // replaces them, and keep going from the source.
-                match quarantine_corrupt(&cache_path) {
-                    Some(dest) => eprintln!(
-                        "warning: quarantined corrupt matrix cache {} -> {} ({why})",
-                        cache_path.display(),
-                        dest.display()
-                    ),
-                    None => eprintln!(
-                        "warning: removed corrupt matrix cache {} ({why})",
-                        cache_path.display()
-                    ),
-                }
+                quarantine_corrupt(&cache_path, "matrix cache", why);
             }
             // Older version, transient I/O failure, invalid CSR: the
             // reparse below overwrites the cache either way.
@@ -731,7 +650,7 @@ pub fn read_matrix_market_cached(mtx_path: impl AsRef<Path>) -> Result<CsrMatrix
     }
     let matrix = CsrMatrix::from(&read_matrix_market_file(mtx_path)?);
     let fingerprint = file_fingerprint(mtx_path).unwrap_or_default();
-    let _ = write_bin_file_with_fingerprint(&matrix, fingerprint, &cache_path);
+    let _ = write_bin_file(&matrix, fingerprint, &cache_path);
     Ok(matrix)
 }
 
@@ -895,8 +814,8 @@ mod tests {
     fn binary_cache_round_trips_exactly() {
         let m = CsrMatrix::from(&crate::gen::power_law(40, 50, 300, 1.8, 7));
         let mut buf = Vec::new();
-        write_bin(&m, &mut buf).unwrap();
-        let back = read_bin(buf.as_slice()).unwrap();
+        write_bin(&m, SourceFingerprint::default(), &mut buf).unwrap();
+        let (back, _) = read_bin(buf.as_slice()).unwrap();
         assert_eq!(back, m, "raw CSR arrays must round-trip bit for bit");
     }
 
@@ -905,7 +824,7 @@ mod tests {
         assert!(read_bin(&b"NOPE"[..]).is_err());
         let m = CsrMatrix::identity(4);
         let mut buf = Vec::new();
-        write_bin(&m, &mut buf).unwrap();
+        write_bin(&m, SourceFingerprint::default(), &mut buf).unwrap();
         for cut in [2usize, 7, buf.len() / 2, buf.len() - 1] {
             assert!(read_bin(&buf[..cut]).is_err(), "truncation at {cut}");
         }
@@ -928,7 +847,7 @@ mod tests {
         // (magic/version damage is a format error instead).
         let m = CsrMatrix::from(&crate::gen::power_law(6, 5, 12, 1.5, 3));
         let mut clean = Vec::new();
-        write_bin(&m, &mut clean).unwrap();
+        write_bin(&m, SourceFingerprint::default(), &mut clean).unwrap();
         for byte in 0..clean.len() {
             let mut damaged = clean.clone();
             damaged[byte] ^= 0x10;
@@ -971,14 +890,15 @@ mod tests {
     fn binary_cache_records_the_source_length() {
         let m = CsrMatrix::identity(3);
         let mut buf = Vec::new();
-        write_bin_with_source(&m, 12345, &mut buf).unwrap();
-        let (back, source_len) = read_bin_with_source(buf.as_slice()).unwrap();
+        let source = SourceFingerprint { len: 12345, crc: 0 };
+        write_bin(&m, source, &mut buf).unwrap();
+        let (back, recorded) = read_bin(buf.as_slice()).unwrap();
         assert_eq!(back, m);
-        assert_eq!(source_len, 12345);
+        assert_eq!(recorded.len, 12345);
         // The plain writer records 0 ("unknown").
         let mut buf = Vec::new();
-        write_bin(&m, &mut buf).unwrap();
-        assert_eq!(read_bin_with_source(buf.as_slice()).unwrap().1, 0);
+        write_bin(&m, SourceFingerprint::default(), &mut buf).unwrap();
+        assert_eq!(read_bin(buf.as_slice()).unwrap().1.len, 0);
     }
 
     #[test]
@@ -987,7 +907,7 @@ mod tests {
         // then reparses and rewrites), never misread with shifted fields.
         let m = CsrMatrix::identity(2);
         let mut buf = Vec::new();
-        write_bin(&m, &mut buf).unwrap();
+        write_bin(&m, SourceFingerprint::default(), &mut buf).unwrap();
         buf[4..8].copy_from_slice(&1u32.to_le_bytes());
         let err = read_bin(buf.as_slice()).unwrap_err();
         assert!(err.to_string().contains("unsupported binary version 1"));
@@ -1028,10 +948,34 @@ mod tests {
             crc: 0xDEAD_BEEF,
         };
         let mut buf = Vec::new();
-        write_bin_with_fingerprint(&m, fp, &mut buf).unwrap();
-        let (back, recorded) = read_bin_with_fingerprint(buf.as_slice()).unwrap();
+        write_bin(&m, fp, &mut buf).unwrap();
+        let (back, recorded) = read_bin(buf.as_slice()).unwrap();
         assert_eq!(back, m);
         assert_eq!(recorded, fp);
+    }
+
+    /// CRC32 of every byte but the trailer of [`gspb_bytes_are_pinned`]'s
+    /// stream (4 576 bytes at version 3). The trailer stays out: for
+    /// CRC-32, `crc(M ‖ crc(M))` is one constant for every message of a
+    /// given length, so a whole-stream CRC would pin only the length.
+    const PINNED_GSPB: u32 = 0x0385_5458;
+
+    /// Pins the `GSPB` bytes of one seeded matrix. A change to what
+    /// `write_bin` emits must come with a `BIN_VERSION` bump (and a new
+    /// constant here), never silently.
+    #[test]
+    fn gspb_bytes_are_pinned() {
+        let m = CsrMatrix::from(&crate::gen::power_law(64, 64, 500, 1.9, 7));
+        let source = SourceFingerprint {
+            len: 12_345,
+            crc: 0xDEAD_BEEF,
+        };
+        let mut buf = Vec::new();
+        write_bin(&m, source, &mut buf).unwrap();
+        assert_eq!(BIN_VERSION, 3);
+        assert_eq!(buf.len(), 4_576);
+        let crc = crc32(&buf[..buf.len() - 4]);
+        assert_eq!(crc, PINNED_GSPB, "GSPB bytes changed: {crc:#010x}");
     }
 
     #[test]
@@ -1056,12 +1000,12 @@ mod tests {
             std::thread::scope(|scope| {
                 for m in [&a, &b] {
                     scope.spawn(|| {
-                        write_bin_file_with_fingerprint(m, SourceFingerprint::default(), &path)
+                        write_bin_file(m, SourceFingerprint::default(), &path)
                             .expect("atomic write must succeed");
                     });
                 }
             });
-            let loaded = read_bin_file(&path)
+            let (loaded, _) = read_bin_file(&path)
                 .unwrap_or_else(|e| panic!("round {round}: torn cache after race: {e}"));
             assert!(
                 loaded == a || loaded == b,

@@ -61,7 +61,6 @@ use crate::csr::CsrMatrix;
 
 /// A kernel backend: which implementation of the hot inner loops to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Backend {
     /// Safe scalar loops — the seed arithmetic, bit for bit. Always
     /// available, on every target.

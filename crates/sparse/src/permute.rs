@@ -24,7 +24,6 @@ use crate::error::SparseError;
 /// # Ok::<(), gust_sparse::SparseError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Permutation {
     forward: Vec<u32>,
 }

@@ -9,7 +9,6 @@ use crate::csr::CsrMatrix;
 
 /// Summary statistics of one nnz-count distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DegreeSummary {
     /// Smallest count.
     pub min: usize,
@@ -65,7 +64,6 @@ impl DegreeSummary {
 /// # Ok::<(), gust_sparse::SparseError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MatrixStats {
     rows: usize,
     cols: usize,

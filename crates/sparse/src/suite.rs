@@ -22,7 +22,6 @@ use crate::gen::MatrixKind;
 
 /// Structure family of a real matrix, mapped to a generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StructureClass {
     /// Unstructured random placement (quantum chemistry, gene networks).
     Uniform,
@@ -42,7 +41,6 @@ pub enum StructureClass {
 
 /// One matrix of the paper's evaluation, with published metadata.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SuiteEntry {
     /// Matrix name as printed in the paper.
     pub name: &'static str,

@@ -11,6 +11,7 @@ use gust::schedule::serialize::{read_schedule, write_schedule, ReadScheduleError
 use gust::{Gust, GustConfig};
 use gust_sparse::io::{
     read_bin, read_matrix_market, read_matrix_market_cached, write_bin, write_matrix_market,
+    SourceFingerprint,
 };
 use gust_sparse::prelude::*;
 use gust_sparse::SparseError;
@@ -32,7 +33,7 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 
 /// Asserts `result` is a "damaged stream" error: `Corrupt` (it was a
 /// valid artifact once) or `ParseError` (the damage hit the framing).
-fn assert_bin_rejects(result: Result<CsrMatrix, SparseError>, context: &str) {
+fn assert_bin_rejects(result: Result<(CsrMatrix, SourceFingerprint), SparseError>, context: &str) {
     match result {
         Err(SparseError::Corrupt(_) | SparseError::ParseError { .. }) => {}
         Err(other) => panic!("{context}: expected Corrupt/ParseError, got {other:?}"),
@@ -44,8 +45,8 @@ fn assert_bin_rejects(result: Result<CsrMatrix, SparseError>, context: &str) {
 fn gspb_survives_every_truncation() {
     let m = sample_matrix();
     let mut bytes = Vec::new();
-    write_bin(&m, &mut bytes).expect("serialize");
-    assert_eq!(read_bin(bytes.as_slice()).expect("round trip"), m);
+    write_bin(&m, SourceFingerprint::default(), &mut bytes).expect("serialize");
+    assert_eq!(read_bin(bytes.as_slice()).expect("round trip").0, m);
 
     for cut in 0..bytes.len() {
         assert_bin_rejects(read_bin(&bytes[..cut]), &format!("truncated at {cut}"));
@@ -56,7 +57,7 @@ fn gspb_survives_every_truncation() {
 fn gspb_detects_every_single_bit_flip() {
     let m = sample_matrix();
     let mut bytes = Vec::new();
-    write_bin(&m, &mut bytes).expect("serialize");
+    write_bin(&m, SourceFingerprint::default(), &mut bytes).expect("serialize");
 
     for byte in 0..bytes.len() {
         for bit in 0..8 {

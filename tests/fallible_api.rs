@@ -205,7 +205,7 @@ fn gust_error_composes_loading_and_execution() {
         schedule_path: &std::path::Path,
         x: &[f32],
     ) -> Result<Vec<f32>, GustError> {
-        let _matrix: CsrMatrix = gust_sparse::io::read_bin_file(cache)?;
+        let (_matrix, _) = gust_sparse::io::read_bin_file(cache)?;
         let gust = Gust::new(GustConfig::new(4));
         let schedule = read_schedule_file(schedule_path)?;
         Ok(gust.try_execute(&schedule, x)?.output)
@@ -221,7 +221,7 @@ fn gust_error_composes_loading_and_execution() {
     let sched = dir.join("m.gust");
 
     let (m, gust, schedule, x) = setup();
-    gust_sparse::io::write_bin_file(&m, &cache).expect("write cache");
+    gust_sparse::io::write_bin_file(&m, Default::default(), &cache).expect("write cache");
     gust::schedule::serialize::write_schedule_file(&schedule, &sched).expect("write schedule");
 
     let y = pipeline(&cache, &sched, &x).expect("clean artifacts");

@@ -21,10 +21,11 @@
 
 use gust::faults::{self, sites, FaultPlan};
 use gust::prelude::*;
-use gust::schedule::serialize::{
-    read_schedule, read_schedule_cached, write_schedule, write_schedule_file,
+use gust::schedule::serialize::{read_schedule, write_schedule, write_schedule_file};
+use gust::serve::{Acquired, ScheduleRegistry};
+use gust_sparse::io::{
+    read_bin, read_matrix_market_cached, write_bin, write_matrix_market, SourceFingerprint,
 };
-use gust_sparse::io::{read_bin, read_matrix_market_cached, write_bin, write_matrix_market};
 use gust_sparse::prelude::*;
 use gust_sparse::SparseError;
 
@@ -53,7 +54,7 @@ fn injected_io_read_faults_surface_as_io_errors() {
     let mut bytes = Vec::new();
     {
         let _quiet = faults::override_for_tests("");
-        write_bin(&m, &mut bytes).expect("serialize");
+        write_bin(&m, SourceFingerprint::default(), &mut bytes).expect("serialize");
     }
 
     {
@@ -65,7 +66,7 @@ fn injected_io_read_faults_surface_as_io_errors() {
     }
 
     let _quiet = faults::override_for_tests("");
-    assert_eq!(read_bin(bytes.as_slice()).expect("faults cleared"), m);
+    assert_eq!(read_bin(bytes.as_slice()).expect("faults cleared").0, m);
 }
 
 /// The crown jewel of the loading path: with *every* binary-cache read
@@ -111,12 +112,17 @@ fn cached_matrix_loading_survives_flaky_cache_io() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// The schedule-side twin: with every container read and write failing,
+/// the serving registry (the cached schedule loader) still answers every
+/// fresh acquire with the right schedule — it rebuilds, and neither
+/// counts the failed read as a disk load nor quarantines the intact file.
 #[test]
 fn cached_schedule_loading_survives_total_schedule_io_failure() {
     let dir = scratch("sched-total");
-    let path = dir.join("m.gust");
     let m = CsrMatrix::from(&gen::uniform(16, 16, 60, 23));
     let gust = Gust::new(GustConfig::new(4));
+    let key = ScheduleRegistry::new(gust.clone()).insert(&m);
+    let path = dir.join(format!("{:016x}.gust", key.as_u64()));
 
     // Seed the schedule and its on-disk container with faults masked
     // (scheduling itself crosses the worker_panic site).
@@ -128,13 +134,22 @@ fn cached_schedule_loading_survives_total_schedule_io_failure() {
     };
 
     {
+        // The rebuild must not re-enter the scheduler's pool under a
+        // concurrent worker_panic plan — here the plan is ours and names
+        // only schedule sites, so it is safe.
         let _guard = faults::override_for_tests("schedule_read:1,schedule_write:1");
         for call in 0..5 {
-            // The rebuild closure must not re-enter the scheduler's
-            // pool under a concurrent worker_panic plan — here the plan
-            // is ours and names only schedule sites, so it is safe.
-            let loaded = read_schedule_cached(&path, || gust.schedule(&m));
-            assert_eq!(loaded, expected, "call {call}");
+            let registry = ScheduleRegistry::new(gust.clone()).with_cache_dir(&dir);
+            assert_eq!(registry.insert(&m), key);
+            let Acquired::Scheduled(loaded) = registry.acquire(key).expect("registered") else {
+                panic!("call {call}: total schedule I/O failure must rebuild, not degrade");
+            };
+            let loaded: &ScheduledMatrix = &loaded;
+            assert_eq!(loaded, &expected, "call {call}");
+            let stats = registry.stats();
+            assert_eq!(stats.rebuilds, 1, "call {call}");
+            assert_eq!(stats.disk_loads, 0, "call {call}");
+            assert_eq!(stats.quarantined, 0, "call {call}");
         }
     }
     std::fs::remove_dir_all(&dir).expect("cleanup");

@@ -63,7 +63,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// Runs all three lints over `crates/` and `src/`; nonzero on any hit.
+/// Runs all three lints over `crates/` and `src/`; nonzero on any hit,
+/// and on any [`UNSAFE_ALLOWLIST`] / [`NO_PANIC_PATHS`] entry that names
+/// a missing file.
 fn lint() -> ExitCode {
     let root = workspace_root();
     let mut files = Vec::new();
@@ -72,7 +74,15 @@ fn lint() -> ExitCode {
     }
     files.sort();
 
-    let mut problems: Vec<String> = Vec::new();
+    // A listed file that no longer exists would silently drop out of its
+    // rule (say, after code moves between files), so it is a violation.
+    let mut problems: Vec<String> = UNSAFE_ALLOWLIST
+        .iter()
+        .map(|rel| (rel, "UNSAFE_ALLOWLIST"))
+        .chain(NO_PANIC_PATHS.iter().map(|rel| (rel, "NO_PANIC_PATHS")))
+        .filter(|(rel, _)| !root.join(rel).is_file())
+        .map(|(rel, list)| format!("{rel}: listed in {list} but missing"))
+        .collect();
     for path in &files {
         let Ok(source) = std::fs::read_to_string(path) else {
             problems.push(format!("{}: unreadable", display(path, &root)));
