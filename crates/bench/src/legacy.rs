@@ -1,17 +1,17 @@
 //! The seed implementation, preserved verbatim as a reference oracle: the
-//! `Vec<Vec<_>>` scheduling pipeline, the array-of-structs slot-at-a-time
-//! execution engine and the scalar reference SpMV. This module's tests pin
-//! the production scheduler, engine and CSR kernels against them, and the
-//! `micro` bench times the production engine and CSR kernels against them
-//! on identical inputs.
+//! `Vec<Vec<_>>` scheduling pipeline and the array-of-structs
+//! slot-at-a-time execution engine. This module's tests pin the production
+//! scheduler and engine against them: the schedules window for window, and
+//! the engine's output and busy unit-cycles (the paper's utilization
+//! figure) bit for bit.
 //!
 //! The production scheduler in `gust::schedule` now colors windows into
 //! reusable flat buffers, and the production engine streams a
 //! structure-of-arrays layout; this module keeps the original shapes — one
 //! `Vec<Vec<WindowEdge>>` per window, `HashMap`-based lane assignment, an
 //! array-of-structs `ScheduledSlot` walk with per-cycle counter
-//! bookkeeping, a scalar accumulation chain per CSR row. It intentionally
-//! trades speed for fidelity to the seed code; do not "optimize" it.
+//! bookkeeping. It intentionally trades speed for fidelity to the seed
+//! code; do not "optimize" it.
 
 // Fidelity over lints: this file mirrors the seed implementation verbatim.
 #![allow(clippy::needless_range_loop)]
@@ -296,8 +296,7 @@ pub struct LegacySlotWindow {
 }
 
 /// Converts a schedule into the seed engine's array-of-structs layout.
-/// Done once per schedule (mirroring how the seed stored it), outside any
-/// timed region.
+/// Done once per schedule, mirroring how the seed stored it.
 #[must_use]
 pub fn legacy_slot_windows(schedule: &ScheduledMatrix) -> Vec<LegacySlotWindow> {
     schedule
@@ -315,9 +314,8 @@ pub fn legacy_slot_windows(schedule: &ScheduledMatrix) -> Vec<LegacySlotWindow> 
 /// bookkeeping per cycle, zeroing and dumping all `l` adder lanes every
 /// window. Returns the output vector and the measured busy unit-cycles.
 ///
-/// Output is bit-identical to `gust::Gust::execute` — the baseline only
-/// differs in data layout and bookkeeping, which is exactly what the
-/// `micro` bench's engine group measures.
+/// Output and busy unit-cycles are bit-identical to `gust::Gust::execute`
+/// — the baseline only differs in data layout and bookkeeping.
 ///
 /// # Panics
 ///
@@ -361,40 +359,6 @@ pub fn legacy_execute(
     (y, mults.busy_unit_cycles() + adds.busy_unit_cycles())
 }
 
-/// The seed `CsrMatrix::spmv`, verbatim: one scalar accumulation chain per
-/// row. The micro benches measure the unrolled production kernel against
-/// this.
-#[must_use]
-pub fn legacy_csr_spmv(matrix: &CsrMatrix, x: &[f32]) -> Vec<f32> {
-    assert_eq!(x.len(), matrix.cols(), "input vector length mismatch");
-    (0..matrix.rows())
-        .map(|r| {
-            let (cols, vals) = matrix.row(r);
-            let mut acc = 0.0f32;
-            for (&c, &v) in cols.iter().zip(vals) {
-                acc += v * x[c as usize];
-            }
-            acc
-        })
-        .collect()
-}
-
-/// The seed `CsrMatrix::spmv_f64`, verbatim (scalar `f64` chain per row).
-#[must_use]
-pub fn legacy_csr_spmv_f64(matrix: &CsrMatrix, x: &[f32]) -> Vec<f64> {
-    assert_eq!(x.len(), matrix.cols(), "input vector length mismatch");
-    (0..matrix.rows())
-        .map(|r| {
-            let (cols, vals) = matrix.row(r);
-            let mut acc = 0.0f64;
-            for (&c, &v) in cols.iter().zip(vals) {
-                acc += f64::from(v) * f64::from(x[c as usize]);
-            }
-            acc
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,19 +380,6 @@ mod tests {
             let run = gust.execute(&schedule, &x);
             assert_eq!(y, run.output, "{name}");
             assert_eq!(busy, run.report.busy_unit_cycles, "{name}");
-        }
-    }
-
-    #[test]
-    fn legacy_reference_kernels_match_unrolled_ones() {
-        let m = CsrMatrix::from(&gen::uniform(80, 70, 600, 9));
-        let x: Vec<f32> = (0..70).map(|i| (i % 7) as f32 - 3.0).collect();
-        // Reassociated sums: equal within tolerance, not necessarily bits.
-        assert_vectors_close(&m.spmv(&x), &legacy_csr_spmv(&m, &x), 1e-5);
-        let f64_new = m.spmv_f64(&x);
-        let f64_old = legacy_csr_spmv_f64(&m, &x);
-        for (a, b) in f64_new.iter().zip(&f64_old) {
-            assert!((a - b).abs() < 1e-9);
         }
     }
 

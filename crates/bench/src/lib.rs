@@ -14,7 +14,6 @@
 //! | `table5` | Table 5 — per-partition resources |
 //! | `bound`  | §3.4 Eqs. 9–11 validation + §3.3 naive-vs-1D crossover |
 //! | `ablation` | greedy-vs-optimal coloring, LB on/off, parallel GUST (§5.5) |
-//! | `micro`  | criterion micro-benchmarks of the scheduler itself |
 //!
 //! Scale: set `GUST_SCALE` (0 < s ≤ 1, default in [`env_scale`]) to shrink
 //! matrix dimensions by `s` (non-zeros by `s²`). `GUST_SCALE=1` reproduces

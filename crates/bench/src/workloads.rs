@@ -37,19 +37,6 @@ pub fn test_vector(n: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Flat column-major panel of `batch` right-hand sides derived from `x`:
-/// vector `j` is `x` shifted by `j × shift` (distinct but comparable
-/// columns). The layout `gust::Gust::execute_batch` consumes.
-#[must_use]
-pub fn shifted_panel(x: &[f32], batch: usize, shift: f32) -> Vec<f32> {
-    let mut panel = Vec::with_capacity(x.len() * batch);
-    for j in 0..batch {
-        let offset = j as f32 * shift;
-        panel.extend(x.iter().map(|&v| v + offset));
-    }
-    panel
-}
-
 /// The Fig. 7–9 suite at the given scale: `(entry, matrix)` pairs in the
 /// paper's density order.
 #[must_use]

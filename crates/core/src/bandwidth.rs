@@ -5,8 +5,7 @@
 //! 32-bit `Col_sch` index and a `⌈log₂ l⌉`-bit `Row_sch` index, plus one
 //! dump-signal bit — §4's "18,433 logical inputs" for `l = 256`. (The §3.3
 //! text prints the formula `(64l + log l + 1)·f`, which drops the `l×`
-//! factor on the row indices; [`paper_text_bits_per_cycle`] reproduces that
-//! expression for comparison, and DESIGN.md documents the discrepancy.)
+//! factor on the row indices.)
 
 use crate::schedule::scheduled::log2_ceil;
 
@@ -20,14 +19,6 @@ use crate::schedule::scheduled::log2_ceil;
 pub fn bits_per_cycle(l: usize) -> u64 {
     assert!(l > 0, "length must be non-zero");
     l as u64 * (64 + u64::from(log2_ceil(l))) + 1
-}
-
-/// The §3.3 text expression `64l + log₂ l + 1` bits per cycle (row indices
-/// under-counted); kept for documentation and comparison.
-#[must_use]
-pub fn paper_text_bits_per_cycle(l: usize) -> u64 {
-    assert!(l > 0, "length must be non-zero");
-    64 * l as u64 + u64::from(log2_ceil(l)) + 1
 }
 
 /// Peak bandwidth requirement in bytes/second at clock `frequency_hz`:
@@ -85,13 +76,6 @@ mod tests {
         // 18,433 bits × 96 MHz = 221.2 GB/s (the paper rounds to 224).
         let bw = required_bytes_per_second(256, 96.0e6);
         assert!((bw / 1.0e9 - 221.2).abs() < 1.0, "got {} GB/s", bw / 1.0e9);
-    }
-
-    #[test]
-    fn text_formula_is_smaller_than_logical_inputs() {
-        for l in [8, 87, 256, 1024] {
-            assert!(paper_text_bits_per_cycle(l) < bits_per_cycle(l));
-        }
     }
 
     #[test]

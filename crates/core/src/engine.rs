@@ -62,7 +62,7 @@
 //! blocks are the same [`kernels::REG_BLOCK`] lanes, one 512-bit `pd`
 //! register on AVX-512.
 
-use crate::config::{GustConfig, SchedulingPolicy};
+use crate::config::GustConfig;
 use crate::error::GustError;
 use crate::kernels::{self, Backend};
 use crate::parallel::Pool;
@@ -849,29 +849,10 @@ impl Default for Gust {
     }
 }
 
-/// Convenience: run all three scheduling policies of Fig. 7/8 on one matrix.
-///
-/// Returns `(naive, ec, ec_lb)` runs for the same `x`.
-#[must_use]
-pub fn run_all_policies(
-    matrix: &gust_sparse::CsrMatrix,
-    x: &[f32],
-    length: usize,
-) -> (GustRun, GustRun, GustRun) {
-    let mk = |policy| {
-        let gust = Gust::new(GustConfig::new(length).with_policy(policy));
-        gust.spmv(matrix, x)
-    };
-    (
-        mk(SchedulingPolicy::Naive),
-        mk(SchedulingPolicy::EdgeColoring),
-        mk(SchedulingPolicy::EdgeColoringLb),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SchedulingPolicy;
     use gust_sparse::prelude::*;
 
     fn random_x(n: usize, seed: u64) -> Vec<f32> {
@@ -898,10 +879,14 @@ mod tests {
         let m = CsrMatrix::from(&gen::uniform(50, 60, 400, 11));
         let x = random_x(60, 1);
         let expected = reference_spmv(&m, &x);
-        let (naive, ec, lb) = run_all_policies(&m, &x, 8);
-        assert_vectors_close(&naive.output, &expected, 1e-4);
-        assert_vectors_close(&ec.output, &expected, 1e-4);
-        assert_vectors_close(&lb.output, &expected, 1e-4);
+        for policy in [
+            SchedulingPolicy::Naive,
+            SchedulingPolicy::EdgeColoring,
+            SchedulingPolicy::EdgeColoringLb,
+        ] {
+            let run = Gust::new(GustConfig::new(8).with_policy(policy)).spmv(&m, &x);
+            assert_vectors_close(&run.output, &expected, 1e-4);
+        }
     }
 
     #[test]
@@ -965,7 +950,9 @@ mod tests {
     fn naive_reports_stalls_ec_does_not() {
         let m = CsrMatrix::from(&gen::uniform(32, 32, 512, 9));
         let x = random_x(32, 10);
-        let (naive, ec, _) = run_all_policies(&m, &x, 8);
+        let run = |policy| Gust::new(GustConfig::new(8).with_policy(policy)).spmv(&m, &x);
+        let naive = run(SchedulingPolicy::Naive);
+        let ec = run(SchedulingPolicy::EdgeColoring);
         assert!(naive.report.stall_cycles > 0);
         assert_eq!(ec.report.stall_cycles, 0);
         assert!(naive.report.cycles >= ec.report.cycles);

@@ -55,7 +55,6 @@ pub mod bound;
 pub mod config;
 pub mod engine;
 pub mod error;
-pub mod gpu;
 pub mod hw;
 pub mod kernels;
 pub mod parallel;

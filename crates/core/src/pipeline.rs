@@ -56,7 +56,7 @@ impl EndToEnd {
 
     /// Seconds per SpMV once the schedule exists (calculation only).
     #[must_use]
-    pub fn calc_seconds(&self) -> f64 {
+    fn calc_seconds(&self) -> f64 {
         self.run.report.seconds()
     }
 

@@ -67,12 +67,6 @@ impl Scheduler {
         Self { config }
     }
 
-    /// The configuration this scheduler applies.
-    #[must_use]
-    pub fn config(&self) -> &GustConfig {
-        &self.config
-    }
-
     /// Schedules `matrix`: the paper's preprocessing step.
     ///
     /// This is the one-time cost amortized over repeated SpMVs (§5.3); its

@@ -123,37 +123,6 @@ impl WindowSchedule {
         }
     }
 
-    /// Assembles a window schedule from a flat array-of-structs slot list
-    /// (color-major, lane-sorted within each color). Compatibility
-    /// constructor: splits the records into the structure-of-arrays form.
-    ///
-    /// # Panics
-    ///
-    /// Same (debug-build) validation as [`WindowSchedule::from_soa`].
-    #[must_use]
-    pub fn from_flat(
-        colors: u32,
-        vizing_bound: u32,
-        stalls: u64,
-        color_ptr: Vec<u32>,
-        slots: Vec<ScheduledSlot>,
-    ) -> Self {
-        let lanes = slots.iter().map(|s| s.lane).collect();
-        let row_mods = slots.iter().map(|s| s.row_mod).collect();
-        let cols = slots.iter().map(|s| s.col).collect();
-        let values = slots.iter().map(|s| s.value).collect();
-        Self::from_soa(
-            colors,
-            vizing_bound,
-            stalls,
-            color_ptr,
-            lanes,
-            row_mods,
-            cols,
-            values,
-        )
-    }
-
     /// Assembles a window schedule from per-color slot lists. Convenience
     /// constructor for tests and small examples; the pipeline itself builds
     /// the flat form directly (see [`WindowSchedule::from_soa`]).
@@ -169,7 +138,16 @@ impl WindowSchedule {
             slots.append(&mut bucket);
             color_ptr.push(slots.len() as u32);
         }
-        Self::from_flat(colors, vizing_bound, stalls, color_ptr, slots)
+        Self::from_soa(
+            colors,
+            vizing_bound,
+            stalls,
+            color_ptr,
+            slots.iter().map(|s| s.lane).collect(),
+            slots.iter().map(|s| s.row_mod).collect(),
+            slots.iter().map(|s| s.col).collect(),
+            slots.iter().map(|s| s.value).collect(),
+        )
     }
 
     /// Colors (cycles) this window occupies.
@@ -631,14 +609,6 @@ mod tests {
         let all: Vec<ScheduledSlot> = w.iter_slots().collect();
         assert_eq!(all.len(), 3);
         assert_eq!(all[0], slot(0, 0, 4, 1.5));
-    }
-
-    #[test]
-    fn from_flat_round_trips_through_soa() {
-        let slots = vec![slot(0, 1, 7, 1.0), slot(3, 0, 2, 2.0), slot(1, 2, 9, 3.0)];
-        let w = WindowSchedule::from_flat(2, 2, 0, vec![0, 2, 3], slots.clone());
-        let back: Vec<ScheduledSlot> = w.iter_slots().collect();
-        assert_eq!(back, slots);
     }
 
     #[test]

@@ -86,11 +86,6 @@ impl Window {
         &self.row_ptr
     }
 
-    /// Iterates the per-row edge slices in local row order.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[WindowEdge]> + '_ {
-        (0..self.rows()).map(move |i| self.row_edges(i))
-    }
-
     /// Total edges (non-zeros) in the window.
     #[must_use]
     pub fn nnz(&self) -> usize {
@@ -453,8 +448,8 @@ mod tests {
         let m = matrix_6x9();
         let plan = WindowPlan::new(&m, 3, false);
         let w0 = plan.window(&m, 0);
-        for (i, row) in w0.iter_rows().enumerate() {
-            for e in row {
+        for i in 0..w0.rows() {
+            for e in w0.row_edges(i) {
                 assert_eq!(e.lane, e.col % 3, "row {i} col {}", e.col);
             }
         }
@@ -594,7 +589,10 @@ mod tests {
         let w = plan.window(&m, 0);
         assert_eq!(w.row_ptr().len(), w.rows() + 1);
         assert_eq!(*w.row_ptr().last().unwrap() as usize, w.nnz());
-        let concatenated: Vec<_> = w.iter_rows().flatten().copied().collect();
+        let concatenated: Vec<_> = (0..w.rows())
+            .flat_map(|i| w.row_edges(i))
+            .copied()
+            .collect();
         assert_eq!(concatenated, w.edges().to_vec());
     }
 }

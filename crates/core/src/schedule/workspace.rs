@@ -118,12 +118,6 @@ pub struct ColorScratch {
 }
 
 impl ColorScratch {
-    /// A fresh scratch arena.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Resets the per-edge color table for a window of `nnz` edges and the
     /// lane stamp table for `l` lanes. Called by every coloring algorithm.
     pub(crate) fn begin_window(&mut self, nnz: usize, l: usize) {

@@ -298,8 +298,8 @@ pub struct RegistryStats {
     /// contents violate the kernels' safety contract. Each is also
     /// counted in `quarantined` and treated as a miss (rebuilt).
     pub audit_rejects: u64,
-    /// In-RAM entries evicted as poisoned (corrupt disk mirror, or
-    /// [`ScheduleRegistry::poison`] after an execution failure).
+    /// In-RAM entries evicted as poisoned (corrupt disk mirror, or a
+    /// contained execution failure on the memoized schedule).
     pub poisoned_evictions: u64,
     /// Build attempts that failed (pre-retry; each retry that fails
     /// counts again).
@@ -424,7 +424,7 @@ impl ScheduleRegistry {
     /// failure. Enough consecutive poisonings open the breaker and the
     /// matrix degrades to the reference kernel until the cooldown
     /// elapses.
-    pub fn poison(&self, key: MatrixKey) {
+    fn poison(&self, key: MatrixKey) {
         let mut inner = lock_recover(&self.inner);
         let breaker = self.breaker;
         if let Some(entry) = inner.entries.get_mut(&key.0) {

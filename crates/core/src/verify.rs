@@ -1,12 +1,15 @@
 //! Schedule safety auditor: statically proves the contract the unsafe
 //! kernels rely on.
 //!
-//! GUST's speed story rests on one correctness property: the edge-coloring
-//! makes every color a *write-disjoint* set of slots. That property — plus
-//! plain index bounds — is exactly the precondition the `unsafe` AVX2 /
-//! AVX-512 gather/scatter loops in [`crate::kernels`] and
-//! `gust_sparse::kernels`, and the [`crate::parallel::Pool`] fan-out,
-//! assume. In-memory schedules establish it by construction (the
+//! The `unsafe` AVX2 / AVX-512 walks in [`crate::kernels`] gather `x`
+//! without bounds checks, so every slot column must be in bounds; their
+//! adder scatters and the output row writes are bounds-checked scalar
+//! stores in slot order, and stay exact only if each output row is
+//! written once. Those are contract items 1, 2 and 4 below. Item 3, the
+//! edge-coloring's write-disjointness, is what the paper's crossbar
+//! model ([`crate::hw`]) needs — one multiplier port and one adder per
+//! slot per cycle — and no software walk relies on it. In-memory
+//! schedules establish the whole contract by construction (the
 //! [`Scheduler`](crate::schedule::Scheduler) colors conflict-free and the
 //! constructors `debug_assert` it), but `debug_assert`s vanish in release
 //! builds, and a deserialized `GUST` stream can carry a valid checksum
@@ -27,10 +30,13 @@
 //!    the ragged final window).
 //! 3. **Write-disjointness** — within one color no two slots share a lane
 //!    (one multiplier port per cycle) and no two slots target the same
-//!    adder (the race-freedom proof for the parallel scatter).
+//!    adder. This is the cycle model's conflict-freedom (the `hw`
+//!    crossbar); the software walks scatter in slot order and do not
+//!    depend on it. It stays in the contract because the hardware model
+//!    runs the same schedules.
 //! 4. **Row permutation** — `row_perm` is a true permutation of
 //!    `0..rows`: in bounds *and* duplicate-free, since a duplicate would
-//!    scatter two windows' outputs into one row concurrently.
+//!    write two windows' outputs into one row and leave another unset.
 //! 5. **Coverage** (optional, against a source [`CsrMatrix`]) — the slot
 //!    stream reproduces the matrix triplet-for-triplet.
 //!

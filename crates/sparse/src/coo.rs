@@ -159,19 +159,6 @@ impl CooMatrix {
             .map(|((&r, &c), &v)| (r as usize, c as usize, v))
     }
 
-    /// Sorts entries row-major (by row, then column) in place.
-    pub fn sort_row_major(&mut self) {
-        let mut perm: Vec<usize> = (0..self.nnz()).collect();
-        perm.sort_unstable_by_key(|&i| (self.row_idx[i], self.col_idx[i]));
-        self.apply_permutation(&perm);
-    }
-
-    fn apply_permutation(&mut self, perm: &[usize]) {
-        self.row_idx = perm.iter().map(|&i| self.row_idx[i]).collect();
-        self.col_idx = perm.iter().map(|&i| self.col_idx[i]).collect();
-        self.values = perm.iter().map(|&i| self.values[i]).collect();
-    }
-
     /// Reference SpMV: `y = A·x` with `f64` accumulation.
     ///
     /// # Panics
@@ -287,20 +274,14 @@ mod tests {
     #[test]
     fn transpose_twice_is_identity() {
         let m = example();
-        let mut tt = m.transpose().transpose();
-        tt.sort_row_major();
-        let mut orig = m.clone();
-        orig.sort_row_major();
-        assert_eq!(tt, orig);
-    }
-
-    #[test]
-    fn sort_row_major_orders_entries() {
-        let mut m =
-            CooMatrix::from_triplets(2, 3, vec![(1, 2, 1.0), (0, 1, 2.0), (1, 0, 3.0)]).unwrap();
-        m.sort_row_major();
-        let order: Vec<_> = m.iter().map(|(r, c, _)| (r, c)).collect();
-        assert_eq!(order, vec![(0, 1), (1, 0), (1, 2)]);
+        let tt = m.transpose().transpose();
+        assert_eq!((tt.rows(), tt.cols()), (m.rows(), m.cols()));
+        let row_major = |m: &CooMatrix| {
+            let mut entries: Vec<_> = m.iter().collect();
+            entries.sort_by_key(|&(r, c, _)| (r, c));
+            entries
+        };
+        assert_eq!(row_major(&tt), row_major(&m));
     }
 
     #[test]

@@ -205,17 +205,6 @@ impl CsrMatrix {
         y
     }
 
-    /// SpMV into a caller-provided output slice (no allocation): the
-    /// kernel behind [`CsrMatrix::spmv`], reusable by panel/batch loops.
-    /// Backend-dispatched like [`CsrMatrix::spmv`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.cols()` or `y.len() != self.rows()`.
-    pub fn spmv_into(&self, x: &[f32], y: &mut [f32]) {
-        crate::kernels::csr_spmv_into(crate::kernels::default_backend(), self, x, y);
-    }
-
     /// SpMV with `f64` accumulation — the numerical reference the cycle
     /// simulators are checked against. Backend-dispatched like
     /// [`CsrMatrix::spmv`]: four independent `f64` partial sums per row on
@@ -279,23 +268,36 @@ impl CsrMatrix {
     }
 }
 
-impl From<&CooMatrix> for CsrMatrix {
-    fn from(coo: &CooMatrix) -> Self {
+impl CsrMatrix {
+    /// Converts `coo` to CSR, sorting columns within each row. Fallible
+    /// counterpart of `CsrMatrix::from(&coo)`: every array is reserved
+    /// with `try_reserve_exact` before it is written, so a shape no
+    /// allocation can hold is an error, not an abort.
+    ///
+    /// # Errors
+    ///
+    /// [`SparseError::TooLarge`] when the row pointers or the entry arrays
+    /// cannot be allocated.
+    pub fn try_from_coo(coo: &CooMatrix) -> Result<Self, SparseError> {
         let rows = coo.rows();
         let cols = coo.cols();
+        let nnz = coo.nnz();
+        let too_large = || SparseError::TooLarge { rows, cols, nnz };
         let (row_idx, col_idx, vals) = coo.raw_parts();
         // Counting sort by row, then sort columns within each row.
-        let mut counts = vec![0usize; rows + 1];
+        let ptr_len = rows.checked_add(1).ok_or_else(too_large)?;
+        let mut counts = try_filled(ptr_len, 0usize).ok_or_else(too_large)?;
         for &r in row_idx {
             counts[r as usize + 1] += 1;
         }
         for i in 0..rows {
             counts[i + 1] += counts[i];
         }
-        let indptr = counts.clone();
-        let mut indices = vec![0u32; coo.nnz()];
-        let mut values = vec![0.0f32; coo.nnz()];
-        for k in 0..coo.nnz() {
+        let mut indptr = try_filled(ptr_len, 0usize).ok_or_else(too_large)?;
+        indptr.copy_from_slice(&counts);
+        let mut indices = try_filled(nnz, 0u32).ok_or_else(too_large)?;
+        let mut values = try_filled(nnz, 0.0f32).ok_or_else(too_large)?;
+        for k in 0..nnz {
             let r = row_idx[k] as usize;
             let slot = counts[r];
             indices[slot] = col_idx[k];
@@ -315,13 +317,30 @@ impl From<&CooMatrix> for CsrMatrix {
                 values[range].copy_from_slice(&sorted_vals);
             }
         }
-        Self {
+        Ok(Self {
             rows,
             cols,
             indptr,
             indices,
             values,
-        }
+        })
+    }
+}
+
+/// `vec![value; len]`, or `None` when `len` elements cannot be allocated.
+fn try_filled<T: Clone>(len: usize, value: T) -> Option<Vec<T>> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len).ok()?;
+    v.resize(len, value);
+    Some(v)
+}
+
+impl From<&CooMatrix> for CsrMatrix {
+    /// # Panics
+    ///
+    /// Panics where [`CsrMatrix::try_from_coo`] returns an error.
+    fn from(coo: &CooMatrix) -> Self {
+        Self::try_from_coo(coo).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

@@ -49,6 +49,17 @@ pub enum SparseError {
     /// and have since been damaged — callers may quarantine the file and
     /// rebuild it from its source.
     Corrupt(String),
+    /// The matrix's CSR arrays cannot be allocated: a shape or entry
+    /// count beyond what this process can hold, typically from a forged
+    /// or damaged header.
+    TooLarge {
+        /// Declared number of rows.
+        rows: usize,
+        /// Declared number of columns.
+        cols: usize,
+        /// Declared number of stored entries.
+        nnz: usize,
+    },
     /// An underlying I/O operation failed (carries the rendered
     /// [`std::io::Error`]; `String` keeps this type `Clone + PartialEq`).
     Io(String),
@@ -79,6 +90,10 @@ impl fmt::Display for SparseError {
             }
             Self::InvalidStructure(message) => write!(f, "invalid structure: {message}"),
             Self::Corrupt(message) => write!(f, "corrupt data: {message}"),
+            Self::TooLarge { rows, cols, nnz } => write!(
+                f,
+                "{rows}x{cols} matrix with {nnz} entries is too large to allocate"
+            ),
             Self::Io(message) => write!(f, "i/o error: {message}"),
         }
     }

@@ -12,7 +12,7 @@ use rand::Rng;
 use std::collections::HashSet;
 
 /// Default quadrant probabilities (the classic 0.57/0.19/0.19/0.05 split).
-pub const DEFAULT_PROBS: [f64; 4] = [0.57, 0.19, 0.19, 0.05];
+const DEFAULT_PROBS: [f64; 4] = [0.57, 0.19, 0.19, 0.05];
 
 /// Generates an R-MAT matrix with default quadrant probabilities.
 ///
@@ -35,13 +35,7 @@ pub fn rmat(rows: usize, cols: usize, nnz: usize, seed: u64) -> CooMatrix {
 /// Panics if `nnz > rows × cols`, or probabilities are negative or do not
 /// sum to ~1.
 #[must_use]
-pub fn rmat_with_probs(
-    rows: usize,
-    cols: usize,
-    nnz: usize,
-    probs: [f64; 4],
-    seed: u64,
-) -> CooMatrix {
+fn rmat_with_probs(rows: usize, cols: usize, nnz: usize, probs: [f64; 4], seed: u64) -> CooMatrix {
     let cells = rows.checked_mul(cols).expect("cell count overflow");
     assert!(nnz <= cells, "cannot place {nnz} entries in {rows}x{cols}");
     let sum: f64 = probs.iter().sum();

@@ -612,8 +612,10 @@ pub fn read_bin_file(
 ///
 /// # Errors
 ///
-/// Any [`SparseError`] from parsing the Matrix Market text. Cache
-/// problems never surface as errors while the source is available.
+/// Any [`SparseError`] from parsing the Matrix Market text, and
+/// [`SparseError::TooLarge`] when its declared shape cannot be allocated
+/// as CSR. Cache problems never surface as errors while the source is
+/// available.
 pub fn read_matrix_market_cached(mtx_path: impl AsRef<Path>) -> Result<CsrMatrix, SparseError> {
     let mtx_path = mtx_path.as_ref();
     let cache_path = {
@@ -648,7 +650,7 @@ pub fn read_matrix_market_cached(mtx_path: impl AsRef<Path>) -> Result<CsrMatrix
             Err(_) => {}
         }
     }
-    let matrix = CsrMatrix::from(&read_matrix_market_file(mtx_path)?);
+    let matrix = CsrMatrix::try_from_coo(&read_matrix_market_file(mtx_path)?)?;
     let fingerprint = file_fingerprint(mtx_path).unwrap_or_default();
     let _ = write_bin_file(&matrix, fingerprint, &cache_path);
     Ok(matrix)

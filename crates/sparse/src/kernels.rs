@@ -223,7 +223,7 @@ pub fn cpu_features() -> String {
 // ---------------------------------------------------------------------------
 
 /// CSR SpMV into a caller-provided output under an explicit backend. The
-/// kernel behind [`CsrMatrix::spmv_into`].
+/// kernel behind [`CsrMatrix::spmv`] and [`CsrMatrix::spmv_with`].
 ///
 /// # Panics
 ///

@@ -8,8 +8,7 @@
 //! * the storage formats the accelerators consume — [`CooMatrix`] (coordinate,
 //!   the basis of GUST's scheduled format), [`CsrMatrix`] (row-major
 //!   compressed, the reference SpMV), [`CscMatrix`] (column-major, used by the
-//!   column-streaming baselines) and [`LilMatrix`] (list-of-lists, the format
-//!   Fafnir ingests),
+//!   column-streaming baselines),
 //! * reference SpMV kernels and float-comparison helpers ([`ops`]),
 //! * deterministic synthetic generators ([`gen`]): uniform density, power-law
 //!   (Chung–Lu style), k-regular, banded/FEM-like, block and the exact
@@ -50,9 +49,7 @@ pub mod faults;
 pub mod gen;
 pub mod io;
 pub mod kernels;
-pub mod lil;
 pub mod ops;
-pub mod permute;
 pub mod spmm;
 pub mod stats;
 pub mod suite;
@@ -63,7 +60,6 @@ pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use error::SparseError;
 pub use kernels::Backend;
-pub use lil::LilMatrix;
 pub use stats::MatrixStats;
 
 /// Common imports for working with this crate.
@@ -75,11 +71,9 @@ pub mod prelude {
     pub use crate::error::SparseError;
     pub use crate::gen::{self, MatrixKind};
     pub use crate::kernels::Backend;
-    pub use crate::lil::LilMatrix;
     pub use crate::ops::{
         assert_vectors_close, max_relative_error, reference_spmm_panel, reference_spmv,
     };
-    pub use crate::permute::Permutation;
     pub use crate::stats::MatrixStats;
     pub use crate::suite;
 }

@@ -27,7 +27,7 @@ impl DegreeSummary {
     ///
     /// Panics on an empty slice.
     #[must_use]
-    pub fn from_counts(counts: &[usize]) -> Self {
+    fn from_counts(counts: &[usize]) -> Self {
         assert!(!counts.is_empty(), "cannot summarize an empty distribution");
         let min = *counts.iter().min().expect("non-empty");
         let max = *counts.iter().max().expect("non-empty");
@@ -141,24 +141,6 @@ impl MatrixStats {
     pub fn col_summary(&self) -> DegreeSummary {
         DegreeSummary::from_counts(&self.col_nnz)
     }
-
-    /// Per-column-*segment* nnz counts for a length-`l` accelerator: the
-    /// nnz of original columns `j, j+l, j+2l, …` summed per residue `j mod l`
-    /// (paper §3.2 "column segments", and the second max of Eq. 1 when
-    /// applied window-by-window).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l == 0`.
-    #[must_use]
-    pub fn col_segment_nnz(&self, l: usize) -> Vec<usize> {
-        assert!(l > 0, "accelerator length must be non-zero");
-        let mut seg = vec![0usize; l.min(self.cols)];
-        for (j, &n) in self.col_nnz.iter().enumerate() {
-            seg[j % l.min(self.cols)] += n;
-        }
-        seg
-    }
 }
 
 #[cfg(test)]
@@ -208,21 +190,6 @@ mod tests {
     fn density() {
         let s = example();
         assert!((s.density() - 6.0 / 12.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn column_segments_fold_mod_l() {
-        let s = example();
-        // l = 2: segment 0 gets cols {0, 2} = 2 + 1; segment 1 gets {1, 3} = 2 + 1.
-        assert_eq!(s.col_segment_nnz(2), vec![3, 3]);
-        // l = 3: segment 0 -> cols {0, 3} = 3, segment 1 -> {1} = 2, segment 2 -> {2} = 1.
-        assert_eq!(s.col_segment_nnz(3), vec![3, 2, 1]);
-    }
-
-    #[test]
-    fn col_segments_with_l_larger_than_cols() {
-        let s = example();
-        assert_eq!(s.col_segment_nnz(100), s.col_nnz().to_vec());
     }
 
     #[test]

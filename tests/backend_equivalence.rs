@@ -318,6 +318,51 @@ fn simd_csr_kernels_match_scalar_within_ulp_bound() {
     }
 }
 
+/// The seed CSR loops — one scalar accumulation chain per row, in `f32`
+/// and in `f64` — as the oracle for every backend's CSR kernels and for
+/// the dispatched `spmv`/`spmv_f64` entry points. Mixed-sign inputs, so
+/// the bounds are looser than tier 3's.
+#[test]
+fn csr_kernels_match_the_seed_scalar_chains_on_every_backend() {
+    let matrix = CsrMatrix::from(&gen::uniform(80, 70, 600, 9));
+    let x: Vec<f32> = (0..70).map(|i| (i % 7) as f32 - 3.0).collect();
+    let chain32: Vec<f32> = (0..matrix.rows())
+        .map(|r| {
+            let (cols, vals) = matrix.row(r);
+            let mut acc = 0.0f32;
+            for (&c, &v) in cols.iter().zip(vals) {
+                acc += v * x[c as usize];
+            }
+            acc
+        })
+        .collect();
+    let chain64: Vec<f64> = (0..matrix.rows())
+        .map(|r| {
+            let (cols, vals) = matrix.row(r);
+            let mut acc = 0.0f64;
+            for (&c, &v) in cols.iter().zip(vals) {
+                acc += f64::from(v) * f64::from(x[c as usize]);
+            }
+            acc
+        })
+        .collect();
+    let check64 = |got: &[f64], what: &str| {
+        for (a, b) in got.iter().zip(&chain64) {
+            assert!((a - b).abs() < 1e-9, "{what}: f64 {a} vs seed {b}");
+        }
+    };
+    // Reassociated sums: equal within tolerance, not necessarily bits.
+    assert_vectors_close(&matrix.spmv(&x), &chain32, 1e-5);
+    check64(&matrix.spmv_f64(&x), "default");
+    for backend in std::iter::once(Backend::Scalar).chain(simd_backends()) {
+        assert_vectors_close(&matrix.spmv_with(backend, &x), &chain32, 1e-5);
+        check64(
+            &gust_sparse::kernels::csr_spmv_f64(backend, &matrix, &x),
+            backend.name(),
+        );
+    }
+}
+
 /// Deterministic strictly positive f64 vector (same generator family as
 /// [`positive_vector`], widened).
 fn positive_vector_f64(n: usize, seed: u64) -> Vec<f64> {

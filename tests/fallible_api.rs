@@ -250,3 +250,39 @@ fn gust_error_composes_loading_and_execution() {
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
+
+/// A 78-byte `.mtx` whose size line declares a 3 000 000 000² matrix
+/// parses (one entry is cheap), but its CSR row pointers alone would take
+/// 24 GB. The cached loader reports that as an error instead of aborting
+/// the process on the allocation, and writes no cache.
+#[test]
+fn forged_mtx_header_is_an_error_not_an_abort() {
+    let text = "%%MatrixMarket matrix coordinate real general\n3000000000 3000000000 1\n1 1 1.0\n";
+    assert_eq!(text.len(), 78);
+    let dir = std::env::temp_dir().join(format!(
+        "gust-forged-mtx-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let mtx = dir.join("forged.mtx");
+    std::fs::write(&mtx, text).expect("write forged mtx");
+
+    let coo = gust_sparse::io::read_matrix_market_file(&mtx).expect("the header itself is valid");
+    assert_eq!(
+        (coo.rows(), coo.cols(), coo.nnz()),
+        (3_000_000_000, 3_000_000_000, 1)
+    );
+    match gust_sparse::io::read_matrix_market_cached(&mtx) {
+        Err(SparseError::TooLarge { rows, cols, nnz }) => {
+            assert_eq!((rows, cols, nnz), (3_000_000_000, 3_000_000_000, 1));
+        }
+        other => panic!("expected TooLarge, got {:?}", other.map(|m| m.rows())),
+    }
+    assert!(
+        !dir.join("forged.mtx.gspb").exists(),
+        "no cache for a failed load"
+    );
+
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}

@@ -21,7 +21,8 @@
 //!    [`NO_PANIC_PATHS`] (matrix io, schedule serialization, the
 //!    serving runtime) handle untrusted bytes and client traffic; they
 //!    must degrade or return typed errors, never panic. Test modules
-//!    (from `#[cfg(test)]` to end of file) are exempt.
+//!    (`#[cfg(test)] mod … { … }`, brace-matched) are exempt; any other
+//!    `#[cfg(test)]` item exempts nothing.
 //!
 //! The scanner is token-aware: comments and string literals are blanked
 //! before keyword matching, so prose mentions of `unsafe` don't trip
@@ -98,7 +99,7 @@ fn lint() -> ExitCode {
             check_unsafe_confinement(&rel, &code_lines, &mut problems);
         }
         if NO_PANIC_PATHS.contains(&rel.as_str()) {
-            check_no_panic(&rel, &code_lines, &raw_lines, &mut problems);
+            check_no_panic(&rel, &code_lines, &mut problems);
         }
     }
 
@@ -158,18 +159,12 @@ fn check_safety_annotations(
     }
 }
 
-/// Rule 3: no `.unwrap()` / `.expect(` before the `#[cfg(test)]` module.
-fn check_no_panic(
-    rel: &str,
-    code_lines: &[String],
-    raw_lines: &[&str],
-    problems: &mut Vec<String>,
-) {
+/// Rule 3: no `.unwrap()` / `.expect(` outside `#[cfg(test)]` modules.
+fn check_no_panic(rel: &str, code_lines: &[String], problems: &mut Vec<String>) {
+    let exempt = test_module_lines(code_lines);
     for (i, line) in code_lines.iter().enumerate() {
-        // Test modules sit at the end of each of these files; everything
-        // from the marker down is exempt.
-        if raw_lines.get(i).is_some_and(|l| l.contains("#[cfg(test)]")) {
-            break;
+        if exempt[i] {
+            continue;
         }
         for needle in [".unwrap()", ".expect("] {
             if line.contains(needle) {
@@ -180,6 +175,64 @@ fn check_no_panic(
             }
         }
     }
+}
+
+/// Marks the lines of every `#[cfg(test)] mod name { … }` block, from the
+/// attribute to the matching closing brace. Works on blanked code, so
+/// braces inside comments and literals do not count. Any other item under
+/// `#[cfg(test)]` (a helper `fn`, an out-of-line `mod name;`) marks
+/// nothing.
+fn test_module_lines(code_lines: &[String]) -> Vec<bool> {
+    const ATTR: &str = "#[cfg(test)]";
+    let code = code_lines.join("\n");
+    let line_of = |offset: usize| code[..offset].matches('\n').count();
+    let mut exempt = vec![false; code_lines.len()];
+    let mut from = 0;
+    while let Some(pos) = code[from..].find(ATTR) {
+        let attr = from + pos;
+        from = attr + ATTR.len();
+        let mut item = code[from..].trim_start();
+        // Further outer attributes on the same item.
+        while item.starts_with("#[") {
+            let Some(end) = item.find(']') else { break };
+            item = item[end + 1..].trim_start();
+        }
+        let item = item
+            .strip_prefix("pub(crate) ")
+            .or_else(|| item.strip_prefix("pub "))
+            .unwrap_or(item);
+        let Some(after_mod) = item.strip_prefix("mod ") else {
+            continue;
+        };
+        let name_len = after_mod
+            .find(|c: char| !(c == '_' || c.is_ascii_alphanumeric()))
+            .unwrap_or(after_mod.len());
+        let body = after_mod[name_len..].trim_start();
+        if !body.starts_with('{') {
+            continue;
+        }
+        let open = code.len() - body.len();
+        let mut depth = 0usize;
+        let mut close = code.len();
+        for (k, b) in code.bytes().enumerate().skip(open) {
+            match b {
+                b'{' => depth += 1,
+                b'}' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        close = k;
+                        break;
+                    }
+                }
+                _ => {}
+            }
+        }
+        // An unclosed module runs to the end of the file.
+        let last = line_of(close.min(code.len())).min(code_lines.len() - 1);
+        exempt[line_of(attr)..=last].fill(true);
+        from = close;
+    }
+    exempt
 }
 
 /// `word` as a standalone keyword: not part of a larger identifier.
@@ -375,4 +428,90 @@ fn display(path: &Path, root: &Path) -> String {
         .unwrap_or(path)
         .to_string_lossy()
         .replace('\\', "/")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `.unwrap()`/`.expect(` lines `check_no_panic` reports in `source`.
+    fn no_panic_hits(source: &str) -> Vec<usize> {
+        let mut problems = Vec::new();
+        check_no_panic("f.rs", &blank_comments_and_strings(source), &mut problems);
+        problems
+            .iter()
+            .map(|p| {
+                p.split(':')
+                    .nth(1)
+                    .and_then(|n| n.parse().ok())
+                    .unwrap_or(0)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn trailing_test_module_is_exempt() {
+        let source = "\
+fn serve() -> Option<u8> {
+    Some(1)
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {
+        let v = Some(1).expect(\"present\");
+        if v > 0 { Some(2).unwrap(); }
+    }
+}
+";
+        assert_eq!(no_panic_hits(source), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn mid_file_test_fn_does_not_exempt_code_below_it() {
+        let source = "\
+#[cfg(test)]
+fn helper() -> u8 {
+    1
+}
+
+fn serve(x: Option<u8>) -> u8 {
+    x.expect(\"client sent a value\")
+}
+
+#[cfg(test)]
+mod tests {
+    fn t() { Some(1).unwrap(); }
+}
+";
+        assert_eq!(no_panic_hits(source), vec![7]);
+    }
+
+    #[test]
+    fn expect_in_strings_and_comments_is_not_reported() {
+        let source = "\
+// Never call .expect( here.
+/* nor .unwrap() */
+fn serve() -> &'static str {
+    \"x.expect(y) and .unwrap()\"
+}
+";
+        assert_eq!(no_panic_hits(source), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn braces_in_literals_do_not_end_the_test_module() {
+        let source = "\
+#[cfg(test)]
+mod tests {
+    fn t() { let _ = \"}\"; let _ = '}'; Some(1).unwrap(); }
+}
+
+fn serve(x: Option<u8>) -> u8 {
+    x.unwrap()
+}
+";
+        assert_eq!(no_panic_hits(source), vec![7]);
+    }
 }
