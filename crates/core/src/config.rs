@@ -6,11 +6,7 @@
 //! The runtime env resolvers (`GUST_PARALLELISM` here, `GUST_BACKEND` in
 //! [`gust_sparse::kernels::default_backend`]) **warn and default** on a
 //! malformed value: a long-lived process must not be taken down at its
-//! first SpMV by a typo in its environment. Callers that instead want a
-//! misspelled variable to fail loudly — CI matrix legs that must not
-//! silently benchmark a different configuration than they claim —
-//! validate eagerly with [`GustConfig::from_env_checked`], which turns
-//! every malformed variable into a [`ConfigError`].
+//! first SpMV by a typo in its environment.
 
 use gust_sparse::kernels::Backend;
 
@@ -59,51 +55,6 @@ pub enum ColoringAlgorithm {
     Konig,
 }
 
-impl ColoringAlgorithm {
-    /// Short label used in ablation tables.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Verbatim => "greedy-verbatim",
-            Self::Grouped => "greedy-grouped",
-            Self::Konig => "konig-optimal",
-        }
-    }
-}
-
-/// A configuration/environment value that could not be interpreted.
-///
-/// Produced by [`GustConfig::from_env_checked`]; the lenient runtime
-/// resolvers log the same information as a warning and fall back to the
-/// automatic default instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfigError {
-    /// The environment variable (or constructor argument) at fault.
-    pub var: String,
-    /// The offending value, verbatim.
-    pub value: String,
-    /// What a valid value looks like.
-    pub message: String,
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid {}={:?}: {}", self.var, self.value, self.message)
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-impl ConfigError {
-    fn new(var: &str, value: &str, message: impl Into<String>) -> Self {
-        Self {
-            var: var.to_string(),
-            value: value.to_string(),
-            message: message.into(),
-        }
-    }
-}
-
 /// Configuration of one GUST instance.
 ///
 /// # Example
@@ -111,16 +62,14 @@ impl ConfigError {
 /// ```
 /// use gust::{GustConfig, SchedulingPolicy};
 ///
-/// let config = GustConfig::new(256)
-///     .with_policy(SchedulingPolicy::EdgeColoringLb)
-///     .with_frequency(96.0e6);
+/// let config = GustConfig::new(256).with_policy(SchedulingPolicy::EdgeColoringLb);
 /// assert_eq!(config.length(), 256);
 /// assert_eq!(config.arithmetic_units(), 512);
+/// assert_eq!(config.frequency_hz(), GustConfig::PAPER_FREQUENCY_HZ);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct GustConfig {
     length: usize,
-    frequency_hz: f64,
     policy: SchedulingPolicy,
     coloring: ColoringAlgorithm,
     parallelism: Option<usize>,
@@ -143,44 +92,11 @@ impl GustConfig {
         assert!(length > 0, "GUST length must be non-zero");
         Self {
             length,
-            frequency_hz: Self::PAPER_FREQUENCY_HZ,
             policy: SchedulingPolicy::EdgeColoringLb,
             coloring: ColoringAlgorithm::default(),
             parallelism: None,
             backend: None,
         }
-    }
-
-    /// As [`GustConfig::new`], but validates every `GUST_*` environment
-    /// variable eagerly and **pins** the parsed values into the
-    /// configuration, so later `effective_*` calls cannot be surprised by
-    /// the environment. Where the lenient runtime resolvers warn and
-    /// fall back to automatic selection, this constructor turns each
-    /// malformed variable into a [`ConfigError`] — use it at process
-    /// startup when a misconfigured environment should abort the run
-    /// (CI legs, benchmark harnesses) rather than degrade it.
-    ///
-    /// Checked variables: `GUST_PARALLELISM` (positive integer),
-    /// `GUST_BACKEND` (`scalar`/`avx2`/`auto`). Unset (or empty) variables
-    /// stay on automatic selection.
-    ///
-    /// # Errors
-    ///
-    /// A [`ConfigError`] naming the first malformed variable, its
-    /// verbatim value, and what a valid value looks like. A zero
-    /// `length` is reported the same way instead of panicking.
-    pub fn from_env_checked(length: usize) -> Result<Self, ConfigError> {
-        if length == 0 {
-            return Err(ConfigError::new(
-                "length",
-                "0",
-                "GUST length must be non-zero",
-            ));
-        }
-        let mut config = Self::new(length);
-        config.parallelism = checked_env_parallelism()?;
-        config.backend = checked_env_backend()?;
-        Ok(config)
     }
 
     /// Sets the scheduling policy.
@@ -233,21 +149,6 @@ impl GustConfig {
         self
     }
 
-    /// Sets the clock frequency in Hz.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frequency_hz` is not positive and finite.
-    #[must_use]
-    pub fn with_frequency(mut self, frequency_hz: f64) -> Self {
-        assert!(
-            frequency_hz.is_finite() && frequency_hz > 0.0,
-            "frequency must be positive and finite"
-        );
-        self.frequency_hz = frequency_hz;
-        self
-    }
-
     /// Number of multipliers (= number of adders) `l`.
     #[must_use]
     pub fn length(&self) -> usize {
@@ -260,10 +161,11 @@ impl GustConfig {
         2 * self.length
     }
 
-    /// Clock frequency in Hz.
+    /// Clock frequency in Hz: the paper's synthesized
+    /// [`GustConfig::PAPER_FREQUENCY_HZ`].
     #[must_use]
     pub fn frequency_hz(&self) -> f64 {
-        self.frequency_hz
+        Self::PAPER_FREQUENCY_HZ
     }
 
     /// Scheduling policy.
@@ -276,20 +178,6 @@ impl GustConfig {
     #[must_use]
     pub fn coloring(&self) -> ColoringAlgorithm {
         self.coloring
-    }
-
-    /// Scheduler worker-thread setting (see
-    /// [`GustConfig::with_parallelism`]).
-    #[must_use]
-    pub fn parallelism(&self) -> Option<usize> {
-        self.parallelism
-    }
-
-    /// Configured kernel backend (see [`GustConfig::with_backend`]);
-    /// `None` means runtime selection.
-    #[must_use]
-    pub fn backend(&self) -> Option<Backend> {
-        self.backend
     }
 
     /// The backend the engine will actually run: the configured one when
@@ -329,49 +217,31 @@ impl GustConfig {
     }
 }
 
-/// Validated `GUST_PARALLELISM`: `Ok(None)` when unset/empty.
-fn checked_env_parallelism() -> Result<Option<usize>, ConfigError> {
-    match std::env::var("GUST_PARALLELISM") {
-        Ok(raw) if !raw.is_empty() => match raw.trim().parse::<usize>() {
-            Ok(n) if n > 0 => Ok(Some(n)),
-            _ => Err(ConfigError::new(
-                "GUST_PARALLELISM",
-                &raw,
-                "must be a positive worker count (e.g. 4)",
-            )),
-        },
-        _ => Ok(None),
-    }
-}
-
-/// Validated `GUST_BACKEND`: `Ok(None)` when unset, empty or `auto`.
-fn checked_env_backend() -> Result<Option<Backend>, ConfigError> {
-    match std::env::var("GUST_BACKEND") {
-        Ok(raw) if !raw.is_empty() && raw != "auto" => {
-            Backend::from_name(&raw).map(Some).ok_or_else(|| {
-                ConfigError::new(
-                    "GUST_BACKEND",
-                    &raw,
-                    "must be one of scalar|avx2|avx512|auto",
-                )
-            })
-        }
-        _ => Ok(None),
+/// Parses a `GUST_PARALLELISM` value: a positive worker count, or the
+/// warning that names the variable, the value and what a valid one
+/// looks like.
+fn parse_parallelism(raw: &str) -> Result<usize, String> {
+    match raw.trim().parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "invalid GUST_PARALLELISM={raw:?}: must be a positive worker count (e.g. 4)"
+        )),
     }
 }
 
 /// The `GUST_PARALLELISM` environment override, parsed once per process.
-/// `0` or a non-number warns (once) and falls back to automatic
-/// parallelism — validate with [`GustConfig::from_env_checked`] when a
-/// misspelled CI leg should fail loudly instead.
+/// Unset or empty means automatic; `0` or a non-number warns (once) and
+/// falls back to automatic parallelism.
 fn env_parallelism() -> Option<usize> {
     static ENV: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    *ENV.get_or_init(|| match checked_env_parallelism() {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("warning: {e}; using automatic parallelism");
-            None
+    *ENV.get_or_init(|| {
+        let raw = std::env::var("GUST_PARALLELISM").ok()?;
+        if raw.is_empty() {
+            return None;
         }
+        parse_parallelism(&raw)
+            .map_err(|e| eprintln!("warning: {e}; using automatic parallelism"))
+            .ok()
     })
 }
 
@@ -393,14 +263,12 @@ mod tests {
         let c = GustConfig::new(8)
             .with_policy(SchedulingPolicy::Naive)
             .with_coloring(ColoringAlgorithm::Konig)
-            .with_frequency(1.0e6)
             .with_parallelism(Some(4))
             .with_backend(Some(Backend::Scalar));
         assert_eq!(c.policy(), SchedulingPolicy::Naive);
         assert_eq!(c.coloring(), ColoringAlgorithm::Konig);
-        assert!((c.frequency_hz() - 1.0e6).abs() < f64::EPSILON);
-        assert_eq!(c.parallelism(), Some(4));
-        assert_eq!(c.backend(), Some(Backend::Scalar));
+        assert_eq!(c.effective_workers(64), 4);
+        assert_eq!(c.effective_backend(), Backend::Scalar);
     }
 
     #[test]
@@ -435,9 +303,12 @@ mod tests {
 
     #[test]
     fn parallelism_defaults_to_auto() {
-        assert_eq!(GustConfig::new(8).parallelism(), None);
+        // Auto (environment or host) never asks for zero workers, nor for
+        // more than one per item.
+        let auto = GustConfig::new(8);
+        assert!((1..=3).contains(&auto.effective_workers(3)));
         let seq = GustConfig::new(8).with_parallelism(Some(1));
-        assert_eq!(seq.parallelism(), Some(1));
+        assert_eq!(seq.effective_workers(64), 1);
     }
 
     #[test]
@@ -457,7 +328,6 @@ mod tests {
         assert_eq!(SchedulingPolicy::Naive.label(), "Naive");
         assert_eq!(SchedulingPolicy::EdgeColoring.label(), "EC");
         assert_eq!(SchedulingPolicy::EdgeColoringLb.label(), "EC/LB");
-        assert_eq!(ColoringAlgorithm::Konig.label(), "konig-optimal");
     }
 
     #[test]
@@ -468,30 +338,12 @@ mod tests {
 
     #[test]
     fn config_error_names_variable_value_and_expectation() {
-        let e = ConfigError::new(
-            "GUST_PARALLELISM",
-            "banana",
-            "must be a positive worker count",
-        );
-        let rendered = e.to_string();
-        assert!(rendered.contains("GUST_PARALLELISM"));
-        assert!(rendered.contains("banana"));
-        assert!(rendered.contains("positive worker count"));
-    }
-
-    #[test]
-    fn from_env_checked_rejects_zero_length_without_panicking() {
-        let e = GustConfig::from_env_checked(0).unwrap_err();
-        assert_eq!(e.var, "length");
-    }
-
-    #[test]
-    fn from_env_checked_succeeds_in_a_clean_environment() {
-        // The test harness does not set GUST_* variables, so every
-        // checked resolver should land on automatic selection. (Runs
-        // that deliberately set them — the CI fault-injection leg — set
-        // well-formed values, so this stays true there too.)
-        let config = GustConfig::from_env_checked(8).expect("clean env must validate");
-        assert_eq!(config.length(), 8);
+        assert_eq!(parse_parallelism(" 4 "), Ok(4));
+        for bad in ["banana", "0", "-2"] {
+            let rendered = parse_parallelism(bad).unwrap_err();
+            assert!(rendered.contains("GUST_PARALLELISM"), "{rendered}");
+            assert!(rendered.contains(bad), "{rendered}");
+            assert!(rendered.contains("positive worker count"), "{rendered}");
+        }
     }
 }

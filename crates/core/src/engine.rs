@@ -68,7 +68,6 @@ use crate::kernels::{self, Backend};
 use crate::parallel::Pool;
 use crate::schedule::scheduled::{log2_ceil, ScheduledMatrix};
 use crate::schedule::Scheduler;
-use crate::verify::{AuditReport, VerifiedSchedule, Violation};
 use gust_sim::{ExecutionReport, MemoryTraffic, UnitCounter};
 
 /// Result of one SpMV on the GUST engine.
@@ -483,39 +482,6 @@ impl Gust {
         );
 
         Ok((y, self.analytic_report(schedule, batch as u64)))
-    }
-
-    /// Audits a schedule of unknown provenance against the full safety
-    /// contract the unsafe kernels rely on (see [`crate::verify`]) and,
-    /// additionally, against this engine's configured accelerator
-    /// length, issuing a [`VerifiedSchedule`] witness on success.
-    ///
-    /// Schedules built by this engine's own [`Gust::schedule`] satisfy
-    /// the contract by construction; `admit` is the checkpoint for
-    /// everything else — hand-assembled schedules, schedules built by a
-    /// different engine, or deserialized ones obtained outside the
-    /// auditing `read_schedule_file_verified` reader.
-    ///
-    /// # Errors
-    ///
-    /// The [`AuditReport`] listing every violation found (a
-    /// length-mismatch is reported as [`Violation::Shape`]).
-    pub fn admit(
-        &self,
-        schedule: ScheduledMatrix,
-    ) -> Result<VerifiedSchedule<ScheduledMatrix>, Box<AuditReport>> {
-        let length = schedule.length();
-        if length != self.config.length() {
-            return Err(Box::new(AuditReport::from_violations(vec![
-                Violation::Shape {
-                    what: format!(
-                        "schedule length {length} does not match engine length {}",
-                        self.config.length()
-                    ),
-                },
-            ])));
-        }
-        VerifiedSchedule::verify(schedule)
     }
 
     /// The accounting of `batch` SpMVs over `schedule`, derived from the
@@ -1077,7 +1043,8 @@ mod tests {
         let colors_before = schedule.total_colors();
         schedule.update_values(&m_b);
         assert_eq!(schedule.total_colors(), colors_before, "coloring unchanged");
-        schedule.validate_against(&m_b);
+        let audit = crate::verify::audit_schedule_against(&schedule, &m_b);
+        assert!(audit.is_clean(), "{audit}");
         let x = random_x(40, 4);
         let run = gust.execute(&schedule, &x);
         assert_vectors_close(&run.output, &reference_spmv(&m_b, &x), 1e-4);

@@ -72,9 +72,6 @@ pub enum GustError {
     /// A schedule-container failure: bad magic/version, corrupt payload,
     /// or live I/O (see [`ReadScheduleError`]).
     Schedule(ReadScheduleError),
-    /// An environment/configuration value could not be interpreted (see
-    /// [`crate::config::ConfigError`]).
-    Config(crate::config::ConfigError),
     /// The serving runtime's admission queue is full and the request
     /// was shed instead of queued (see [`crate::serve::SpmvServer`]):
     /// explicit backpressure beats unbounded latency. Shed requests are
@@ -128,7 +125,6 @@ impl fmt::Display for GustError {
             ),
             Self::Sparse(e) => write!(f, "{e}"),
             Self::Schedule(e) => write!(f, "{e}"),
-            Self::Config(e) => write!(f, "{e}"),
             Self::Overloaded { queued, capacity } => write!(
                 f,
                 "server overloaded: {queued} requests queued (capacity {capacity}); request shed"
@@ -149,7 +145,6 @@ impl Error for GustError {
         match self {
             Self::Sparse(e) => Some(e),
             Self::Schedule(e) => Some(e),
-            Self::Config(e) => Some(e),
             _ => None,
         }
     }
@@ -164,12 +159,6 @@ impl From<SparseError> for GustError {
 impl From<ReadScheduleError> for GustError {
     fn from(e: ReadScheduleError) -> Self {
         Self::Schedule(e)
-    }
-}
-
-impl From<crate::config::ConfigError> for GustError {
-    fn from(e: crate::config::ConfigError) -> Self {
-        Self::Config(e)
     }
 }
 

@@ -63,7 +63,7 @@ pub mod schedule;
 pub mod serve;
 pub mod verify;
 
-pub use config::{ColoringAlgorithm, ConfigError, GustConfig, SchedulingPolicy};
+pub use config::{ColoringAlgorithm, GustConfig, SchedulingPolicy};
 pub use engine::{Gust, GustRun};
 pub use error::GustError;
 pub use kernels::Backend;
@@ -80,7 +80,7 @@ pub use verify::{AuditReport, Auditable, VerifiedSchedule, Violation};
 pub mod prelude {
     pub use crate::bandwidth;
     pub use crate::bound;
-    pub use crate::config::{ColoringAlgorithm, ConfigError, GustConfig, SchedulingPolicy};
+    pub use crate::config::{ColoringAlgorithm, GustConfig, SchedulingPolicy};
     pub use crate::engine::{Gust, GustRun};
     pub use crate::error::GustError;
     pub use crate::kernels::Backend;

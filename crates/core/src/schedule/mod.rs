@@ -53,7 +53,9 @@ use workspace::ColoringWorkspace;
 ///
 /// let m = CsrMatrix::from(&gen::uniform(32, 32, 128, 1));
 /// let schedule = Scheduler::new(GustConfig::new(8)).schedule(&m);
-/// schedule.validate_against(&m); // collision-free and complete
+/// // Collision-free, within bounds and complete:
+/// let audit = gust::verify::audit_schedule_against(&schedule, &m);
+/// assert!(audit.is_clean(), "{audit}");
 /// ```
 #[derive(Debug, Clone)]
 pub struct Scheduler {
@@ -181,6 +183,7 @@ impl Scheduler {
 mod tests {
     use super::*;
     use crate::config::{ColoringAlgorithm, GustConfig, SchedulingPolicy};
+    use crate::verify::audit_schedule_against;
     use gust_sparse::prelude::*;
 
     fn policies() -> [SchedulingPolicy; 3] {
@@ -196,7 +199,8 @@ mod tests {
         let m = CsrMatrix::from(&gen::uniform(40, 40, 300, 2));
         for policy in policies() {
             let schedule = Scheduler::new(GustConfig::new(8).with_policy(policy)).schedule(&m);
-            schedule.validate_against(&m);
+            let r = audit_schedule_against(&schedule, &m);
+            assert!(r.is_clean(), "{r}");
         }
     }
 
@@ -209,7 +213,8 @@ mod tests {
             ColoringAlgorithm::Konig,
         ] {
             let schedule = Scheduler::new(GustConfig::new(16).with_coloring(algo)).schedule(&m);
-            schedule.validate_against(&m);
+            let r = audit_schedule_against(&schedule, &m);
+            assert!(r.is_clean(), "{r}");
         }
     }
 
@@ -279,6 +284,7 @@ mod tests {
     fn more_workers_than_windows_is_fine() {
         let m = CsrMatrix::from(&gen::uniform(8, 8, 20, 1)); // 1 window at l=8
         let schedule = Scheduler::new(GustConfig::new(8).with_parallelism(Some(64))).schedule(&m);
-        schedule.validate_against(&m);
+        let r = audit_schedule_against(&schedule, &m);
+        assert!(r.is_clean(), "{r}");
     }
 }

@@ -215,9 +215,9 @@ mod tests {
         let (schedule, outcome) = arbitrate_to_schedule(&plan.window(&m, 0), 4);
         // Cycle 1: the two uniques; cycles 2-3: the colliding pair drains.
         assert_eq!(outcome.cycles, 3);
-        assert_eq!(schedule.color_len(0), 2);
-        assert_eq!(schedule.color_len(1), 1);
-        assert_eq!(schedule.color_len(2), 1);
+        assert_eq!(schedule.color_range(0).len(), 2);
+        assert_eq!(schedule.color_range(1).len(), 1);
+        assert_eq!(schedule.color_range(2).len(), 1);
     }
 
     #[test]

@@ -184,16 +184,6 @@ impl WindowSchedule {
         self.color_ptr[c as usize] as usize..self.color_ptr[c as usize + 1] as usize
     }
 
-    /// Number of occupied slots in color `c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= self.colors()`.
-    #[must_use]
-    pub fn color_len(&self, c: u32) -> usize {
-        self.color_range(c).len()
-    }
-
     /// The CSR-style per-color offsets into the slot arrays.
     #[must_use]
     pub fn color_ptr(&self) -> &[u32] {
@@ -412,59 +402,6 @@ impl ScheduledMatrix {
         (self.length as u64 * self.total_colors() * bits_per_cell).div_ceil(8)
     }
 
-    /// Validates the schedule against its source matrix:
-    ///
-    /// 1. every color is collision-free on both lanes and adders,
-    /// 2. every non-zero of `matrix` appears exactly once with the correct
-    ///    value, column and window/adder placement,
-    /// 3. every window respects its Eq. 1 bound (`colors >= bound`).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a description of the first violation. Intended for tests
-    /// and debugging; O(nnz log nnz).
-    pub fn validate_against(&self, matrix: &CsrMatrix) {
-        assert_eq!(self.rows, matrix.rows(), "row count mismatch");
-        assert_eq!(self.cols, matrix.cols(), "column count mismatch");
-        assert_eq!(self.nnz, matrix.nnz(), "nnz mismatch");
-
-        // Reconstruct (row, col, value) triplets from the schedule.
-        let mut rebuilt: Vec<(u32, u32, u32)> = Vec::with_capacity(self.nnz);
-        for (w, window) in self.windows.iter().enumerate() {
-            for c in 0..window.colors() {
-                let bucket = window.color_range(c);
-                let lanes = &window.lanes[bucket.clone()];
-                for pair in lanes.windows(2) {
-                    assert_ne!(pair[0], pair[1], "lane collision");
-                }
-                let mut adders: Vec<u32> = window.row_mods[bucket.clone()].to_vec();
-                adders.sort_unstable();
-                for pair in adders.windows(2) {
-                    assert_ne!(pair[0], pair[1], "adder collision");
-                }
-                for i in bucket {
-                    let pos = w * self.length + window.row_mods[i] as usize;
-                    assert!(pos < self.rows, "adder index outside window rows");
-                    let orig_row = self.row_perm[pos];
-                    rebuilt.push((orig_row, window.cols[i], window.values[i].to_bits()));
-                }
-            }
-            assert!(
-                window.colors() >= window.vizing_bound(),
-                "window {w}: {} colors below Vizing bound {}",
-                window.colors(),
-                window.vizing_bound()
-            );
-        }
-        rebuilt.sort_unstable();
-        let mut expected: Vec<(u32, u32, u32)> = matrix
-            .iter()
-            .map(|(r, c, v)| (r as u32, c as u32, v.to_bits()))
-            .collect();
-        expected.sort_unstable();
-        assert_eq!(rebuilt, expected, "schedule does not cover the matrix");
-    }
-
     /// Refreshes the scheduled *values* from a matrix with the same
     /// sparsity pattern, without re-running the scheduler.
     ///
@@ -586,7 +523,7 @@ mod tests {
         assert_eq!(w.nnz(), 3);
         let c0: Vec<u32> = w.iter_color(0).map(|s| s.lane).collect();
         assert_eq!(c0, vec![0, 2]);
-        assert_eq!(w.color_len(1), 1);
+        assert_eq!(w.color_range(1).len(), 1);
     }
 
     #[test]

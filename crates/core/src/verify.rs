@@ -22,8 +22,10 @@
 //!
 //! For every window of a schedule:
 //!
-//! 1. **Structure** — the SoA arrays agree in length and `color_ptr` is a
-//!    monotone CSR-style partition covering every slot exactly once.
+//! 1. **Structure** — the SoA arrays agree in length, `color_ptr` is a
+//!    monotone CSR-style partition covering every slot exactly once, and
+//!    the window uses at least its recorded Eq. 1 (Vizing) bound of
+//!    colors.
 //! 2. **Index bounds** — every slot column is `< matrix.cols` (the `x`
 //!    gather bound), every lane is `< l` and every destination adder is
 //!    `< window_rows` (the accumulator scatter bound, tighter than `l` on
@@ -71,13 +73,13 @@ pub const MAX_VIOLATIONS: usize = 64;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Violation {
-    /// Schedule-level shape disagreement (window count, nnz accounting,
-    /// engine-length mismatch).
+    /// Schedule-level shape disagreement (window count, nnz accounting).
     Shape {
         /// What disagrees.
         what: String,
     },
-    /// A window's SoA arrays or `color_ptr` are malformed.
+    /// A window's SoA arrays or `color_ptr` are malformed, or it has
+    /// fewer colors than its recorded Eq. 1 bound.
     Structure {
         /// Window index.
         window: usize,
@@ -296,6 +298,7 @@ pub fn audit_schedule(schedule: &ScheduledMatrix) -> AuditReport {
         audit_window_soa(
             w,
             window.colors(),
+            window.vizing_bound(),
             window.color_ptr(),
             window.lanes(),
             window.row_mods(),
@@ -444,6 +447,8 @@ impl Scratch {
 /// Audits one window's raw SoA arrays: structure, bounds and
 /// write-disjointness (contract items 1–3).
 ///
+/// `vizing_bound` is the window's recorded Eq. 1 lower bound; a window
+/// with fewer colors than it is a [`Violation::Structure`].
 /// `window_rows` is the row count this window actually covers
 /// (`min(l, rows − w·l)`), the true adder scatter bound on the ragged
 /// final window.
@@ -451,6 +456,7 @@ impl Scratch {
 pub(crate) fn audit_window_soa(
     window: usize,
     colors: u32,
+    vizing_bound: u32,
     color_ptr: &[u32],
     lanes: &[u32],
     row_mods: &[u32],
@@ -488,6 +494,17 @@ pub(crate) fn audit_window_soa(
                 what: format!("color pointers must partition {nnz} slots into {colors} colors"),
             },
         );
+        return;
+    }
+    if colors < vizing_bound
+        && !push(
+            out,
+            Violation::Structure {
+                window,
+                what: format!("{colors} colors below the Vizing bound {vizing_bound}"),
+            },
+        )
+    {
         return;
     }
     debug_assert!(scratch.epoch.len() >= window_rows);
@@ -768,6 +785,7 @@ mod tests {
         audit_window_soa(
             0,
             1,
+            1,
             &[0, 2],
             &[0, 1],
             &[1, 1],
@@ -797,6 +815,7 @@ mod tests {
         audit_window_soa(
             3,
             1,
+            1,
             &[0, 1],
             &[2],
             &[0],
@@ -820,6 +839,7 @@ mod tests {
         let mut out = Vec::new();
         let mut scratch = Scratch::new(4);
         audit_window_soa(
+            1,
             1,
             1,
             &[0, 1],
@@ -860,6 +880,7 @@ mod tests {
         audit_window_soa(
             0,
             n as u32,
+            0,
             &color_ptr,
             &lanes,
             &row_mods,

@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{fix_crc, flat_cells, read_u32, same_color_pair, write_u32, ENVELOPE};
+use common::{fix_crc, flat_cells, read_u32, read_u64, same_color_pair, write_u32, ENVELOPE};
 use gust::prelude::*;
 use gust::schedule::serialize::{
     read_schedule, read_schedule_file, write_schedule, ReadScheduleError,
@@ -62,6 +62,29 @@ fn forged_write_collision_in_flat_container_is_rejected_as_audit() {
                 text.contains("write collision"),
                 "report must name the collision: {text}"
             );
+        }
+        other => panic!("expected Audit rejection, got {other:?}"),
+    }
+}
+
+/// A window that records an Eq. 1 (Vizing) bound above its own color
+/// count claims fewer colors than any coloring can reach. The checksum
+/// still holds, so only the audit can reject it.
+#[test]
+fn forged_vizing_bound_above_the_color_count_is_rejected_as_audit() {
+    let (_m, mut buf) = flat_container(2);
+    // length u32 | rows u64 | cols u64 | row_perm | window count u64,
+    // then the first window's colors u32 and vizing u32.
+    let rows = read_u64(&buf, ENVELOPE + 4) as usize;
+    let colors_off = ENVELOPE + 4 + 8 + 8 + rows * 4 + 8;
+    let colors = read_u32(&buf, colors_off);
+    write_u32(&mut buf, colors_off + 4, colors + 1);
+    fix_crc(&mut buf);
+
+    match read_schedule(buf.as_slice()) {
+        Err(ReadScheduleError::Audit(report)) => {
+            let text = report.to_string();
+            assert!(text.contains("Vizing bound"), "{text}");
         }
         other => panic!("expected Audit rejection, got {other:?}"),
     }

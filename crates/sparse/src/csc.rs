@@ -3,7 +3,6 @@
 
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
-use crate::error::SparseError;
 
 /// A sparse matrix in compressed sparse column form.
 ///
@@ -31,32 +30,6 @@ pub struct CscMatrix {
 }
 
 impl CscMatrix {
-    /// Builds a CSC matrix from raw arrays, validating every invariant.
-    ///
-    /// # Errors
-    ///
-    /// [`SparseError::InvalidStructure`] or [`SparseError::IndexOutOfBounds`]
-    /// under the same conditions as [`CsrMatrix::try_new`], transposed.
-    pub fn try_new(
-        rows: usize,
-        cols: usize,
-        indptr: Vec<usize>,
-        indices: Vec<u32>,
-        values: Vec<f32>,
-    ) -> Result<Self, SparseError> {
-        // A CSC matrix is exactly a CSR matrix of the transpose; reuse its
-        // validation rather than duplicating the rules here.
-        let as_csr = CsrMatrix::try_new(cols, rows, indptr, indices, values)?;
-        let (indptr, indices, values) = as_csr.raw_parts();
-        Ok(Self {
-            rows,
-            cols,
-            indptr: indptr.to_vec(),
-            indices: indices.to_vec(),
-            values: values.to_vec(),
-        })
-    }
-
     /// Number of rows.
     #[must_use]
     pub fn rows(&self) -> usize {
@@ -86,45 +59,17 @@ impl CscMatrix {
         (&self.indices[range.clone()], &self.values[range])
     }
 
-    /// Number of stored entries in column `j`.
-    #[must_use]
-    pub fn col_nnz(&self, j: usize) -> usize {
-        self.indptr[j + 1] - self.indptr[j]
-    }
-
-    /// Iterates `(row, col, value)` in column-major order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f32)> + '_ {
-        (0..self.cols).flat_map(move |j| {
-            let (rows, vals) = self.col(j);
-            rows.iter()
-                .zip(vals)
-                .map(move |(&r, &v)| (r as usize, j, v))
-        })
-    }
-
-    /// SpMV (`y = A·x`) by scattering columns, `f32` accumulation.
-    ///
-    /// Dispatches through the process-default
-    /// [`crate::kernels::Backend`]. The scatter adds stay scalar and in
-    /// stored row order under every backend (the accumulation order is
-    /// observable in the output), so the result is bit-identical across
-    /// backends; AVX2 only widens the product computation.
+    /// SpMV (`y = A·x`) by scattering columns, `f32` accumulation. One
+    /// scalar loop with no backend: per input column, four products at a
+    /// time, added into `y` in stored row order (the accumulation order
+    /// is observable in the output), so the result is the same bits on
+    /// every host.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.cols()`.
     #[must_use]
     pub fn spmv(&self, x: &[f32]) -> Vec<f32> {
-        self.spmv_with(crate::kernels::default_backend(), x)
-    }
-
-    /// [`CscMatrix::spmv`] under an explicit kernel backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.cols()`.
-    #[must_use]
-    pub fn spmv_with(&self, backend: crate::kernels::Backend, x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.cols, "input vector length mismatch");
         let mut y = vec![0.0f32; self.rows];
         for (j, &xj) in x.iter().enumerate() {
@@ -132,7 +77,21 @@ impl CscMatrix {
                 continue;
             }
             let (rows, vals) = self.col(j);
-            crate::kernels::csc_scatter_column(backend, rows, vals, xj, &mut y);
+            let mut chunks_r = rows.chunks_exact(4);
+            let mut chunks_v = vals.chunks_exact(4);
+            for (r, v) in (&mut chunks_r).zip(&mut chunks_v) {
+                let p0 = v[0] * xj;
+                let p1 = v[1] * xj;
+                let p2 = v[2] * xj;
+                let p3 = v[3] * xj;
+                y[r[0] as usize] += p0;
+                y[r[1] as usize] += p1;
+                y[r[2] as usize] += p2;
+                y[r[3] as usize] += p3;
+            }
+            for (&r, &v) in chunks_r.remainder().iter().zip(chunks_v.remainder()) {
+                y[r as usize] += v * xj;
+            }
         }
         y
     }
@@ -216,14 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn col_nnz_counts() {
-        let m = example();
-        assert_eq!(m.col_nnz(0), 2);
-        assert_eq!(m.col_nnz(1), 1);
-        assert_eq!(m.col_nnz(2), 1);
-    }
-
-    #[test]
     fn csr_csc_round_trip() {
         let coo = CooMatrix::from_triplets(
             4,
@@ -244,26 +195,9 @@ mod tests {
     }
 
     #[test]
-    fn iter_is_column_major() {
-        let m = example();
-        let triplets: Vec<_> = m.iter().collect();
-        assert_eq!(
-            triplets,
-            vec![(0, 0, 1.0), (2, 0, 3.0), (2, 1, 4.0), (0, 2, 2.0)]
-        );
-    }
-
-    #[test]
     fn spmv_skips_zero_vector_entries() {
         let m = example();
         assert_eq!(m.spmv(&[0.0, 0.0, 0.0]), vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn try_new_validates() {
-        // Column 0 has row indices out of the declared 2-row shape.
-        let err = CscMatrix::try_new(2, 1, vec![0, 1], vec![7], vec![1.0]).unwrap_err();
-        assert!(matches!(err, SparseError::IndexOutOfBounds { .. }));
     }
 
     #[test]

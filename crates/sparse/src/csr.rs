@@ -182,8 +182,9 @@ impl CsrMatrix {
     /// [`crate::kernels::Backend`] (see
     /// [`crate::kernels::default_backend`]): the scalar backend runs four
     /// independent partial sums per row (the seed arithmetic, bit for
-    /// bit), the AVX2 backend runs 8-wide `x[col]` gathers fused into FMA
-    /// accumulators. Use [`CsrMatrix::spmv_with`] to pin a backend.
+    /// bit), the AVX2 and AVX-512 backends run 8-wide `x[col]` gathers
+    /// fused into FMA accumulators. Use [`CsrMatrix::spmv_with`] to pin a
+    /// backend.
     ///
     /// # Panics
     ///
@@ -206,16 +207,36 @@ impl CsrMatrix {
     }
 
     /// SpMV with `f64` accumulation — the numerical reference the cycle
-    /// simulators are checked against. Backend-dispatched like
-    /// [`CsrMatrix::spmv`]: four independent `f64` partial sums per row on
-    /// the scalar path, 4-wide widened FMAs under AVX2.
+    /// simulators are checked against. One scalar loop with no backend:
+    /// four independent `f64` partial sums per row, combined as
+    /// `(a0+a1)+(a2+a3)+tail`, so the result is the same bits on every
+    /// host and under every `GUST_BACKEND`.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.cols()`.
     #[must_use]
     pub fn spmv_f64(&self, x: &[f32]) -> Vec<f64> {
-        crate::kernels::csr_spmv_f64(crate::kernels::default_backend(), self, x)
+        assert_eq!(x.len(), self.cols, "input vector length mismatch");
+        (0..self.rows)
+            .map(|r| {
+                let (cols, vals) = self.row(r);
+                let mut acc = [0.0f64; 4];
+                let mut chunks_c = cols.chunks_exact(4);
+                let mut chunks_v = vals.chunks_exact(4);
+                for (c, v) in (&mut chunks_c).zip(&mut chunks_v) {
+                    acc[0] += f64::from(v[0]) * f64::from(x[c[0] as usize]);
+                    acc[1] += f64::from(v[1]) * f64::from(x[c[1] as usize]);
+                    acc[2] += f64::from(v[2]) * f64::from(x[c[2] as usize]);
+                    acc[3] += f64::from(v[3]) * f64::from(x[c[3] as usize]);
+                }
+                let mut tail = 0.0f64;
+                for (&c, &v) in chunks_c.remainder().iter().zip(chunks_v.remainder()) {
+                    tail += f64::from(v) * f64::from(x[c as usize]);
+                }
+                (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
+            })
+            .collect()
     }
 
     /// Returns the transpose as a new CSR matrix.

@@ -41,7 +41,7 @@ pub enum SparseError {
         /// Description of what went wrong.
         message: String,
     },
-    /// CSR/CSC structural invariant violated (e.g. non-monotone pointers).
+    /// CSR structural invariant violated (e.g. non-monotone pointers).
     InvalidStructure(String),
     /// An on-disk artifact failed an integrity check (CRC mismatch,
     /// truncated payload, impossible section length). Unlike

@@ -1,42 +1,34 @@
-//! Runtime-dispatched SIMD kernel backends for the reference SpMV loops.
+//! Runtime-dispatched SIMD kernel backends.
 //!
 //! Every hot inner loop in this workspace — the engine's window walks in
-//! `gust::engine` and the reference kernels here ([`crate::CsrMatrix::spmv`]
-//! and friends) — dispatches through a [`Backend`]: a safe scalar
-//! implementation that reproduces the seed arithmetic bit for bit, plus
-//! `std::arch::x86_64` AVX2+FMA and AVX-512 implementations selected at
-//! runtime with `is_x86_feature_detected!` (the engine's `f32` walks have
-//! no AVX-512 version and run their AVX2 kernels under
-//! [`Backend::Avx512`]). The selection can be forced
-//! with the `GUST_BACKEND` environment variable (`scalar`, `avx2`,
-//! `avx512`, or `auto`) so CI legs and benchmarks can pin a backend
-//! regardless of host.
+//! `gust::engine` and the reference CSR kernel here
+//! ([`crate::CsrMatrix::spmv`]) — dispatches through a [`Backend`]: a
+//! safe scalar implementation that reproduces the seed arithmetic bit for
+//! bit, plus `std::arch::x86_64` SIMD implementations selected at runtime
+//! with `is_x86_feature_detected!`. The CSR kernel here has one SIMD
+//! tier, AVX2+FMA, which [`Backend::Avx512`] runs too (as it runs the
+//! engine's `f32` walks); only the engine's `f64` panel walk has an
+//! AVX-512 kernel. The selection can be forced with the `GUST_BACKEND`
+//! environment variable (`scalar`, `avx2`, `avx512`, or `auto`) so CI
+//! legs and benchmarks can pin a backend regardless of host.
+//!
+//! The `f64` CSR oracle ([`crate::CsrMatrix::spmv_f64`]) and the CSC
+//! scatter ([`crate::CscMatrix::spmv`]) have no backend: each is one
+//! scalar loop, so their outputs are the same bits on every host.
 //!
 //! # Numerical contract
 //!
 //! * **Scalar** is the seed arithmetic, unchanged: four independent partial
-//!   sums per CSR row combined as `(a0+a1)+(a2+a3)+tail`, four-wide product
-//!   batches with in-order scatter adds for CSC. Forcing
+//!   sums per CSR row combined as `(a0+a1)+(a2+a3)+tail`. Forcing
 //!   [`Backend::Scalar`] reproduces pre-backend outputs bit for bit.
-//! * **Avx2** keeps every *product* exactly (SIMD multiplies are IEEE-exact
-//!   like scalar ones) but folds multiply and accumulate into FMA where the
-//!   accumulation order is already backend-private (the CSR row reductions
-//!   here, the engine's batched register blocks). One fused op rounds once
-//!   instead of twice, so each accumulation step differs from scalar by at
-//!   most one ULP; over a row of `k` non-zeros without catastrophic
-//!   cancellation the relative divergence is bounded by roughly
-//!   `k · 2⁻²³` (see `tests/backend_equivalence.rs`, which enforces the
-//!   bound on cancellation-free inputs). Kernels whose accumulation order
-//!   is observable (the CSC column scatter, the engine's single-vector
-//!   walk) keep scalar in-order adds and stay bit-identical under every
-//!   backend.
-//! * **Avx512** follows the same contract as Avx2 at twice the width
-//!   (16 f32 lanes), with one deliberate difference in mechanism: ragged
-//!   tails are handled by masked loads/gathers/stores instead of scalar
-//!   remainder loops, so the whole row runs through the same FMA
-//!   accumulator. A masked-out lane contributes an exact `0·0` to the
-//!   accumulator and performs no memory access, so the bounds above are
-//!   unchanged; order-observable kernels still keep scalar in-order adds.
+//! * **Avx2** (and **Avx512**, which runs the same kernel) keeps every
+//!   *product* exactly (SIMD multiplies are IEEE-exact like scalar ones)
+//!   but folds multiply and accumulate into FMA and re-associates the row
+//!   sum. One fused op rounds once instead of twice, so each accumulation
+//!   step differs from scalar by at most one ULP; over a row of `k`
+//!   non-zeros without catastrophic cancellation the relative divergence
+//!   is bounded by roughly `k · 2⁻²³` (see `tests/backend_equivalence.rs`,
+//!   which enforces the bound on cancellation-free inputs).
 //!
 //! # Safety
 //!
@@ -49,8 +41,8 @@
 //!   have is that the features exist;
 //! * an intrinsic gather/load inside such a function whose indices are
 //!   bounds-checked against the operand slice *before* the unsafe region
-//!   (CSR/CSC constructors validate indices at build time; the engine
-//!   validates schedules at assembly — see the per-function comments).
+//!   (the CSR constructors validate indices at build time — see the
+//!   per-function comments).
 
 #![allow(unsafe_code)]
 // Every unsafe block must state the contract it discharges; enforced
@@ -69,14 +61,14 @@ pub enum Backend {
     /// 256-bit AVX2 gathers + FMA (`std::arch::x86_64`). Only available on
     /// x86-64 hosts whose CPU reports `avx2` and `fma`.
     Avx2,
-    /// 512-bit AVX-512 gathers + FMA with masked tails
-    /// (`std::arch::x86_64`) for the CSR/CSC kernels here and the engine's
-    /// `f64` panel walk; the engine's `f32` walks run the AVX2 kernels
-    /// under this backend (their AVX-512 versions lost every measured
-    /// probe). Only available on x86-64 hosts whose CPU reports exactly
-    /// the subfeature set the kernels use: `avx512f` (512-bit registers,
-    /// masked loads/gathers) and `avx512vl` (the 256-bit masked ops in
-    /// the f64 paths), plus the `avx2`+`fma` baseline.
+    /// 512-bit AVX-512 gathers + FMA (`std::arch::x86_64`) for the
+    /// engine's `f64` panel walk; the CSR kernel here and the engine's
+    /// `f32` walks run their AVX2 kernels under this backend (no AVX-512
+    /// version of them won a measured probe). Only available on x86-64
+    /// hosts whose CPU reports exactly the subfeature set the `f64` panel
+    /// kernel uses: `avx512f` (512-bit registers, masked loads/gathers)
+    /// and `avx512vl` (256-bit masked ops), plus the `avx2`+`fma`
+    /// baseline.
     Avx512,
 }
 
@@ -107,9 +99,10 @@ impl Backend {
     /// always can; [`Backend::Avx2`] requires a runtime
     /// `is_x86_feature_detected!` check for both `avx2` and `fma`;
     /// [`Backend::Avx512`] additionally requires `avx512f` and `avx512vl`
-    /// — exactly the feature set the AVX-512 kernels are compiled with,
-    /// no more (`avx512bw`/`avx512dq` are reported by [`cpu_features`]
-    /// for diagnostics but not required, because no kernel uses them).
+    /// — exactly the feature set the engine's AVX-512 `f64` panel kernel
+    /// is compiled with, no more (`avx512bw`/`avx512dq` are reported by
+    /// [`cpu_features`] for diagnostics but not required, because no
+    /// kernel uses them).
     #[must_use]
     pub fn is_available(self) -> bool {
         match self {
@@ -138,9 +131,8 @@ impl Backend {
 /// An unknown `GUST_BACKEND` value warns on stderr (once, at first use)
 /// and falls back to automatic selection — a misconfigured environment
 /// must not take a serving process down at its first SpMV. Callers that
-/// want a misspelled value to fail loudly (CI matrix legs) should
-/// validate eagerly with [`Backend::from_name`] — `gust`'s
-/// `GustConfig::from_env_checked` does exactly that.
+/// want a misspelled value to fail loudly can validate it with
+/// [`Backend::from_name`].
 #[must_use]
 pub fn default_backend() -> Backend {
     static DEFAULT: std::sync::OnceLock<Backend> = std::sync::OnceLock::new();
@@ -224,6 +216,8 @@ pub fn cpu_features() -> String {
 
 /// CSR SpMV into a caller-provided output under an explicit backend. The
 /// kernel behind [`CsrMatrix::spmv`] and [`CsrMatrix::spmv_with`].
+/// [`Backend::Avx2`] and [`Backend::Avx512`] both run the AVX2 kernel
+/// (AVX-512 availability implies `avx2+fma`).
 ///
 /// # Panics
 ///
@@ -232,74 +226,14 @@ pub fn csr_spmv_into(backend: Backend, a: &CsrMatrix, x: &[f32], y: &mut [f32]) 
     assert_eq!(x.len(), a.cols(), "input vector length mismatch");
     assert_eq!(y.len(), a.rows(), "output vector length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx512 && Backend::Avx512.is_available() {
-        // SAFETY: `is_available` proved avx512f+avx512vl+avx2+fma; row
-        // column indices are `< cols == x.len()` by the CSR construction
-        // invariant, and masked-out gather lanes access no memory.
-        unsafe { csr_spmv_avx512(a, x, y) };
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx2 && Backend::Avx2.is_available() {
+    if matches!(backend, Backend::Avx2 | Backend::Avx512) && Backend::Avx2.is_available() {
         // SAFETY: `is_available` proved avx2+fma; row column indices are
         // `< cols == x.len()` by the CSR construction invariant.
-        unsafe { csr_spmv_avx2(a, x, y) };
+        unsafe { avx2::csr_spmv_avx2(a, x, y) };
         return;
     }
     let _ = backend;
     csr_spmv_scalar(a, x, y);
-}
-
-/// CSR SpMV with `f64` accumulation under an explicit backend. The kernel
-/// behind [`CsrMatrix::spmv_f64`].
-///
-/// # Panics
-///
-/// Panics if `x.len() != a.cols()`.
-#[must_use]
-pub fn csr_spmv_f64(backend: Backend, a: &CsrMatrix, x: &[f32]) -> Vec<f64> {
-    assert_eq!(x.len(), a.cols(), "input vector length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx512 && Backend::Avx512.is_available() {
-        // SAFETY: as `csr_spmv_into`.
-        return unsafe { csr_spmv_f64_avx512(a, x) };
-    }
-    #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx2 && Backend::Avx2.is_available() {
-        // SAFETY: as `csr_spmv_into`.
-        return unsafe { csr_spmv_f64_avx2(a, x) };
-    }
-    let _ = backend;
-    csr_spmv_f64_scalar(a, x)
-}
-
-/// CSC SpMV under an explicit backend: per input column, scale the stored
-/// column and scatter-add into `y`. Scatter adds stay scalar and in stored
-/// row order under every backend (the accumulation order is observable),
-/// so the output is bit-identical across backends; AVX2 only widens the
-/// product computation.
-///
-/// # Panics
-///
-/// Panics if `y.len() != rows` implied by `col_rows` entries (checked by
-/// the caller, [`crate::CscMatrix::spmv`]).
-pub fn csc_scatter_column(backend: Backend, rows: &[u32], vals: &[f32], xj: f32, y: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx512 && Backend::Avx512.is_available() {
-        // SAFETY: `is_available` proved avx512f+avx512vl+avx2+fma; row
-        // indices are bounds-checked scalar stores inside.
-        unsafe { csc_scatter_avx512(rows, vals, xj, y) };
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Avx2 && Backend::Avx2.is_available() {
-        // SAFETY: `is_available` proved avx2+fma; row indices are
-        // bounds-checked scalar stores inside.
-        unsafe { csc_scatter_avx2(rows, vals, xj, y) };
-        return;
-    }
-    let _ = backend;
-    csc_scatter_scalar(rows, vals, xj, y);
 }
 
 /// The seed CSR kernel, verbatim: four independent partial sums per row,
@@ -329,64 +263,18 @@ fn row_sum_scalar(cols: &[u32], vals: &[f32], x: &[f32]) -> f32 {
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 
-/// The seed `f64`-accumulation CSR kernel, verbatim.
-fn csr_spmv_f64_scalar(a: &CsrMatrix, x: &[f32]) -> Vec<f64> {
-    (0..a.rows())
-        .map(|r| {
-            let (cols, vals) = a.row(r);
-            let mut acc = [0.0f64; 4];
-            let mut chunks_c = cols.chunks_exact(4);
-            let mut chunks_v = vals.chunks_exact(4);
-            for (c, v) in (&mut chunks_c).zip(&mut chunks_v) {
-                acc[0] += f64::from(v[0]) * f64::from(x[c[0] as usize]);
-                acc[1] += f64::from(v[1]) * f64::from(x[c[1] as usize]);
-                acc[2] += f64::from(v[2]) * f64::from(x[c[2] as usize]);
-                acc[3] += f64::from(v[3]) * f64::from(x[c[3] as usize]);
-            }
-            let mut tail = 0.0f64;
-            for (&c, &v) in chunks_c.remainder().iter().zip(chunks_v.remainder()) {
-                tail += f64::from(v) * f64::from(x[c as usize]);
-            }
-            (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-        })
-        .collect()
-}
-
-/// The seed CSC column scatter, verbatim: four products at a time, adds in
-/// stored row order.
-fn csc_scatter_scalar(rows: &[u32], vals: &[f32], xj: f32, y: &mut [f32]) {
-    let mut chunks_r = rows.chunks_exact(4);
-    let mut chunks_v = vals.chunks_exact(4);
-    for (r, v) in (&mut chunks_r).zip(&mut chunks_v) {
-        let p0 = v[0] * xj;
-        let p1 = v[1] * xj;
-        let p2 = v[2] * xj;
-        let p3 = v[3] * xj;
-        y[r[0] as usize] += p0;
-        y[r[1] as usize] += p1;
-        y[r[2] as usize] += p2;
-        y[r[3] as usize] += p3;
-    }
-    for (&r, &v) in chunks_r.remainder().iter().zip(chunks_v.remainder()) {
-        y[r as usize] += v * xj;
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    //! The AVX2+FMA implementations. Every function here carries
-    //! `#[target_feature(enable = "avx2,fma")]` and is therefore `unsafe`
-    //! to call; the dispatchers above only do so after
-    //! [`super::Backend::is_available`] returned `true`.
+    //! The AVX2+FMA CSR kernel. Every function here carries
+    //! `#[target_feature(enable = "avx2,fma")]`; the dispatcher above only
+    //! calls the `unsafe` ones after [`super::Backend::is_available`]
+    //! returned `true`.
 
     use super::CsrMatrix;
     use std::arch::x86_64::{
-        __m256, _mm256_castpd256_pd128, _mm256_castps256_ps128, _mm256_cvtps_pd,
-        _mm256_extractf128_pd, _mm256_extractf128_ps, _mm256_fmadd_pd, _mm256_fmadd_ps,
-        _mm256_i32gather_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_mul_ps, _mm256_set1_ps,
-        _mm256_setzero_pd, _mm256_setzero_ps, _mm256_storeu_ps, _mm_add_pd, _mm_add_ps, _mm_add_ss,
-        _mm_cvtsd_f64, _mm_cvtss_f32, _mm_i32gather_ps, _mm_loadu_ps, _mm_loadu_si128,
-        _mm_movehdup_ps, _mm_movehl_ps, _mm_unpackhi_pd,
+        __m256, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_fmadd_ps,
+        _mm256_i32gather_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_setzero_ps, _mm_add_ps,
+        _mm_add_ss, _mm_cvtss_f32, _mm_movehdup_ps, _mm_movehl_ps,
     };
 
     /// Horizontal sum of one 256-bit register, pairwise:
@@ -420,15 +308,14 @@ mod avx2 {
         }
     }
 
-    /// One row slice's dot product against `x` — the AVX2 body shared by
-    /// the full and cache-blocked CSR kernels.
+    /// One row slice's dot product against `x`.
     ///
     /// # Safety
     ///
     /// As [`csr_spmv_avx2`]: avx2+fma verified, every `cols` entry
     /// `< x.len()`.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn row_sum_avx2(cols: &[u32], vals: &[f32], x: &[f32]) -> f32 {
+    unsafe fn row_sum_avx2(cols: &[u32], vals: &[f32], x: &[f32]) -> f32 {
         let mut acc = _mm256_setzero_ps();
         let mut chunks_c = cols.chunks_exact(8);
         let mut chunks_v = vals.chunks_exact(8);
@@ -444,224 +331,7 @@ mod avx2 {
         }
         hsum_ps(acc) + tail
     }
-
-    /// CSR SpMV, f64 accumulation: 4-wide gathers widened to `f64` FMAs.
-    ///
-    /// # Safety
-    ///
-    /// As [`csr_spmv_avx2`].
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn csr_spmv_f64_avx2(a: &CsrMatrix, x: &[f32]) -> Vec<f64> {
-        (0..a.rows())
-            .map(|r| {
-                let (cols, vals) = a.row(r);
-                let mut acc = _mm256_setzero_pd();
-                let mut chunks_c = cols.chunks_exact(4);
-                let mut chunks_v = vals.chunks_exact(4);
-                for (c, v) in (&mut chunks_c).zip(&mut chunks_v) {
-                    let idx = _mm_loadu_si128(c.as_ptr().cast());
-                    let xs = _mm256_cvtps_pd(_mm_i32gather_ps::<4>(x.as_ptr(), idx));
-                    let vv = _mm256_cvtps_pd(_mm_loadu_ps(v.as_ptr()));
-                    acc = _mm256_fmadd_pd(vv, xs, acc);
-                }
-                let mut tail = 0.0f64;
-                for (&c, &v) in chunks_c.remainder().iter().zip(chunks_v.remainder()) {
-                    tail = f64::from(v).mul_add(f64::from(x[c as usize]), tail);
-                }
-                let lo = _mm256_castpd256_pd128(acc);
-                let hi = _mm256_extractf128_pd::<1>(acc);
-                let s2 = _mm_add_pd(lo, hi);
-                let s1 = _mm_add_pd(s2, _mm_unpackhi_pd(s2, s2));
-                _mm_cvtsd_f64(s1) + tail
-            })
-            .collect()
-    }
-
-    /// CSC column scatter: products computed 8-wide, stored to a spill
-    /// buffer, then added in stored row order — bit-identical to the
-    /// scalar path (SIMD multiplies are IEEE-exact, no FMA is used, and
-    /// add order is unchanged).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified avx2+fma support. All stores go through
-    /// bounds-checked slice indexing.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn csc_scatter_avx2(rows: &[u32], vals: &[f32], xj: f32, y: &mut [f32]) {
-        let xv = _mm256_set1_ps(xj);
-        let mut buf = [0.0f32; 8];
-        let mut chunks_r = rows.chunks_exact(8);
-        let mut chunks_v = vals.chunks_exact(8);
-        for (r, v) in (&mut chunks_r).zip(&mut chunks_v) {
-            let p = _mm256_mul_ps(_mm256_loadu_ps(v.as_ptr()), xv);
-            _mm256_storeu_ps(buf.as_mut_ptr(), p);
-            for (k, &row) in r.iter().enumerate() {
-                y[row as usize] += buf[k];
-            }
-        }
-        for (&r, &v) in chunks_r.remainder().iter().zip(chunks_v.remainder()) {
-            y[r as usize] += v * xj;
-        }
-    }
 }
-
-#[cfg(target_arch = "x86_64")]
-mod avx512 {
-    //! The AVX-512 implementations. Every function here carries
-    //! `#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]` — exactly
-    //! the set [`super::Backend::Avx512.is_available`] checks — and is
-    //! therefore `unsafe` to call; the dispatchers above only do so after
-    //! that check returned `true`. Ragged tails run through masked
-    //! loads/gathers instead of scalar remainder loops: a lane masked out
-    //! of a load is zeroed without touching memory, a lane masked out of a
-    //! gather performs no access at all, and a `0·0` FMA contribution is
-    //! exact, so masking changes neither the bounds nor the safety
-    //! argument.
-
-    use super::CsrMatrix;
-    use std::arch::x86_64::{
-        __mmask16, __mmask8, _mm256_maskz_loadu_epi32, _mm256_maskz_loadu_ps,
-        _mm256_mmask_i32gather_ps, _mm256_setzero_ps, _mm512_cvtps_pd, _mm512_fmadd_pd,
-        _mm512_fmadd_ps, _mm512_i32gather_ps, _mm512_loadu_epi32, _mm512_loadu_ps,
-        _mm512_mask_i32gather_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_epi32,
-        _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_reduce_add_pd, _mm512_reduce_add_ps,
-        _mm512_set1_ps, _mm512_setzero_pd, _mm512_setzero_ps,
-    };
-
-    /// CSR SpMV, f32: per row, 16-wide gather of `x[col]` fused into a
-    /// single FMA accumulator, with a masked 16-wide step for the ragged
-    /// tail, reduced at row end.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified avx512f+avx512vl+avx2+fma support.
-    /// Gather indices are the matrix's column indices, which
-    /// [`CsrMatrix`] guarantees are `< cols`; the caller asserted
-    /// `x.len() == cols`, so every active gather lane reads in bounds,
-    /// and masked-out lanes access no memory.
-    #[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-    pub(super) unsafe fn csr_spmv_avx512(a: &CsrMatrix, x: &[f32], y: &mut [f32]) {
-        for (r, out) in y.iter_mut().enumerate() {
-            let (cols, vals) = a.row(r);
-            // SAFETY: as above — indices in bounds for `x`.
-            *out = unsafe { row_sum_avx512(cols, vals, x) };
-        }
-    }
-
-    /// One row slice's dot product against `x` — the AVX-512 body shared
-    /// by the full and cache-blocked CSR kernels.
-    ///
-    /// # Safety
-    ///
-    /// As [`csr_spmv_avx512`]: features verified, every `cols` entry
-    /// `< x.len()`.
-    #[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-    pub(super) unsafe fn row_sum_avx512(cols: &[u32], vals: &[f32], x: &[f32]) -> f32 {
-        let mut acc = _mm512_setzero_ps();
-        let full = cols.len() / 16 * 16;
-        let mut k = 0usize;
-        while k < full {
-            // SAFETY: `k + 16 <= cols.len() == vals.len()`; gather lanes
-            // index `x` in bounds per the function contract.
-            unsafe {
-                let idx = _mm512_loadu_epi32(cols.as_ptr().add(k).cast());
-                let xs = _mm512_i32gather_ps::<4>(idx, x.as_ptr().cast());
-                let vv = _mm512_loadu_ps(vals.as_ptr().add(k));
-                acc = _mm512_fmadd_ps(vv, xs, acc);
-            }
-            k += 16;
-        }
-        let rem = cols.len() - full;
-        if rem > 0 {
-            let m: __mmask16 = (1u16 << rem) - 1;
-            // SAFETY: the mask covers exactly the `rem` in-bounds
-            // elements; masked-out load lanes are zeroed and masked-out
-            // gather lanes access no memory.
-            unsafe {
-                let idx = _mm512_maskz_loadu_epi32(m, cols.as_ptr().add(full).cast());
-                let xs =
-                    _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), m, idx, x.as_ptr().cast());
-                let vv = _mm512_maskz_loadu_ps(m, vals.as_ptr().add(full));
-                acc = _mm512_fmadd_ps(vv, xs, acc);
-            }
-        }
-        _mm512_reduce_add_ps(acc)
-    }
-
-    /// CSR SpMV, f64 accumulation: 8-wide masked gathers widened to one
-    /// 512-bit `f64` FMA accumulator per row — every step including the
-    /// tail is the same masked 8-lane body.
-    ///
-    /// # Safety
-    ///
-    /// As [`csr_spmv_avx512`].
-    #[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-    pub(super) unsafe fn csr_spmv_f64_avx512(a: &CsrMatrix, x: &[f32]) -> Vec<f64> {
-        (0..a.rows())
-            .map(|r| {
-                let (cols, vals) = a.row(r);
-                let mut acc = _mm512_setzero_pd();
-                let mut k = 0usize;
-                while k < cols.len() {
-                    let rem = (cols.len() - k).min(8);
-                    let m: __mmask8 = if rem == 8 { !0 } else { (1u8 << rem) - 1 };
-                    // SAFETY: the mask covers exactly the `rem` in-bounds
-                    // elements; active gather lanes index `x` in bounds,
-                    // masked-out lanes access no memory.
-                    unsafe {
-                        let idx = _mm256_maskz_loadu_epi32(m, cols.as_ptr().add(k).cast());
-                        let xs = _mm256_mmask_i32gather_ps::<4>(
-                            _mm256_setzero_ps(),
-                            m,
-                            idx,
-                            x.as_ptr().cast(),
-                        );
-                        let vv = _mm256_maskz_loadu_ps(m, vals.as_ptr().add(k));
-                        acc = _mm512_fmadd_pd(_mm512_cvtps_pd(vv), _mm512_cvtps_pd(xs), acc);
-                    }
-                    k += rem;
-                }
-                _mm512_reduce_add_pd(acc)
-            })
-            .collect()
-    }
-
-    /// CSC column scatter: products computed 16-wide (masked on the
-    /// tail), stored to a spill buffer, then added in stored row order —
-    /// bit-identical to the scalar path (SIMD multiplies are IEEE-exact,
-    /// no FMA is used, and add order is unchanged).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified avx512f+avx512vl+avx2+fma support. All
-    /// scatter stores go through bounds-checked slice indexing.
-    #[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-    pub(super) unsafe fn csc_scatter_avx512(rows: &[u32], vals: &[f32], xj: f32, y: &mut [f32]) {
-        let xv = _mm512_set1_ps(xj);
-        let mut buf = [0.0f32; 16];
-        let mut k = 0usize;
-        while k < rows.len() {
-            let rem = (rows.len() - k).min(16);
-            let m: __mmask16 = if rem == 16 { !0 } else { (1u16 << rem) - 1 };
-            // SAFETY: the mask covers exactly the `rem` in-bounds value
-            // elements; the masked store writes only the first `rem`
-            // lanes of the 16-element spill buffer.
-            unsafe {
-                let p = _mm512_mul_ps(_mm512_maskz_loadu_ps(m, vals.as_ptr().add(k)), xv);
-                _mm512_mask_storeu_ps(buf.as_mut_ptr(), m, p);
-            }
-            for (i, &row) in rows[k..k + rem].iter().enumerate() {
-                y[row as usize] += buf[i];
-            }
-            k += rem;
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-use avx2::{csc_scatter_avx2, csr_spmv_avx2, csr_spmv_f64_avx2};
-#[cfg(target_arch = "x86_64")]
-use avx512::{csc_scatter_avx512, csr_spmv_avx512, csr_spmv_f64_avx512};
 
 #[cfg(test)]
 mod tests {
@@ -737,41 +407,14 @@ mod tests {
             let err = crate::ops::max_relative_error(&y_simd, &y_scalar);
             assert!(err < 1e-4, "{} diverged from scalar: {err}", backend.name());
         }
-    }
-
-    #[test]
-    fn csr_f64_backends_agree() {
-        let m = crate::CsrMatrix::from(&gen::power_law(60, 60, 700, 1.8, 4));
-        let x = vector(60, 6);
-        let scalar = csr_spmv_f64(Backend::Scalar, &m, &x);
-        for backend in [Backend::Avx2, Backend::Avx512] {
-            if !backend.is_available() {
-                continue;
-            }
-            let simd = csr_spmv_f64(backend, &m, &x);
-            for (a, b) in scalar.iter().zip(&simd) {
-                assert!(
-                    (a - b).abs() <= 1e-9 * a.abs().max(1.0),
-                    "{} diverged from scalar",
-                    backend.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn csc_scatter_is_bit_identical_across_backends() {
-        let rows: Vec<u32> = (0..37).map(|i| (i * 7) % 50).collect();
-        let vals = vector(37, 9);
-        let mut y_scalar = vec![0.0f32; 50];
-        csc_scatter_column(Backend::Scalar, &rows, &vals, 1.375, &mut y_scalar);
-        for backend in [Backend::Avx2, Backend::Avx512] {
-            if !backend.is_available() {
-                continue;
-            }
-            let mut y_simd = vec![0.0f32; 50];
-            csc_scatter_column(backend, &rows, &vals, 1.375, &mut y_simd);
-            assert_eq!(y_scalar, y_simd, "CSC scatter must not depend on backend");
+        // The AVX-512 backend runs the AVX2 CSR kernel: same bits.
+        if Backend::Avx512.is_available() {
+            let m = crate::CsrMatrix::from(&gen::uniform(80, 70, 600, 9));
+            let x = vector(70, 7);
+            assert_eq!(
+                m.spmv_with(Backend::Avx512, &x),
+                m.spmv_with(Backend::Avx2, &x)
+            );
         }
     }
 }

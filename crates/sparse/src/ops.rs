@@ -1,14 +1,19 @@
 //! Reference kernels and floating-point comparison helpers.
 //!
 //! Every cycle-accurate accelerator model in this workspace is validated by
-//! comparing its output vector against [`reference_spmv`]. Because the
-//! accelerators accumulate partial sums in a different order than the
-//! reference (GUST's crossbar interleaves rows arbitrarily), comparisons are
-//! made with a relative tolerance rather than bit equality.
+//! comparing its output vector against [`reference_spmv`], a scalar loop
+//! that takes no kernel backend, so the oracle itself never changes with
+//! the host or `GUST_BACKEND`. Because the accelerators accumulate partial
+//! sums in a different order than the reference (GUST's crossbar
+//! interleaves rows arbitrarily), comparisons are made with a relative
+//! tolerance rather than bit equality.
 
 use crate::csr::CsrMatrix;
 
-/// The reference `y = A·x`: CSR traversal with `f64` accumulation.
+/// The reference `y = A·x`: CSR traversal with `f64` accumulation
+/// ([`CsrMatrix::spmv_f64`]), rounded to `f32`. The loop is scalar and
+/// takes no kernel backend, so the oracle is the same bits on every host
+/// and under every `GUST_BACKEND`.
 ///
 /// # Example
 ///

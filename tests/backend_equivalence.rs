@@ -6,24 +6,27 @@
 //! 1. **Forced scalar is the seed, bit for bit.** `Backend::Scalar`
 //!    reproduces the pre-backend arithmetic exactly: the engine's fast
 //!    path equals the instrumented per-cycle walk, batched columns equal
-//!    per-vector runs, and the reference CSR kernel equals the seed
-//!    4-wide unrolled loop (re-implemented here as an independent
-//!    oracle).
-//! 2. **Order-preserving kernels are backend-invariant.** Kernels whose
-//!    accumulation order is observable — the single-vector engine walk
-//!    and the CSC column scatter — vectorize only their multiplies (which
-//!    are IEEE-exact, masked AVX-512 tail lanes included), so their
-//!    outputs are bit-identical under *every* backend.
+//!    per-vector runs, and the reference CSR kernels (`f32` under the
+//!    scalar backend, and the backend-free `f64` oracle) equal the seed
+//!    4-wide unrolled loops (re-implemented here as independent
+//!    oracles).
+//! 2. **Order-preserving kernels are backend-invariant.** The
+//!    single-vector engine walk, whose accumulation order is observable,
+//!    vectorizes only its multiplies (which are IEEE-exact), so its
+//!    output is bit-identical under *every* backend. The `f64` CSR
+//!    oracle and the CSC scatter take no backend at all: each is one
+//!    scalar loop.
 //! 3. **FMA kernels match scalar within a documented ULP bound.** The
-//!    AVX2/AVX-512 batched panel walks and CSR row reductions fuse
-//!    multiply and add (one rounding instead of two) and re-associate row
-//!    sums. Each accumulation step can shift the partial sum by at most
-//!    1 ULP, so on cancellation-free inputs a row of `k` non-zeros
-//!    diverges from the scalar result by a relative error of at most
-//!    about `k · 2⁻²³`; the tests below enforce `4 · k_max · ε_f32` (the
+//!    AVX2/AVX-512 batched panel walks and the AVX2 CSR row reduction
+//!    (which the AVX-512 backend runs too) fuse multiply and add (one
+//!    rounding instead of two) and re-associate row sums. Each
+//!    accumulation step can shift the partial sum by at most 1 ULP, so
+//!    on cancellation-free inputs a row of `k` non-zeros diverges from
+//!    the scalar result by a relative error of at most about `k · 2⁻²³`;
+//!    the tests below enforce `4 · k_max · ε_f32` (the
 //!    factor 4 covers both paths' distance from the exact sum) across
 //!    uniform / power-law / R-MAT matrices and batch sizes 1, 8, 16
-//!    and 17. The f64 leg applies the same reasoning at `ε_f64`.
+//!    and 17. The f64 panel walk applies the same reasoning at `ε_f64`.
 //!
 //! On hosts without AVX2+FMA (or the AVX-512 feature set) the missing
 //! SIMD assertions skip gracefully (the scalar tier still runs), so the
@@ -199,6 +202,28 @@ fn forced_scalar_csr_kernel_matches_seed_arithmetic() {
         got, oracle,
         "scalar CSR kernel drifted from the seed arithmetic"
     );
+    // The f64 oracle has no backend: whatever `GUST_BACKEND` this binary
+    // runs under, it is the same four-partial-sum loop, bit for bit.
+    let oracle64: Vec<f64> = (0..matrix.rows())
+        .map(|r| {
+            let (cols, vals) = matrix.row(r);
+            let full = cols.len() / 4 * 4;
+            let mut acc = [0.0f64; 4];
+            for (k, (&c, &v)) in cols[..full].iter().zip(vals).enumerate() {
+                acc[k % 4] += f64::from(v) * f64::from(x[c as usize]);
+            }
+            let mut tail = 0.0f64;
+            for (&c, &v) in cols[full..].iter().zip(&vals[full..]) {
+                tail += f64::from(v) * f64::from(x[c as usize]);
+            }
+            (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
+        })
+        .collect();
+    assert_eq!(
+        matrix.spmv_f64(&x),
+        oracle64,
+        "f64 CSR oracle drifted from the seed arithmetic"
+    );
 }
 
 #[test]
@@ -226,27 +251,6 @@ fn single_vector_engine_is_backend_invariant() {
             );
             assert_eq!(a.report, b.report);
         }
-    }
-}
-
-#[test]
-fn csc_spmv_is_backend_invariant() {
-    let simd = simd_backends();
-    if simd.is_empty() {
-        eprintln!("no SIMD backend on this host; scalar-only run, skipping");
-        return;
-    }
-    let matrix = positive_matrix(1, 80, 70, 900, 31);
-    let csc = CscMatrix::from(&matrix);
-    let x = positive_vector(70, 13);
-    let reference = csc.spmv_with(Backend::Scalar, &x);
-    for backend in simd {
-        assert_eq!(
-            reference,
-            csc.spmv_with(backend, &x),
-            "CSC scatter order is observable; {} must agree with scalar bit for bit",
-            backend.name()
-        );
     }
 }
 
@@ -297,7 +301,6 @@ fn simd_csr_kernels_match_scalar_within_ulp_bound() {
         let bound = ulp_bound(&matrix);
         let x = positive_vector(110, 29);
         let scalar32 = matrix.spmv_with(Backend::Scalar, &x);
-        let scalar64 = gust_sparse::kernels::csr_spmv_f64(Backend::Scalar, &matrix, &x);
         for &backend in &simd {
             let err = max_relative_error(&matrix.spmv_with(backend, &x), &scalar32);
             assert!(
@@ -305,23 +308,14 @@ fn simd_csr_kernels_match_scalar_within_ulp_bound() {
                 "kind {kind} / {}: CSR f32 divergence {err} > {bound}",
                 backend.name()
             );
-            let simd64 = gust_sparse::kernels::csr_spmv_f64(backend, &matrix, &x);
-            for (a, b) in scalar64.iter().zip(&simd64) {
-                let denom = a.abs().max(1.0);
-                assert!(
-                    ((a - b) / denom).abs() <= f64::from(f32::EPSILON),
-                    "kind {kind} / {}: f64 kernels diverged beyond reason: {a} vs {b}",
-                    backend.name()
-                );
-            }
         }
     }
 }
 
 /// The seed CSR loops — one scalar accumulation chain per row, in `f32`
-/// and in `f64` — as the oracle for every backend's CSR kernels and for
-/// the dispatched `spmv`/`spmv_f64` entry points. Mixed-sign inputs, so
-/// the bounds are looser than tier 3's.
+/// and in `f64` — as the oracle for every backend's `f32` CSR kernel and
+/// for the `spmv`/`spmv_f64` entry points. Mixed-sign inputs, so the
+/// bounds are looser than tier 3's.
 #[test]
 fn csr_kernels_match_the_seed_scalar_chains_on_every_backend() {
     let matrix = CsrMatrix::from(&gen::uniform(80, 70, 600, 9));
@@ -356,10 +350,6 @@ fn csr_kernels_match_the_seed_scalar_chains_on_every_backend() {
     check64(&matrix.spmv_f64(&x), "default");
     for backend in std::iter::once(Backend::Scalar).chain(simd_backends()) {
         assert_vectors_close(&matrix.spmv_with(backend, &x), &chain32, 1e-5);
-        check64(
-            &gust_sparse::kernels::csr_spmv_f64(backend, &matrix, &x),
-            backend.name(),
-        );
     }
 }
 

@@ -3,6 +3,7 @@
 //! every baseline accelerator does too.
 
 use gust::prelude::*;
+use gust::verify::audit_schedule_against;
 use gust_accel::prelude::*;
 use gust_repro::prelude::*;
 
@@ -56,7 +57,8 @@ fn gust_matches_reference_for_all_policies_and_generators() {
             ] {
                 let gust = Gust::new(GustConfig::new(16).with_policy(policy));
                 let schedule = gust.schedule(&matrix);
-                schedule.validate_against(&matrix);
+                let r = audit_schedule_against(&schedule, &matrix);
+                assert!(r.is_clean(), "{r}");
                 let run = gust.execute(&schedule, &x);
                 assert_vectors_close(&run.output, &expected, 1e-3);
             }

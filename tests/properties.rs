@@ -4,6 +4,7 @@
 
 use gust::prelude::*;
 use gust::schedule::windows::WindowPlan;
+use gust::verify::audit_schedule_against;
 use gust_repro::prelude::*;
 use proptest::prelude::*;
 
@@ -49,7 +50,8 @@ proptest! {
             SchedulingPolicy::EdgeColoringLb,
         ] {
             let schedule = Gust::new(GustConfig::new(l).with_policy(policy)).schedule(&matrix);
-            schedule.validate_against(&matrix);
+            let r = audit_schedule_against(&schedule, &matrix);
+            prop_assert!(r.is_clean(), "{r}");
         }
     }
 

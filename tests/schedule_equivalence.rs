@@ -5,6 +5,7 @@
 //! merge is ordered, so any divergence is a bug, not a tolerance.)
 
 use gust::prelude::*;
+use gust::verify::audit_schedule_against;
 use gust_repro::prelude::*;
 use proptest::prelude::*;
 
@@ -75,7 +76,8 @@ proptest! {
         for config in configs(l) {
             let sequential = Gust::new(config.clone().with_parallelism(Some(1)))
                 .schedule(&matrix);
-            sequential.validate_against(&matrix);
+            let r = audit_schedule_against(&sequential, &matrix);
+            prop_assert!(r.is_clean(), "{r}");
             prop_assert_eq!(sequential.nnz(), matrix.nnz());
             for threads in [2usize, 3, 7] {
                 let parallel = Gust::new(config.clone().with_parallelism(Some(threads)))
@@ -121,9 +123,11 @@ fn large_matrix_parallel_schedule_validates() {
     ] {
         let config = GustConfig::new(64).with_coloring(algo);
         let sequential = Gust::new(config.clone().with_parallelism(Some(1))).schedule(&matrix);
-        sequential.validate_against(&matrix);
+        let r = audit_schedule_against(&sequential, &matrix);
+        assert!(r.is_clean(), "{r}");
         let parallel = Gust::new(config.with_parallelism(Some(8))).schedule(&matrix);
-        parallel.validate_against(&matrix);
+        let r = audit_schedule_against(&parallel, &matrix);
+        assert!(r.is_clean(), "{r}");
         assert_eq!(parallel, sequential, "{algo:?}");
         assert_eq!(parallel.total_colors(), sequential.total_colors());
     }
